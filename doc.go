@@ -182,8 +182,9 @@
 // /healthz answers 503 "degraded" and the daemon keeps serving the
 // survivors instead of crashing.
 //
-// Checkpoint writes rotate the previous generation to a .prev file and
-// retry failures with capped backoff; a restart that finds its
+// Checkpoint writes keep the previous generation as a .prev file (a
+// hard link, so the checkpoint path never goes missing while the new
+// one is written) and retry failures with capped backoff; a restart that finds its
 // checkpoint corrupt falls back newest-valid-then-base, and every
 // degradation on that ladder is surfaced in /stats and /healthz rather
 // than logged and lost. The ingest surface hardens the same way:
@@ -410,7 +411,20 @@
 //     and the supervisor demux, mirroring the engine's internal
 //     Config.Batch — one channel operation per batch instead of per
 //     record lifted BenchmarkServeIngest from ~1.9M to ~2.5M frames/s
-//     (BENCH_4 → BENCH_5).
+//     (BENCH_4 → BENCH_5);
+//   - the CTR1 binary record codec is allocation-free both ways once
+//     warm: trace.BinaryDecoder reads each record's fixed 13-byte
+//     header and frame bytes into arrays of the decoder, parses the
+//     meta field in place in its read buffer and interns Channel/Source
+//     through a bounded per-decoder table; trace.AppendBinary (built on
+//     can.Frame.AppendBinary, an encoding.BinaryAppender) encodes into a
+//     caller's buffer, which the -record capture tap reuses slab to
+//     slab. TestBinaryCodecSteadyStateAllocs pins both at 0 allocs per
+//     record, and TestIngestSteadyStateAllocs extends the engine's
+//     <0.25 allocs/frame bound to a warm Server.Ingest of binary bodies
+//     (~0.03 measured, 6.0 before). On servebench upload-binary this
+//     moved ~3.0M to ~4.4M frames/s and 6.07 to 0.076 allocs/frame
+//     (EXPERIMENTS.md, Performance).
 //
 // The experiment pipeline (internal/experiments) memoizes the clean
 // training traffic and golden template per parameter set, caches

@@ -1,6 +1,8 @@
 package can
 
 import (
+	"bytes"
+	"encoding"
 	"errors"
 	"math/rand"
 	"testing"
@@ -318,6 +320,34 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if !f.Equal(g) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", f, g)
 		}
+	}
+}
+
+// TestFrameAppendBinary: AppendBinary is the encoding.BinaryAppender
+// form of MarshalBinary — same bytes after whatever dst held, no
+// allocation when dst has room, and dst untouched for an invalid frame.
+func TestFrameAppendBinary(t *testing.T) {
+	var _ encoding.BinaryAppender = Frame{}
+	rng := rand.New(rand.NewSource(12))
+	buf := make([]byte, 0, 2+MaxWireSize)
+	for i := 0; i < 200; i++ {
+		f := randomFrame(rng)
+		want, err := f.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.AppendBinary(append(buf[:0], 0xAA, 0xBB))
+		if err != nil || !bytes.Equal(got[:2], []byte{0xAA, 0xBB}) || !bytes.Equal(got[2:], want) {
+			t.Fatalf("AppendBinary(%v) = %x, %v; want aabb%x", f, got, err, want)
+		}
+	}
+	f := MustFrame(0x7FF, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	if n := testing.AllocsPerRun(100, func() { buf, _ = f.AppendBinary(buf[:0]) }); n != 0 {
+		t.Errorf("AppendBinary into a sized buffer: %v allocs, want 0", n)
+	}
+	bad := Frame{ID: MaxStandardID + 1}
+	if got, err := bad.AppendBinary(buf[:1]); !errors.Is(err, ErrIDRange) || len(got) != 1 {
+		t.Errorf("invalid frame: len %d, err %v; want dst unchanged and ErrIDRange", len(got), err)
 	}
 }
 

@@ -20,15 +20,18 @@ const (
 	flagRemote   = 1 << 1
 
 	binaryHeaderLen = 6
+
+	// MaxWireSize is the largest encoding AppendBinary produces.
+	MaxWireSize = binaryHeaderLen + MaxDataLen
 )
 
-// MarshalBinary encodes the frame in the compact binary layout.
-func (f Frame) MarshalBinary() ([]byte, error) {
+// AppendBinary appends the frame's compact binary encoding to b
+// (encoding.BinaryAppender). It allocates only when b lacks capacity,
+// and returns b unchanged with an error for a frame that fails Validate.
+func (f Frame) AppendBinary(b []byte) ([]byte, error) {
 	if err := f.Validate(); err != nil {
-		return nil, err
+		return b, err
 	}
-	buf := make([]byte, binaryHeaderLen, binaryHeaderLen+int(f.Len))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(f.ID))
 	var flags byte
 	if f.Extended {
 		flags |= flagExtended
@@ -36,9 +39,17 @@ func (f Frame) MarshalBinary() ([]byte, error) {
 	if f.Remote {
 		flags |= flagRemote
 	}
-	buf[4] = flags
-	buf[5] = f.Len
-	buf = append(buf, f.Data[:f.Len]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(f.ID))
+	b = append(b, flags, f.Len)
+	return append(b, f.Data[:f.Len]...), nil
+}
+
+// MarshalBinary encodes the frame in the compact binary layout.
+func (f Frame) MarshalBinary() ([]byte, error) {
+	buf, err := f.AppendBinary(make([]byte, 0, MaxWireSize))
+	if err != nil {
+		return nil, err
+	}
 	return buf, nil
 }
 

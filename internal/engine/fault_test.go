@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"canids/internal/detect"
 	"canids/internal/engine"
 	"canids/internal/fault"
+	"canids/internal/trace"
 )
 
 // TestEngineRunRecoversPanic: a panic on the dispatch path surfaces as
@@ -108,8 +110,11 @@ func TestEngineSwapInstallFailure(t *testing.T) {
 
 // faultFleet runs a two-bus supervisor over SI-100 (can-a) + FI-500
 // (can-b) with the given config mutator and returns the per-bus alert
-// streams, stats, health, and Run's error.
-func faultFleet(t *testing.T, mutate func(*engine.SupervisorConfig)) (
+// streams, stats, health, and Run's error. The stream stays open until
+// until(can-a's health) holds: the supervisor reports a bus whose
+// stream ends during restart backoff as crashed, so the outcome each
+// caller pins must not race the backoff timer.
+func faultFleet(t *testing.T, mutate func(*engine.SupervisorConfig), until func(engine.BusHealth) bool) (
 	map[string][]detect.Alert, map[string]engine.Stats, map[string]engine.BusHealth, *engine.Supervisor, error) {
 	t.Helper()
 	busA := retag(scenarioTrace(t, "fusion/idle/SI-100"), "can-a")
@@ -124,11 +129,42 @@ func faultFleet(t *testing.T, mutate func(*engine.SupervisorConfig)) (
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := &holdOpen{
+		src: engine.NewSliceSource(mixed), sup: sup, channel: "can-a",
+		until: until, deadline: time.Now().Add(10 * time.Second),
+	}
 	got := make(map[string][]detect.Alert)
-	stats, runErr := sup.Run(context.Background(), engine.NewSliceSource(mixed), func(ch string, a detect.Alert) {
+	stats, runErr := sup.Run(context.Background(), src, func(ch string, a detect.Alert) {
 		got[ch] = append(got[ch], a)
 	})
 	return got, stats, sup.Health(), sup, runErr
+}
+
+// holdOpen streams src, then keeps offering copies of channel's last
+// record, a millisecond of stream time apart, until the predicate holds
+// for the channel's health or the wall-clock deadline passes.
+type holdOpen struct {
+	src      engine.Source
+	sup      *engine.Supervisor
+	channel  string
+	until    func(engine.BusHealth) bool
+	deadline time.Time
+	last     trace.Record
+}
+
+func (h *holdOpen) Next() (trace.Record, error) {
+	rec, err := h.src.Next()
+	if err == nil {
+		if rec.Channel == h.channel {
+			h.last = rec
+		}
+		return rec, nil
+	}
+	if err != io.EOF || h.until(h.sup.Health()[h.channel]) || time.Now().After(h.deadline) {
+		return rec, err
+	}
+	h.last.Time += time.Millisecond
+	return h.last, nil
 }
 
 // dedicatedAlerts is the undisturbed single-bus reference run.
@@ -176,7 +212,7 @@ func TestSupervisorRestartsCrashedBus(t *testing.T) {
 			restartedCh, restartedAttempt = channel, attempt
 			return newEngine(channel)
 		}
-	})
+	}, func(h engine.BusHealth) bool { return h.Restarts >= 1 && h.State == engine.BusOK })
 	if runErr != nil {
 		t.Fatalf("Run = %v, want nil (restart should absorb the crash)", runErr)
 	}
@@ -221,6 +257,9 @@ func TestSupervisorRestartsCrashedBus(t *testing.T) {
 	}
 }
 
+// isDead is faultFleet's hold for tests that drive can-a to its death.
+func isDead(h engine.BusHealth) bool { return h.State == engine.BusDead }
+
 // TestSupervisorDeadBus: a bus whose restart budget is exhausted goes
 // dead and drains — the fleet keeps serving, the other bus's stream is
 // untouched, and the dead bus's accounting stays exact.
@@ -242,7 +281,7 @@ func TestSupervisorDeadBus(t *testing.T) {
 		cfg.OnBusError = func(channel string, err error, willRestart bool) {
 			busErrs = append(busErrs, channel)
 		}
-	})
+	}, isDead)
 	if runErr == nil || !strings.Contains(runErr.Error(), `bus "can-a"`) || !strings.Contains(runErr.Error(), "dead") {
 		t.Fatalf("Run = %v, want dead-bus error naming can-a", runErr)
 	}
@@ -293,7 +332,7 @@ func TestSupervisorRestartFactoryError(t *testing.T) {
 		cfg.RestartEngine = func(channel string, attempt int) (*engine.Engine, error) {
 			return nil, errors.New("store offline")
 		}
-	})
+	}, isDead)
 	if runErr == nil || !strings.Contains(runErr.Error(), "dead") {
 		t.Fatalf("Run = %v, want dead bus", runErr)
 	}

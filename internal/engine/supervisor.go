@@ -554,8 +554,10 @@ func (s *Supervisor) serveBus(ctx context.Context, channel string, r *busState, 
 				return
 			}
 			attempt++
-			r.restarts.Add(1)
+			// State first: Health must never pair a restart count that
+			// includes this restart with the crashed incarnation's OK.
 			r.state.Store(stateRestarting)
+			r.restarts.Add(1)
 			if closed := s.backoffDrain(ctx, r, restartBackoff(s.cfg.RestartBackoff, attempt), pool); closed {
 				// The stream ended while the bus was down; report the
 				// crash rather than resurrect an engine with nothing to

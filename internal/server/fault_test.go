@@ -209,38 +209,56 @@ func TestServeRestartFallbackLadder(t *testing.T) {
 	if _, err := store.Load(ck + ".prev"); err != nil {
 		t.Fatalf("no previous generation after two checkpoints: %v", err)
 	}
-	// Freeze adaptation so a background promotion cannot rewrite the
-	// file we are about to corrupt.
+	// Freeze adaptation: from here on no promotion nudges a background
+	// checkpoint. One already queued or in flight at the pause can
+	// still rewrite the files around the corruption, and the restart
+	// then rightly finds a good checkpoint; that spoils only the
+	// attempt it lands in, so retry from a fresh generation pair.
 	if code := post(t, url+"/admin/adapt?action=pause", nil, nil); code != http.StatusOK {
 		t.Fatal("pause failed")
 	}
-	if err := os.WriteFile(ck, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	inj.ArmPanic(fault.EngineFrame, "ms-can", 100, 1)
-	if code := post(t, url+"/ingest/ms-can?format=csv", csv, nil); code != http.StatusOK {
-		t.Fatalf("second ingest status %d", code)
-	}
-	deadline = time.Now().Add(10 * time.Second)
-	var st faultStats
-	for {
-		if code := get(t, url+"/stats", &st); code != http.StatusOK {
-			t.Fatalf("stats status %d", code)
+	const attempts = 4
+	for attempt := 1; ; attempt++ {
+		if code := post(t, url+"/admin/checkpoint", nil, nil); code != http.StatusOK {
+			t.Fatal("checkpoint before corruption failed")
 		}
-		if h := st.Health["ms-can"]; h.Restarts >= 1 && h.State == engine.BusOK {
+		before := len(s.DegradedNotes())
+		if err := os.WriteFile(ck, []byte("not a snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		inj.ArmPanic(fault.EngineFrame, "ms-can", 100, 1)
+		if code := post(t, url+"/ingest/ms-can?format=csv", csv, nil); code != http.StatusOK {
+			t.Fatalf("ingest status %d", code)
+		}
+		deadline = time.Now().Add(10 * time.Second)
+		for {
+			var st faultStats
+			if code := get(t, url+"/stats", &st); code != http.StatusOK {
+				t.Fatalf("stats status %d", code)
+			}
+			if h := st.Health["ms-can"]; h.Restarts >= uint64(attempt) && h.State == engine.BusOK {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("bus never restarted: %+v", st.Health)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		notes := strings.Join(s.DegradedNotes()[before:], "\n")
+		corrupt := strings.Contains(notes, "unusable")
+		fellBack := strings.Contains(notes, "previous checkpoint generation")
+		if corrupt && fellBack {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("bus never restarted: %+v", st.Health)
+		if attempt == attempts {
+			if !corrupt {
+				t.Errorf("degradation log does not record the corrupt checkpoint:\n%s", notes)
+			}
+			if !fellBack {
+				t.Errorf("degradation log does not record the fallback:\n%s", notes)
+			}
+			break
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	notes := strings.Join(st.Degraded, "\n")
-	if !strings.Contains(notes, "unusable") {
-		t.Errorf("degradation log does not record the corrupt checkpoint:\n%s", notes)
-	}
-	if !strings.Contains(notes, "previous checkpoint generation") {
-		t.Errorf("degradation log does not record the fallback:\n%s", notes)
 	}
 	if err := s.Drain(); err != nil {
 		t.Errorf("drain after recovered crash: %v", err)

@@ -127,18 +127,19 @@ func (s *Server) setupRecord() error {
 
 // captureSlab is the supervisor tap: persist one demuxed slab — the
 // slab is owned by the consumer the moment the tap returns, so it is
-// serialized here, not retained. Runs on the demux goroutine; a write
-// failure disables capture with a degradation note instead of stalling
-// or crashing the pipeline (an incomplete capture is an observability
-// loss, not a serving loss).
+// serialized here, into the server's reused encode buffer, not
+// retained. Runs on the demux goroutine; a write failure disables
+// capture with a degradation note instead of stalling or crashing the
+// pipeline (an incomplete capture is an observability loss, not a
+// serving loss).
 func (s *Server) captureSlab(channel string, slab []trace.Record) {
 	if s.captureFail.Load() {
 		return
 	}
-	var buf bytes.Buffer
-	err := trace.WriteBinary(&buf, trace.Trace(slab))
+	buf, err := trace.AppendBinary(s.captureBuf[:0], trace.Trace(slab))
+	s.captureBuf = buf
 	if err == nil {
-		err = s.capture.Append(channel, buf.Bytes())
+		err = s.capture.Append(channel, buf)
 	}
 	if err != nil && s.captureFail.CompareAndSwap(false, true) {
 		s.noteDegraded("record capture disabled: bus %q: %v", channel, err)

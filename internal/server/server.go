@@ -80,8 +80,9 @@
 // bit-identical alert streams. Frames that arrive while a bus is down
 // are counted exactly in its Stats.Lost; a bus that exhausts its
 // restart budget goes dead and /healthz turns 503 "degraded" instead of
-// the daemon crashing. Checkpoint writes rotate the previous generation
-// to .prev and retry failures with capped backoff. Ingest is hardened
+// the daemon crashing. Checkpoint writes keep the previous generation
+// as .prev without ever leaving the checkpoint path missing, and retry
+// failures with capped backoff. Ingest is hardened
 // separately: Config.MaxBody (413), Config.IngestTimeout per-read
 // deadlines (408), and Config.ShedAfter load-shedding (429 +
 // Retry-After). Config.Fault arms the deterministic chaos harness
@@ -368,6 +369,9 @@ type Server struct {
 	capture     *journal.Set
 	journalFail atomic.Bool
 	captureFail atomic.Bool
+	// captureBuf is captureSlab's encode buffer, reused slab to slab;
+	// only the demux goroutine touches it.
+	captureBuf []byte
 
 	// ckCh nudges the checkpoint goroutine after a promotion; ckMu
 	// serializes concurrent Checkpoint calls (background vs admin) and
@@ -1184,9 +1188,9 @@ func (s *Server) Checkpoint() (files map[string]string, err error) {
 		// Keep the previous generation: the restart fallback ladder reads
 		// path, then path+".prev", then the base snapshot, so one corrupt
 		// write never strands a bus on the unadapted model. Best-effort —
-		// a missing .prev is the first checkpoint, not a failure.
-		if _, err := os.Stat(path); err == nil {
-			os.Rename(path, path+".prev") //nolint:errcheck // rotation is best-effort
+		// a missing path is the first checkpoint, not a failure.
+		if err := keepPrevious(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			s.log.Warn("checkpoint rotation failed", "bus", ch, "path", path, "err", err)
 		}
 		saveStart := time.Now()
 		err = s.cfg.Fault.Hit(fault.CheckpointSave, ch)
@@ -1203,6 +1207,21 @@ func (s *Server) Checkpoint() (files map[string]string, err error) {
 		s.log.Debug("checkpoint saved", "bus", ch, "path", path)
 	}
 	return files, errors.Join(errs...)
+}
+
+// keepPrevious makes path+".prev" another name for the snapshot at
+// path: a hard link under a hidden temporary name, renamed over .prev.
+// Neither file is ever missing, so a reader of path (a restart, an
+// /admin/reload of the file, an operator copying it) always finds a
+// complete snapshot; the store.Save that follows replaces path by an
+// atomic rename, leaving .prev on the old generation.
+func keepPrevious(path string) error {
+	tmp := filepath.Join(filepath.Dir(path), ".link-"+filepath.Base(path))
+	os.Remove(tmp) //nolint:errcheck // a leftover from a crash, if any
+	if err := os.Link(path, tmp); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path+".prev")
 }
 
 // checkpointSnapshot flattens one bus's latest promoted model back

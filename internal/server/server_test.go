@@ -125,7 +125,9 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	t.Cleanup(func() {
 		ts.Close()
 		cancel()
-		<-s.Done()
+		// Drain, not just Done: the final checkpoint lands after the
+		// pipeline stops, and t.TempDir removal must not race it.
+		s.Drain() //nolint:errcheck // the canceled run's error is expected
 	})
 	return s, ts.URL
 }
@@ -772,6 +774,44 @@ func TestServeAdaptLifecycle(t *testing.T) {
 	total, _ := srv2.Stats()
 	if total.Frames != uint64(len(clean)) {
 		t.Errorf("restart served %d frames, want %d", total.Frames, len(clean))
+	}
+}
+
+// TestIngestSteadyStateAllocs extends the engine's allocation guard to
+// the serve path: a warm server ingesting binary bodies — decode, feed
+// slabs, demux and the sharded engine together — stays below 0.25
+// allocations per frame. Each body is the clean capture shifted past
+// the previous one, so stream time keeps advancing.
+func TestIngestSteadyStateAllocs(t *testing.T) {
+	snap, clean, _ := loadFixture(t)
+	s, _ := startServer(t, server.Config{Snapshot: snap})
+	const runs = 5
+	span := clean[len(clean)-1].Time + time.Second
+	// One body to build the bus engine, one for AllocsPerRun's warm-up
+	// call, one per measured run.
+	bodies := make([][]byte, runs+2)
+	for i := range bodies {
+		shifted := append(trace.Trace(nil), clean...)
+		for j := range shifted {
+			shifted[j].Time += time.Duration(i) * span
+		}
+		var err error
+		if bodies[i], err = trace.AppendBinary(nil, shifted); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	ingest := func() {
+		n, err := s.Ingest("", trace.FormatBinary, bytes.NewReader(bodies[next]))
+		next++
+		if err != nil || n != len(clean) {
+			t.Fatalf("ingest accepted %d of %d records: %v", n, len(clean), err)
+		}
+	}
+	ingest()
+	if perFrame := testing.AllocsPerRun(runs, ingest) / float64(len(clean)); perFrame >= 0.25 {
+		t.Errorf("Ingest allocates %.3f allocs/frame over %d-frame binary bodies; the serve path must stay below 0.25",
+			perFrame, len(clean))
 	}
 }
 

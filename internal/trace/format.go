@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -94,48 +96,76 @@ func ReadCSV(r io.Reader) (Trace, error) {
 	return ReadAll(NewCSVDecoder(r))
 }
 
-// Binary stream format: a magic header then length-prefixed records.
+// Binary stream format (CTR1, little-endian): the magic and a uint64
+// record count, then per record a fixed header — int64 time, uint16
+// frame length, uint16 meta length, uint8 injected — followed by the
+// frame (can.Frame.AppendBinary) and the meta bytes Channel NUL Source.
+// appendRecord writes this layout and BinaryDecoder reads it; nothing
+// else knows it.
 var binaryMagic = [4]byte{'C', 'T', 'R', '1'}
 
-// WriteBinary writes the trace in the compact binary stream format.
+// recordHeadLen is the size of a binary record's fixed header.
+const recordHeadLen = 13
+
+// ErrBinaryMeta reports a record whose Channel and Source the binary
+// format cannot carry: a Channel containing NUL (the separator), or a
+// meta field longer than its uint16 length prefix allows.
+var ErrBinaryMeta = errors.New("trace: channel/source not representable in the binary format")
+
+// AppendBinary appends the binary stream encoding of t to dst and
+// returns the extended slice; it allocates only when dst lacks
+// capacity. A record the reader could not give back — an invalid
+// frame, or Channel/Source rejected with ErrBinaryMeta — makes it
+// return dst unchanged and an error naming the record.
+func AppendBinary(dst []byte, t Trace) ([]byte, error) {
+	out := append(dst, binaryMagic[:]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(t)))
+	for i := range t {
+		var err error
+		if out, err = appendRecord(out, &t[i]); err != nil {
+			return dst, fmt.Errorf("trace: binary record %d: %w", i, err)
+		}
+	}
+	return out, nil
+}
+
+// appendRecord appends one record in the binary layout.
+func appendRecord(b []byte, r *Record) ([]byte, error) {
+	meta := len(r.Channel) + 1 + len(r.Source)
+	if meta > math.MaxUint16 {
+		return b, fmt.Errorf("%w: %d meta bytes, at most %d", ErrBinaryMeta, meta, math.MaxUint16)
+	}
+	if strings.IndexByte(r.Channel, 0) >= 0 {
+		return b, fmt.Errorf("%w: channel %q contains NUL", ErrBinaryMeta, r.Channel)
+	}
+	head := len(b)
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.Time))
+	b = append(b, 0, 0, 0, 0, 0) // frame length, meta length, injected
+	b, err := r.Frame.AppendBinary(b)
+	if err != nil {
+		return b[:head], err
+	}
+	binary.LittleEndian.PutUint16(b[head+8:], uint16(len(b)-head-recordHeadLen))
+	binary.LittleEndian.PutUint16(b[head+10:], uint16(meta))
+	if r.Injected {
+		b[head+12] = 1
+	}
+	b = append(b, r.Channel...)
+	b = append(b, 0)
+	return append(b, r.Source...), nil
+}
+
+// WriteBinary writes the trace in the binary stream format.
 func WriteBinary(w io.Writer, t Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return fmt.Errorf("trace: write binary: %w", err)
+	buf, err := AppendBinary(nil, t)
+	if err != nil {
+		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(t))); err != nil {
-		return fmt.Errorf("trace: write binary: %w", err)
+	n, err := w.Write(buf)
+	if err == nil && n < len(buf) {
+		err = io.ErrShortWrite
 	}
-	for _, r := range t {
-		if err := binary.Write(bw, binary.LittleEndian, int64(r.Time)); err != nil {
-			return fmt.Errorf("trace: write binary: %w", err)
-		}
-		frameBytes, err := r.Frame.MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("trace: write binary: %w", err)
-		}
-		meta := []byte(r.Channel + "\x00" + r.Source)
-		var inj byte
-		if r.Injected {
-			inj = 1
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(frameBytes))); err != nil {
-			return fmt.Errorf("trace: write binary: %w", err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(meta))); err != nil {
-			return fmt.Errorf("trace: write binary: %w", err)
-		}
-		if err := bw.WriteByte(inj); err != nil {
-			return fmt.Errorf("trace: write binary: %w", err)
-		}
-		if _, err := bw.Write(frameBytes); err != nil {
-			return fmt.Errorf("trace: write binary: %w", err)
-		}
-		if _, err := bw.Write(meta); err != nil {
-			return fmt.Errorf("trace: write binary: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	if err != nil {
 		return fmt.Errorf("trace: write binary: %w", err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/csv"
 	"fmt"
@@ -250,13 +251,29 @@ func parseCSVRow(row []string, rowNum int) (Record, error) {
 	}, nil
 }
 
-// BinaryDecoder streams a trace written by WriteBinary.
+// BinaryDecoder streams a trace written by WriteBinary. A warm decoder
+// allocates nothing per record: the fixed record header and the frame
+// bytes are read into arrays of the decoder, the meta bytes are parsed
+// in place in the read buffer, and Channel/Source strings are interned.
+// Only a meta field longer than the read buffer takes a path that
+// allocates.
 type BinaryDecoder struct {
 	br      *bufio.Reader
 	started bool
 	count   uint64
 	read    uint64
+	head    [recordHeadLen]byte
+	frame   [can.MaxWireSize]byte
+	names   map[string]string
 }
+
+// Bounds of the per-decoder intern table, so a stream of ever-new names
+// cannot grow it without limit: past them, names still decode but cost
+// an allocation each.
+const (
+	maxInterned  = 256
+	maxInternLen = 64
+)
 
 // NewBinaryDecoder creates a streaming binary reader.
 func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
@@ -267,53 +284,88 @@ func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
 func (d *BinaryDecoder) Next() (Record, error) {
 	if !d.started {
 		d.started = true
-		var magic [4]byte
-		if _, err := io.ReadFull(d.br, magic[:]); err != nil {
+		magic := d.head[:len(binaryMagic)]
+		if _, err := io.ReadFull(d.br, magic); err != nil {
 			return Record{}, fmt.Errorf("trace: read binary: %w", err)
 		}
-		if magic != binaryMagic {
-			return Record{}, fmt.Errorf("trace: read binary: bad magic %q", magic[:])
+		if [len(binaryMagic)]byte(magic) != binaryMagic {
+			return Record{}, fmt.Errorf("trace: read binary: bad magic %q", magic)
 		}
-		if err := binary.Read(d.br, binary.LittleEndian, &d.count); err != nil {
+		if _, err := io.ReadFull(d.br, d.head[:8]); err != nil {
 			return Record{}, fmt.Errorf("trace: read binary: %w", err)
 		}
+		d.count = binary.LittleEndian.Uint64(d.head[:8])
 	}
 	if d.read >= d.count {
 		return Record{}, io.EOF
 	}
-	i := d.read
-	var ts int64
-	if err := binary.Read(d.br, binary.LittleEndian, &ts); err != nil {
-		return Record{}, fmt.Errorf("trace: read binary record %d: %w", i, err)
-	}
-	var frameLen, metaLen uint16
-	if err := binary.Read(d.br, binary.LittleEndian, &frameLen); err != nil {
-		return Record{}, fmt.Errorf("trace: read binary record %d: %w", i, err)
-	}
-	if err := binary.Read(d.br, binary.LittleEndian, &metaLen); err != nil {
-		return Record{}, fmt.Errorf("trace: read binary record %d: %w", i, err)
-	}
-	inj, err := d.br.ReadByte()
+	rec, err := d.record()
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: read binary record %d: %w", i, err)
+		return Record{}, fmt.Errorf("trace: read binary record %d: %w", d.read, noEOF(err))
 	}
-	frameBytes := make([]byte, frameLen)
-	if _, err := io.ReadFull(d.br, frameBytes); err != nil {
-		return Record{}, fmt.Errorf("trace: read binary record %d: %w", i, err)
-	}
-	meta := make([]byte, metaLen)
-	if _, err := io.ReadFull(d.br, meta); err != nil {
-		return Record{}, fmt.Errorf("trace: read binary record %d: %w", i, err)
-	}
-	var rec Record
-	rec.Time = time.Duration(ts)
-	if err := rec.Frame.UnmarshalBinary(frameBytes); err != nil {
-		return Record{}, fmt.Errorf("trace: read binary record %d: %w", i, err)
-	}
-	channel, source, _ := strings.Cut(string(meta), "\x00")
-	rec.Channel = channel
-	rec.Source = source
-	rec.Injected = inj == 1
 	d.read++
 	return rec, nil
+}
+
+// record decodes the record at the read position.
+func (d *BinaryDecoder) record() (Record, error) {
+	if _, err := io.ReadFull(d.br, d.head[:]); err != nil {
+		return Record{}, err
+	}
+	frameLen := int(binary.LittleEndian.Uint16(d.head[8:10]))
+	metaLen := int(binary.LittleEndian.Uint16(d.head[10:12]))
+	// Bytes past the largest frame encoding are skipped, as
+	// UnmarshalBinary ignores trailing bytes.
+	n := min(frameLen, len(d.frame))
+	if _, err := io.ReadFull(d.br, d.frame[:n]); err != nil {
+		return Record{}, err
+	}
+	if _, err := d.br.Discard(frameLen - n); err != nil {
+		return Record{}, err
+	}
+	rec := Record{Time: time.Duration(binary.LittleEndian.Uint64(d.head[:8])), Injected: d.head[12] == 1}
+	if err := rec.Frame.UnmarshalBinary(d.frame[:n]); err != nil {
+		return Record{}, err
+	}
+	meta, err := d.br.Peek(metaLen)
+	peeked := err == nil
+	if err == bufio.ErrBufferFull {
+		// Longer than the read buffer: the one path that allocates.
+		meta = make([]byte, metaLen)
+		_, err = io.ReadFull(d.br, meta)
+	}
+	if err != nil {
+		return Record{}, err
+	}
+	channel, source, _ := bytes.Cut(meta, []byte{0})
+	rec.Channel, rec.Source = d.intern(channel), d.intern(source)
+	if peeked {
+		d.br.Discard(metaLen) //nolint:errcheck // the bytes were just peeked
+	}
+	return rec, nil
+}
+
+// intern returns b as a string, shared with every earlier record that
+// carried the same bytes while the table has room.
+func (d *BinaryDecoder) intern(b []byte) string {
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(s) <= maxInternLen && len(d.names) < maxInterned {
+		if d.names == nil {
+			d.names = make(map[string]string)
+		}
+		d.names[s] = s
+	}
+	return s
+}
+
+// noEOF reports a stream that ends before its record count as
+// truncated.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

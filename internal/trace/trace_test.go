@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -211,6 +214,129 @@ func TestBinaryTruncated(t *testing.T) {
 	for _, cut := range []int{5, 13, len(raw) - 3} {
 		if _, err := ReadBinary(bytes.NewReader(raw[:cut])); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
+		}
+	}
+}
+
+// TestAppendBinaryRejectsUnrepresentable: a Channel/Source pair past
+// the uint16 meta length, or a Channel containing the NUL separator,
+// is an error — never a wrapped length or a stream that reads back
+// different records. The largest meta that fits round-trips.
+func TestAppendBinaryRejectsUnrepresentable(t *testing.T) {
+	fr := can.MustFrame(0x100, []byte{1})
+	for name, rec := range map[string]Record{
+		"channel":    {Frame: fr, Channel: strings.Repeat("c", math.MaxUint16)},
+		"source":     {Frame: fr, Channel: "ms-can", Source: strings.Repeat("s", math.MaxUint16-6)},
+		"nul":        {Frame: fr, Channel: "ms\x00can"},
+		"both-large": {Frame: fr, Channel: strings.Repeat("c", 40000), Source: strings.Repeat("s", 40000)},
+	} {
+		tr := Trace{sampleTrace()[0], rec}
+		dst := []byte("keep")
+		out, err := AppendBinary(dst, tr)
+		if !errors.Is(err, ErrBinaryMeta) {
+			t.Errorf("%s: AppendBinary err = %v, want ErrBinaryMeta", name, err)
+		}
+		if string(out) != "keep" {
+			t.Errorf("%s: rejected trace changed dst to %d bytes", name, len(out))
+		}
+		if err := WriteBinary(io.Discard, tr); !errors.Is(err, ErrBinaryMeta) {
+			t.Errorf("%s: WriteBinary err = %v, want ErrBinaryMeta", name, err)
+		}
+	}
+	widest := Trace{{Frame: fr, Channel: "ms-can", Source: strings.Repeat("s", math.MaxUint16-7)}, sampleTrace()[1]}
+	raw, err := AppendBinary(nil, widest)
+	if err != nil {
+		t.Fatalf("largest meta rejected: %v", err)
+	}
+	got, err := ReadBinary(bytes.NewReader(raw))
+	if err != nil || len(got) != len(widest) || got[0] != widest[0] || got[1] != widest[1] {
+		t.Fatalf("largest meta did not round-trip (err %v)", err)
+	}
+}
+
+// servedTrace is a mixed-bus trace shaped like a served upload: four
+// buses, a handful of sources each.
+func servedTrace(n int) Trace {
+	rng := rand.New(rand.NewSource(3))
+	buses := []string{"ms-can", "hs-can", "body", "chassis"}
+	tr := make(Trace, n)
+	for i := range tr {
+		data := make([]byte, rng.Intn(can.MaxDataLen+1))
+		rng.Read(data)
+		tr[i] = Record{
+			Time:     time.Duration(i) * 100 * time.Microsecond,
+			Frame:    can.MustFrame(can.ID(rng.Intn(0x800)), data),
+			Channel:  buses[i%len(buses)],
+			Source:   "ecu" + strconv.Itoa(rng.Intn(6)),
+			Injected: rng.Intn(50) == 0,
+		}
+	}
+	return tr
+}
+
+// TestBinaryCodecSteadyStateAllocs pins both directions of the binary
+// codec at zero allocations per record once warm: Next after the
+// decoder has interned the stream's names, and AppendBinary into a
+// buffer with room.
+func TestBinaryCodecSteadyStateAllocs(t *testing.T) {
+	tr := servedTrace(4000)
+	raw, err := AppendBinary(nil, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewBinaryDecoder(bytes.NewReader(raw))
+	for i := 0; i < 100; i++ {
+		if _, err := d.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := d.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("BinaryDecoder.Next: %v allocs/record, want 0", n)
+	}
+	buf := make([]byte, 0, len(raw))
+	if n := testing.AllocsPerRun(20, func() {
+		if buf, err = AppendBinary(buf[:0], tr); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("AppendBinary into a sized buffer: %v allocs, want 0", n)
+	}
+	if !bytes.Equal(buf, raw) {
+		t.Error("AppendBinary into a reused buffer wrote different bytes")
+	}
+}
+
+// TestBinaryDecoderInternBounded: a stream of ever-new names decodes
+// correctly while the intern table stops growing at its bound.
+func TestBinaryDecoderInternBounded(t *testing.T) {
+	tr := make(Trace, 3*maxInterned)
+	for i := range tr {
+		tr[i] = Record{Frame: can.MustFrame(0x100, nil), Channel: "bus" + strconv.Itoa(i), Source: strings.Repeat("s", i%(2*maxInternLen))}
+	}
+	raw, err := AppendBinary(nil, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewBinaryDecoder(bytes.NewReader(raw))
+	got, err := ReadAll(d)
+	if err != nil || len(got) != len(tr) {
+		t.Fatalf("decoded %d of %d records: %v", len(got), len(tr), err)
+	}
+	for i := range tr {
+		if got[i] != tr[i] {
+			t.Fatalf("record %d: %+v, want %+v", i, got[i], tr[i])
+		}
+	}
+	if len(d.names) > maxInterned {
+		t.Errorf("intern table holds %d names, bound %d", len(d.names), maxInterned)
+	}
+	for s := range d.names {
+		if len(s) > maxInternLen {
+			t.Errorf("intern table kept a %d-byte name, bound %d", len(s), maxInternLen)
 		}
 	}
 }
