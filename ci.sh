@@ -15,6 +15,8 @@ cd "$(dirname "$0")"
 out="${1:-BENCH_ci.json}"
 
 go vet ./...
+# gofmt drift fails the gate; `gofmt -w <file>` fixes a listed file.
+test -z "$(gofmt -l .)"
 go build ./...
 go test ./...
 

@@ -194,10 +194,10 @@ func TestEvalFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-eval", fixture, "-eval-split", "0"},
 		{"-eval", fixture, "-eval-split", "1"},
-		{"-eval-split", "0.5"},                     // needs -eval
-		{"-eval-dialect", "hcrl"},                  // needs -eval
-		{"-eval", fixture, "-train"},               // two modes
-		{"-eval", fixture, "extra.log"},            // no positional files
+		{"-eval-split", "0.5"},          // needs -eval
+		{"-eval-dialect", "hcrl"},       // needs -eval
+		{"-eval", fixture, "-train"},    // two modes
+		{"-eval", fixture, "extra.log"}, // no positional files
 		{"-eval", filepath.Join("no", "such", "dir")},
 	}
 	for _, args := range cases {

@@ -716,7 +716,7 @@ func (p *engineParts) buildPolicy() (*gateway.Gateway, *response.Responder, erro
 }
 
 // runWatch streams a scenario or log files through the sharded engine,
-// printing alerts as the ordered merge releases them and a metrics line
+// printing alerts as the window merger releases them and a metrics line
 // on a fixed wall-clock cadence.
 func runWatch(opts watchOptions, stdout io.Writer) error {
 	if err := opts.validate(); err != nil {
@@ -1292,7 +1292,7 @@ type liveStats func() engine.Stats
 
 // watchStream drives one source through the engine (or, with -multibus,
 // one engine per bus channel under a supervisor): alerts print as the
-// ordered merge emits them, a metrics goroutine snapshots live Stats on
+// window merger releases them, a metrics goroutine snapshots live Stats on
 // the configured cadence, and the final lines summarize the run. When
 // injected ground truth was collected, detection — and with -prevent,
 // prevention — is scored against it.
@@ -1316,7 +1316,7 @@ func watchStream(parts *engineParts, src engine.Source, injected *trace.Trace, s
 		}
 		// With -prevent the responder already ranks every alert (the
 		// BLOCK report names the verdict); re-ranking here would double
-		// the inference cost on the merge goroutine the window barrier
+		// the inference cost on the merger goroutine the window barrier
 		// waits on.
 		if !opts.prevent && len(parts.pool) > 0 && len(a.Bits) > 0 {
 			if res, err := infer.Rank(a, parts.pool, can.StandardIDBits, opts.rank); err == nil {

@@ -48,10 +48,11 @@
 // dispatcher shards the per-frame counting across N worker pipelines by
 // CAN ID over bounded channels; per-shard bit counts merge losslessly
 // (they are integers) into whole windows scored through the exact
-// sequential code path (core.Detector.ScoreWindow); and an ordered merge
-// with per-stream watermarks interleaves the bit-entropy stream with
-// optional Müter/Song baseline pipelines into one deterministic
-// (WindowEnd, stream) alert order. The engine's output is bit-identical
+// sequential code path (core.Detector.ScoreWindow); and that window
+// merger, the one stage after the shards, releases each window's
+// bit-entropy alert together with the optional Müter/Song baselines'
+// alerts (observed on the dispatcher) in one deterministic (WindowEnd,
+// detector rank) order. The engine's output is bit-identical
 // to a sequential core.Detector at any shard count — pinned by
 // TestEngineMatchesSequential for shards 1, 2 and 8 — and the whole
 // suite holds under go test -race and -shuffle=on (ci.sh runs both).
@@ -118,8 +119,8 @@
 // count (TestEngineHotSwapMatchesSequential, shards 1/2/8 under
 // -race).
 // Gateway budgets/whitelist swap on the dispatch side of the boundary
-// and responder policy rides the merge stream, so the whole policy set
-// changes at one deterministic stream position. POST /admin/shutdown
+// and responder policy lands in the window merger, so the whole policy
+// set changes at one deterministic stream position. POST /admin/shutdown
 // drains: ingest stops, final partial windows flush like the offline
 // detector's Flush, and the response carries the final counts — the
 // invariant ci.sh's serve smoke leg scripts against (served alert count

@@ -182,8 +182,8 @@ func classifyLine(line string) Dialect {
 		return DialectUnknown
 	}
 	rest := len(fields) - 3
-	perByte := rest == dlc || rest == dlc+1       // one column per byte, optional label
-	contiguous := (rest == 1 || rest == 2) &&     // one payload field, optional label
+	perByte := rest == dlc || rest == dlc+1   // one column per byte, optional label
+	contiguous := (rest == 1 || rest == 2) && // one payload field, optional label
 		len(fields[3]) == 2*dlc
 	switch {
 	case perByte && contiguous:

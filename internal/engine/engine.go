@@ -9,12 +9,11 @@
 //
 // # Architecture
 //
-//	                      ┌─ shard 0 ─ BitCounter ─┐
-//	source ─ [gateway] ─ dispatcher ─ shard 1 ─ ... ├─ window merger ─┐
-//	             ▲        └─ shard N ─ BitCounter ─┘                  ├─ ordered merge ─ sink
-//	             │        ├─ baseline worker (Müter) ─────────────────┤          │
-//	             │        └─ baseline worker (Song) ──────────────────┘          ▼
-//	             └───────────────── blocks ◀─────────────────────────────── responder
+//	                                  ┌─ shard 0 ─ BitCounter ─┐
+//	source ─ [gateway] ─ dispatcher ──┼─ shard 1 ─ ...         ├─ window merger ─ sink
+//	             ▲      [baselines]   └─ shard N ─ BitCounter ─┘        │
+//	             │                                                      ▼
+//	             └───────────────── blocks ◀─────────────────────── responder
 //
 // The dispatcher reads the source sequentially, tracks the detection
 // window exactly like the sequential core.Detector, routes each record to
@@ -30,10 +29,12 @@
 // bit-identical to a sequential core.Detector fed the same records, for
 // any shard count (pinned by TestEngineMatchesSequential).
 //
-// Optional baseline detectors (Müter, Song) run as dedicated pipeline
-// workers fed the full stream: their window state is not decomposable by
-// identifier (Müter's Shannon entropy needs the whole ID distribution),
-// so they parallelize across detectors rather than within one.
+// Optional baseline detectors (Müter, Song) observe the full forwarded
+// stream on the dispatch goroutine: their window state is not
+// decomposable by identifier (Müter's Shannon entropy needs the whole ID
+// distribution), so they cannot be sharded. Their alerts ride shard 0's
+// next flush token to the window merger, which releases them together
+// with the closing window's bit-entropy alert.
 //
 // All stages connect through bounded channels (Config.Buffer), so a slow
 // sink exerts backpressure instead of growing queues without limit, and
@@ -44,7 +45,7 @@
 // Config.Gateway installs a pre-filter on the dispatch path: every
 // record is classified in stream order, and only forwarded records reach
 // the detectors (dropped ones are counted in Stats and reported through
-// Config.OnDrop). Config.Responder closes the loop: the merge stage
+// Config.OnDrop). Config.Responder closes the loop: the window merger
 // hands every bit-entropy alert to the responder, whose inference puts
 // the top suspects on the gateway blocklist, so subsequent attack frames
 // are dropped before they can pollute further windows.
@@ -52,7 +53,7 @@
 // Blocking is deterministic. An alert for window W can only exist once W
 // has closed, so the dispatcher — which may run arbitrarily far ahead of
 // the scoring stages — synchronizes at each window boundary: after
-// broadcasting W's flush tokens it waits until the merge stage confirms
+// broadcasting W's flush tokens it waits until the window merger confirms
 // W's alerts have been handled (and their blocks applied) before
 // classifying the first record of the next window. The blocked-frame set
 // therefore depends only on the record stream, never on goroutine
@@ -63,23 +64,28 @@
 //
 // # Deterministic alert ordering
 //
-// Each detector stream emits alerts in non-decreasing WindowEnd order
-// and interleaves low-water marks ("no future alert from this stream
-// ends at or before t"). The ordered merge emits the globally smallest
-// (WindowEnd, stream rank) alert as soon as every other open stream has
-// either a pending alert behind it or a watermark at or past it. The
-// emitted order depends only on those data-derived keys — never on
-// goroutine scheduling — so repeated runs of the same input produce the
-// same output stream in the same order, at any shard count.
+// The sink sees alerts in (WindowEnd, detector rank) order: the
+// bit-entropy detector ranks first, then Config.Baselines in order.
+// Every detector walks windows through detect's shared arithmetic, so
+// once it has observed a record at time t it can never again alert on a
+// window ending at or before t. The dispatcher feeds each forwarded
+// record to the baselines before that record's window walk, so when a
+// record at time t closes window W, every alert released with W ends at
+// or before t and every alert still to come ends after it. The merger
+// stable-sorts each release by (WindowEnd, rank), and the whole output
+// is ordered by those data-derived keys — never by goroutine scheduling
+// — so repeated runs of the same input produce the same stream, at any
+// shard count.
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,10 +125,10 @@ type Config struct {
 	// Core configures the bit-entropy detector.
 	Core core.Config
 	// Baselines are optional additional detectors run over the full
-	// stream, each in its own pipeline worker. They must be trained by
-	// the caller, emit tumbling-window alerts in non-decreasing
-	// WindowEnd order (Müter and Song both do), and are Reset at the
-	// start of every Run.
+	// forwarded stream on the dispatch goroutine. They must be trained
+	// by the caller, walk tumbling windows through detect's window
+	// arithmetic (Müter and Song both do), and are Reset at the start of
+	// every Run.
 	Baselines []detect.Detector
 	// Gateway, when set, is the prevention pre-filter: the dispatcher
 	// classifies every record in stream order and only Forward verdicts
@@ -131,7 +137,7 @@ type Config struct {
 	// outlives the stream that triggered it).
 	Gateway *gateway.Gateway
 	// Responder, when set, closes the detect→infer→block loop: the
-	// merge stage hands it every bit-entropy alert, in window order, and
+	// window merger hands it every bit-entropy alert, in window order, and
 	// the dispatcher synchronizes at window boundaries so the resulting
 	// blocks land at a deterministic point in the record stream.
 	// Requires Gateway, and the responder must be bound to that same
@@ -184,7 +190,7 @@ type Timing struct {
 	// Windows counter at quiescence.
 	WindowClose *hist.Histogram
 	// BarrierStall observes how long the dispatcher parks on the
-	// per-window barrier waiting for the merge stage's ack. Only
+	// per-window barrier waiting for the window merger's ack. Only
 	// populated when prevention or adaptation arms the barrier.
 	BarrierStall *hist.Histogram
 }
@@ -307,8 +313,8 @@ type Engine struct {
 	lastTime        atomic.Int64
 
 	// asyncErr is the first non-fatal error raised off the dispatch path
-	// (the responder failing on an alert). Written only by the merge
-	// goroutine, read by Run after the pipeline is joined.
+	// (the responder failing on an alert). Written only by the window
+	// merger, read by Run after the pipeline is joined.
 	asyncErr error
 
 	// failMu guards the fatal-error latch: the first pipeline failure —
@@ -338,8 +344,9 @@ type Engine struct {
 // crashing the process; the supervisor's restart path treats it like
 // any other engine failure.
 type PanicError struct {
-	// Stage names the pipeline stage that panicked (dispatch, shard,
-	// merger, baseline, merge).
+	// Stage names the pipeline stage that panicked: dispatch, shard or
+	// merger inside an engine; bus or fleet-host for the supervisor's
+	// own goroutines.
 	Stage string
 	// Value is the recovered panic value.
 	Value any
@@ -416,17 +423,29 @@ func (e *Engine) Swap(m *model.Model) error {
 // gateway policy exactly when a gateway is installed, response policy
 // exactly when a responder is.
 func (e *Engine) validateModel(m *model.Model) error {
+	if err := checkModel(m, e.cfg.Core, e.cfg.Gateway != nil, e.cfg.Responder != nil); err != nil {
+		return fmt.Errorf("engine: swap: %w", err)
+	}
+	return nil
+}
+
+// checkModel is the one compatibility check every model install passes
+// first (engine swaps and fleet swaps alike): m must carry the serving
+// side's core configuration, gateway policy exactly when it filters and
+// response policy exactly when it responds. A model that passes cannot
+// fail installModel.
+func checkModel(m *model.Model, cfg core.Config, filters, responds bool) error {
 	if m == nil {
-		return fmt.Errorf("engine: swap: nil model")
+		return fmt.Errorf("nil model")
 	}
-	if m.Core() != e.cfg.Core {
-		return fmt.Errorf("engine: swap: model core config %+v does not match engine %+v", m.Core(), e.cfg.Core)
+	if m.Core() != cfg {
+		return fmt.Errorf("model core config %+v does not match %+v", m.Core(), cfg)
 	}
-	if (m.Gateway() != nil) != (e.cfg.Gateway != nil) {
-		return fmt.Errorf("engine: swap: model and engine disagree on gateway policy")
+	if (m.Gateway() != nil) != filters {
+		return fmt.Errorf("model and serving pipeline disagree on gateway policy")
 	}
-	if (m.Response() != nil) != (e.cfg.Responder != nil) {
-		return fmt.Errorf("engine: swap: model and engine disagree on response policy")
+	if (m.Response() != nil) != responds {
+		return fmt.Errorf("model and serving pipeline disagree on response policy")
 	}
 	return nil
 }
@@ -517,25 +536,33 @@ func NewFromModel(cfg Config, m *model.Model) (*Engine, error) {
 }
 
 // install applies a validated model to the engine's components while no
-// stream is running: template into the detector, policy snapshots into
-// the gateway and responder, and the model pointer published. The
-// running counterpart is the dispatcher's boundary install, which
-// routes the template through the window merger instead.
+// stream is running and publishes the model pointer. The running
+// counterpart is the dispatcher's boundary install, which routes the
+// template through the window merger instead.
 func (e *Engine) install(m *model.Model) error {
-	if err := e.det.SetTemplate(m.Template()); err != nil {
+	if err := installModel(m, e.det, e.cfg.Gateway, e.cfg.Responder); err != nil {
 		return err
 	}
-	if gw := e.cfg.Gateway; gw != nil {
+	e.curModel.Store(m)
+	return nil
+}
+
+// installModel applies a checked model to one detection pipeline's
+// components: the template into the detector, the policy snapshots into
+// the gateway and responder when present. Shared by engines and fleet
+// lanes.
+func installModel(m *model.Model, det *core.Detector, gw *gateway.Gateway, resp *response.Responder) error {
+	if err := det.SetTemplate(m.Template()); err != nil {
+		return err
+	}
+	if gw != nil {
 		if err := gw.SetPolicy(m.Gateway()); err != nil {
 			return err
 		}
 	}
-	if r := e.cfg.Responder; r != nil {
-		if err := r.SetPolicy(*m.Response()); err != nil {
-			return err
-		}
+	if resp != nil {
+		return resp.SetPolicy(*m.Response())
 	}
-	e.curModel.Store(m)
 	return nil
 }
 
@@ -573,12 +600,14 @@ func (e *Engine) Stats() Stats {
 // window-flush token carrying the closing window's start time. wall is
 // the side-band timing stamp taken at flush broadcast (zero when
 // Timing.WindowClose is nil); it rides the token unchanged and never
-// affects control flow.
+// affects control flow. Shard 0's flush tokens also carry the baseline
+// alerts raised since the previous flush.
 type shardMsg struct {
-	recs  []trace.Record
-	start time.Duration
-	wall  time.Time
-	flush bool
+	recs   []trace.Record
+	start  time.Duration
+	wall   time.Time
+	flush  bool
+	alerts []rankedAlert
 }
 
 // partial is one shard's contribution to one closed window.
@@ -586,15 +615,14 @@ type partial struct {
 	start   time.Duration
 	wall    time.Time
 	counter *entropy.BitCounter
+	alerts  []rankedAlert
 }
 
-// streamMsg is one detector stream's message to the ordered merge.
-type streamMsg struct {
-	stream int
-	kind   byte // 'a' alert, 'w' watermark, 'c' closed, 'p' policy swap
-	alert  detect.Alert
-	wm     time.Duration
-	policy *response.Config
+// rankedAlert is an alert tagged with its detector's place in the output
+// order: 0 for the bit-entropy detector, 1+j for Config.Baselines[j].
+type rankedAlert struct {
+	rank int
+	detect.Alert
 }
 
 // swapMsg carries one queued model from the dispatcher to the window
@@ -605,7 +633,7 @@ type swapMsg struct {
 	m    *model.Model
 }
 
-// windowAck is the merge stage's per-window acknowledgement to the
+// windowAck is the window merger's per-window acknowledgement to the
 // dispatcher barrier: the closed window's alerts have been handled
 // (blocks applied), and whether the bit-entropy detector alerted on it.
 type windowAck struct {
@@ -650,10 +678,10 @@ func (p *RecordPool) Put(b []trace.Record) {
 
 // Run consumes the source until EOF, a source error, or context
 // cancellation, calling sink for every alert in deterministic
-// (WindowEnd, stream) order from the ordered-merge goroutine. On EOF the
-// final partial window is flushed, like the sequential detector's Flush;
-// on error or cancellation in-flight window state is discarded. Run
-// returns the final statistics.
+// (WindowEnd, detector rank) order from the window merger's goroutine.
+// On EOF the final partial window is flushed, like the sequential
+// detector's Flush; on error or cancellation in-flight window state is
+// discarded. Run returns the final statistics.
 //
 // Every pipeline stage runs under panic recovery: a panic anywhere —
 // including a panicking sink or adaptation hook — surfaces as a
@@ -661,7 +689,6 @@ func (p *RecordPool) Put(b []trace.Record) {
 // lets the multi-bus supervisor isolate and restart a crashed bus.
 func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (Stats, error) {
 	K := e.cfg.Shards
-	nStreams := 1 + len(e.cfg.Baselines)
 
 	// The internal run context lets a fatal stage failure unwind the
 	// whole pipeline (fail cancels it); the caller's ctx stays the
@@ -697,18 +724,13 @@ func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (
 		shardIn[i] = make(chan shardMsg, e.cfg.Buffer)
 		shardOut[i] = make(chan partial, e.cfg.Buffer)
 	}
-	baseIn := make([]chan []trace.Record, len(e.cfg.Baselines))
-	for j := range baseIn {
-		baseIn[j] = make(chan []trace.Record, e.cfg.Buffer)
-	}
-	mergeIn := make(chan streamMsg, e.cfg.Buffer)
-	// syncCh carries the merge stage's per-window acknowledgements back
-	// to the dispatcher when prevention or adaptation is active. Each
-	// ack reports whether the closed window alerted — the verdict the
-	// adaptation hook learns from. At most one ack is ever in flight
-	// (the dispatcher consumes one before broadcasting the next flush),
-	// except the final EOF flush, whose ack parks in the buffer — hence
-	// capacity 1 keeps the merge from blocking.
+	// syncCh carries the merger's per-window acknowledgements back to the
+	// dispatcher when prevention or adaptation is active. Each ack
+	// reports whether the closed window alerted — the verdict the
+	// adaptation hook learns from. At most one ack is ever in flight (the
+	// dispatcher consumes one before broadcasting the next flush), except
+	// the final EOF flush, whose ack parks in the buffer — hence capacity
+	// 1 keeps the merger from blocking.
 	var syncCh chan windowAck
 	if e.cfg.Responder != nil || e.cfg.Adapt != nil {
 		syncCh = make(chan windowAck, 1)
@@ -717,7 +739,7 @@ func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (
 	// window merger. Sends happen at window boundaries only, so a small
 	// buffer keeps the dispatcher from blocking on a busy merger.
 	swapCh := make(chan swapMsg, 4)
-	pool := NewRecordPool(4*(K+len(baseIn))+8, e.cfg.Batch)
+	pool := NewRecordPool(4*K+8, e.cfg.Batch)
 
 	var wg sync.WaitGroup
 	for i := 0; i < K; i++ {
@@ -730,27 +752,12 @@ func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e.guard("merger", func() { e.windowMerger(runCtx, shardOut, swapCh, mergeIn) })
-	}()
-	for j, b := range e.cfg.Baselines {
-		wg.Add(1)
-		go func(j int, b detect.Detector) {
-			defer wg.Done()
-			e.guard("baseline", func() { e.baselineWorker(runCtx, 1+j, b, baseIn[j], mergeIn, pool) })
-		}(j, b)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		e.guard("merge", func() { e.orderedMerge(runCtx, nStreams, mergeIn, syncCh, sink) })
+		e.guard("merger", func() { e.windowMerger(runCtx, shardOut, swapCh, syncCh, sink) })
 	}()
 
-	err := e.dispatchGuarded(runCtx, src, shardIn, baseIn, syncCh, swapCh, pool)
+	err := e.dispatchGuarded(runCtx, src, shardIn, syncCh, swapCh, pool)
 	for i := range shardIn {
 		close(shardIn[i])
-	}
-	for j := range baseIn {
-		close(baseIn[j])
 	}
 	wg.Wait()
 	e.failMu.Lock()
@@ -774,7 +781,7 @@ func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (
 // dispatchGuarded runs dispatch under the same panic recovery as the
 // other stages, on Run's own goroutine.
 func (e *Engine) dispatchGuarded(ctx context.Context, src Source, shardIn []chan shardMsg,
-	baseIn []chan []trace.Record, syncCh chan windowAck, swapCh chan swapMsg, pool *RecordPool) (err error) {
+	syncCh chan windowAck, swapCh chan swapMsg, pool *RecordPool) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			perr := &PanicError{Stage: "dispatch", Value: v, Stack: debug.Stack()}
@@ -782,7 +789,7 @@ func (e *Engine) dispatchGuarded(ctx context.Context, src Source, shardIn []chan
 			err = perr
 		}
 	}()
-	return e.dispatch(ctx, src, shardIn, baseIn, syncCh, swapCh, pool)
+	return e.dispatch(ctx, src, shardIn, syncCh, swapCh, pool)
 }
 
 // Detect runs the engine over an in-memory trace and collects the alerts.
@@ -803,22 +810,26 @@ func send[T any](ctx context.Context, ch chan<- T, m T) bool {
 }
 
 // dispatch reads the source sequentially, classifies each record through
-// the gateway (when prevention is on), maintains the detection window
-// over the forwarded stream exactly like core.Detector.Observe (same
-// origin, same step, same skip-ahead over empty slots), and fans records
-// out in batches: the owning shard gets the record, every baseline
-// worker gets a copy, and every shard gets a flush token per closed
-// window. With a responder installed, the dispatcher waits at each
-// window boundary until the merge stage has handled the closed window's
+// the gateway (when prevention is on), feeds forwarded records to the
+// baseline detectors, maintains the detection window over the forwarded
+// stream exactly like core.Detector.Observe (same origin, same step,
+// same skip-ahead over empty slots), and fans records out in batches:
+// the owning shard gets the record, and every shard gets a flush token
+// per closed window. With a responder installed, the dispatcher waits at
+// each window boundary until the merger has handled the closed window's
 // alerts, so blocks land before the next window's first record.
+//
+// Baselines observe a record before its window walk, so the alerts that
+// record raises leave with the flush it may trigger; that is what keeps
+// the released alerts ahead of every later one (see the package doc).
 //
 // The dispatcher is also where hot swaps land: a queued model is
 // consumed at the first window boundary crossed after it was queued.
 // Gateway policy is installed right there as one atomic pointer store —
 // the dispatcher is the only goroutine classifying records — while the
-// template and responder policy travel to the scoring stages tagged
-// with the new window's start time, so in-flight earlier windows are
-// still scored under the old model.
+// template and responder policy travel to the merger tagged with the new
+// window's start time, so in-flight earlier windows are still scored
+// under the old model.
 //
 // The adaptation hook rides the same boundary: after the barrier ack
 // confirms the closed window's verdict, WindowClosed may return a
@@ -826,7 +837,7 @@ func send[T any](ctx context.Context, ch chan<- T, m T) bool {
 // then any externally queued swap, so an operator reload always wins
 // over a concurrent promotion.
 func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardMsg,
-	baseIn []chan []trace.Record, syncCh chan windowAck, swapCh chan swapMsg, pool *RecordPool) error {
+	syncCh chan windowAck, swapCh chan swapMsg, pool *RecordPool) error {
 
 	W := e.cfg.Core.Window
 	batch := e.cfg.Batch
@@ -839,24 +850,34 @@ func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardM
 	var winDropped uint64
 	haveWindow := false
 	nShards := uint32(len(shardIn))
+	base := e.cfg.Baselines
+	// baseAlerts collects baseline alerts until the next flush token
+	// carries them to the merger.
+	var baseAlerts []rankedAlert
 
-	pendShard := make([][]trace.Record, len(shardIn))
-	pendBase := make([][]trace.Record, len(baseIn))
-	flushPending := func() bool {
-		for i, b := range pendShard {
+	pend := make([][]trace.Record, len(shardIn))
+	// flushWindow forces the pending batches out, then broadcasts the
+	// flush token closing the window that started at start.
+	flushWindow := func(start time.Duration) bool {
+		for i, b := range pend {
 			if len(b) > 0 {
 				if !send(ctx, shardIn[i], shardMsg{recs: b}) {
 					return false
 				}
-				pendShard[i] = nil
+				pend[i] = nil
 			}
 		}
-		for j, b := range pendBase {
-			if len(b) > 0 {
-				if !send(ctx, baseIn[j], b) {
-					return false
-				}
-				pendBase[j] = nil
+		var wall time.Time
+		if closeHist != nil {
+			wall = time.Now()
+		}
+		for i := range shardIn {
+			m := shardMsg{start: start, wall: wall, flush: true}
+			if i == 0 {
+				m.alerts, baseAlerts = baseAlerts, nil
+			}
+			if !send(ctx, shardIn[i], m) {
+				return false
 			}
 		}
 		return true
@@ -896,6 +917,9 @@ func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardM
 				continue
 			}
 		}
+		for j, b := range base {
+			baseAlerts = appendRanked(baseAlerts, 1+j, b.Observe(rec))
+		}
 		if !haveWindow {
 			winStart = rec.Time
 			haveWindow = true
@@ -904,17 +928,8 @@ func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardM
 		// through detect's shared window arithmetic; bit-identical
 		// output depends on it.
 		for detect.WindowExpired(winStart, rec.Time, W) {
-			if !flushPending() {
+			if !flushWindow(winStart) {
 				return ctx.Err()
-			}
-			var wall time.Time
-			if closeHist != nil {
-				wall = time.Now()
-			}
-			for i := range shardIn {
-				if !send(ctx, shardIn[i], shardMsg{start: winStart, wall: wall, flush: true}) {
-					return ctx.Err()
-				}
 			}
 			closedStart := winStart
 			winStart = detect.NextWindowStart(winStart, rec.Time, W)
@@ -982,45 +997,35 @@ func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardM
 			adapt.Observe(rec)
 		}
 		s := uint32(rec.Frame.ID) % nShards
-		if pendShard[s] == nil {
-			pendShard[s] = pool.Get()
+		if pend[s] == nil {
+			pend[s] = pool.Get()
 		}
-		pendShard[s] = append(pendShard[s], rec)
-		if len(pendShard[s]) >= batch {
-			if !send(ctx, shardIn[s], shardMsg{recs: pendShard[s]}) {
+		pend[s] = append(pend[s], rec)
+		if len(pend[s]) >= batch {
+			if !send(ctx, shardIn[s], shardMsg{recs: pend[s]}) {
 				return ctx.Err()
 			}
-			pendShard[s] = nil
-		}
-		for j := range baseIn {
-			if pendBase[j] == nil {
-				pendBase[j] = pool.Get()
-			}
-			pendBase[j] = append(pendBase[j], rec)
-			if len(pendBase[j]) >= batch {
-				if !send(ctx, baseIn[j], pendBase[j]) {
-					return ctx.Err()
-				}
-				pendBase[j] = nil
-			}
+			pend[s] = nil
 		}
 	}
 	if haveWindow {
 		// Flush the final partial window, like detect.Detector.Flush.
-		if !flushPending() {
+		for j, b := range base {
+			baseAlerts = appendRanked(baseAlerts, 1+j, b.Flush())
+		}
+		if !flushWindow(winStart) {
 			return ctx.Err()
-		}
-		var wall time.Time
-		if closeHist != nil {
-			wall = time.Now()
-		}
-		for i := range shardIn {
-			if !send(ctx, shardIn[i], shardMsg{start: winStart, wall: wall, flush: true}) {
-				return ctx.Err()
-			}
 		}
 	}
 	return nil
+}
+
+// appendRanked appends one detector's alerts, tagged with its rank.
+func appendRanked(dst []rankedAlert, rank int, alerts []detect.Alert) []rankedAlert {
+	for _, a := range alerts {
+		dst = append(dst, rankedAlert{rank: rank, Alert: a})
+	}
+	return dst
 }
 
 // shardWorker counts identifier bits for the records routed to one
@@ -1039,7 +1044,7 @@ func (e *Engine) shardWorker(ctx context.Context, i int, in <-chan shardMsg, out
 				return
 			}
 			if m.flush {
-				if !send(ctx, out, partial{start: m.start, wall: m.wall, counter: counter}) {
+				if !send(ctx, out, partial{start: m.start, wall: m.wall, counter: counter, alerts: m.alerts}) {
 					return
 				}
 				counter = entropy.MustBitCounter(width)
@@ -1056,29 +1061,42 @@ func (e *Engine) shardWorker(ctx context.Context, i int, in <-chan shardMsg, out
 	}
 }
 
-// windowMerger reassembles whole windows from per-shard partial counts
-// and scores them through the sequential detector's own ScoreWindow.
-// Shards emit exactly one partial per flush token, and tokens are
-// broadcast to every shard, so reading one partial per shard per window
-// pairs them up without any further coordination.
+// windowMerger is the engine's one stage after the shards. It
+// reassembles whole windows from per-shard partial counts, scores them
+// through the sequential detector's own ScoreWindow, and releases each
+// window's alerts. Shards emit exactly one partial per flush token, and
+// tokens are broadcast to every shard, so reading one partial per shard
+// per window pairs them up without any further coordination.
 //
-// Swaps are applied here in window order: a swapMsg tagged "from W" is
-// installed after every window starting before W has been scored and
-// before the first window starting at or after W is. The dispatcher
-// sends the swapMsg before it dispatches any record of window W, and
-// W's partials can only arrive after those records, so by the time W is
-// assembled the swapMsg is guaranteed to be waiting in swapCh — a
-// non-blocking drain per window cannot miss it.
-func (e *Engine) windowMerger(ctx context.Context, shardOut []chan partial, swapCh <-chan swapMsg, mergeIn chan<- streamMsg) {
+// For window W the merger, in order: installs the swaps queued for W
+// (template, then response policy), scores W, hands W's bit-entropy
+// alert to the responder, sends W's alerts — the bit-entropy one plus
+// the baseline alerts riding shard 0's token — to the sink in
+// (WindowEnd, rank) order, and acks the dispatcher's barrier. The ack
+// follows the responder, so blocks are on the gateway before the next
+// window's records are classified.
+//
+// A swapMsg tagged "from W" is installed after every window starting
+// before W has been scored and before the first window starting at or
+// after W is. The dispatcher sends the swapMsg before it dispatches any
+// record of window W, and W's partials can only arrive after those
+// records, so by the time W is assembled the swapMsg is guaranteed to
+// be waiting in swapCh — a non-blocking drain per window cannot miss it.
+func (e *Engine) windowMerger(ctx context.Context, shardOut []chan partial, swapCh <-chan swapMsg,
+	syncCh chan<- windowAck, sink func(detect.Alert)) {
+
 	width := e.cfg.Core.Width
 	master := entropy.MustBitCounter(width)
 	h := make([]float64, width)
 	p := make([]float64, width)
 	closeHist := e.cfg.Timing.WindowClose
+	resp := e.cfg.Responder
 	var swaps []swapMsg
+	var release []rankedAlert
 	for {
 		var start time.Duration
 		var wall time.Time
+		release = release[:0]
 		for s := range shardOut {
 			select {
 			case pt, ok := <-shardOut[s]:
@@ -1087,12 +1105,12 @@ func (e *Engine) windowMerger(ctx context.Context, shardOut []chan partial, swap
 					// dispatcher broadcasts tokens and closes inputs
 					// to all of them), so the first closed output
 					// means the stream is over.
-					send(ctx, mergeIn, streamMsg{stream: 0, kind: 'c'})
 					return
 				}
 				master.Merge(pt.counter)
 				start = pt.start
 				wall = pt.wall
+				release = append(release, pt.alerts...)
 			case <-ctx.Done():
 				return
 			}
@@ -1114,7 +1132,8 @@ func (e *Engine) windowMerger(ctx context.Context, shardOut []chan partial, swap
 			// instead, which the supervisor's restart path absorbs like
 			// any other crash. The fault.EngineSwap seam is how the
 			// regression test forces this path.
-			err := e.det.SetTemplate(swaps[0].m.Template())
+			m := swaps[0].m
+			err := e.det.SetTemplate(m.Template())
 			if err == nil && e.cfg.Fault != nil {
 				err = e.cfg.Fault.Hit(fault.EngineSwap, e.cfg.FaultScope)
 			}
@@ -1122,26 +1141,27 @@ func (e *Engine) windowMerger(ctx context.Context, shardOut []chan partial, swap
 				e.fail(fmt.Errorf("engine: swap template rejected at install: %w", err))
 				return
 			}
-			if p := swaps[0].m.Response(); p != nil {
-				// The responder is driven by the ordered merge; route
-				// the policy through the same channel as the alerts so
-				// it lands between the old windows' alerts and the new
-				// ones'.
-				if !send(ctx, mergeIn, streamMsg{stream: 0, kind: 'p', policy: p}) {
-					return
+			if resp != nil {
+				if err := resp.SetPolicy(*m.Response()); err != nil && e.asyncErr == nil {
+					e.asyncErr = fmt.Errorf("engine: swap policy: %w", err)
 				}
 			}
 			swaps = swaps[1:]
 		}
 		e.windows.Add(1)
+		alerted := false
 		if n := int(master.Total()); n > 0 {
 			master.MeasureInto(h, p)
 			// Same scoring path as the sequential detector; the merged
 			// integer counts make the measurement bit-identical.
 			if a := e.det.ScoreWindow(start, h, p, n); a != nil {
-				if !send(ctx, mergeIn, streamMsg{stream: 0, kind: 'a', alert: *a}) {
-					return
+				alerted = true
+				if resp != nil {
+					if _, err := resp.HandleAlert(*a); err != nil && e.asyncErr == nil {
+						e.asyncErr = fmt.Errorf("engine: response: %w", err)
+					}
 				}
+				release = append(release, rankedAlert{Alert: *a})
 			}
 		}
 		master.Reset()
@@ -1150,163 +1170,20 @@ func (e *Engine) windowMerger(ctx context.Context, shardOut []chan partial, swap
 			// done, so the histogram count reconciles with Windows.
 			closeHist.Observe(time.Since(wall))
 		}
-		if !send(ctx, mergeIn, streamMsg{stream: 0, kind: 'w', wm: detect.WindowEnd(start, e.cfg.Core.Window)}) {
-			return
-		}
-	}
-}
-
-// baselineWorker drives one full-stream baseline detector and reports
-// its alerts plus watermarks. After Observe(rec) returns, a tumbling
-// detector can never again alert on a window ending at or before
-// rec.Time, so rec.Time is a valid low-water mark; one is forwarded per
-// engine window to keep merge latency bounded without flooding.
-func (e *Engine) baselineWorker(ctx context.Context, stream int, det detect.Detector,
-	in <-chan []trace.Record, mergeIn chan<- streamMsg, pool *RecordPool) {
-
-	var lastWM time.Duration
-	haveWM := false
-	cadence := e.cfg.Core.Window
-	for {
-		select {
-		case recs, ok := <-in:
-			if !ok {
-				for _, a := range det.Flush() {
-					if !send(ctx, mergeIn, streamMsg{stream: stream, kind: 'a', alert: a}) {
-						return
-					}
-				}
-				send(ctx, mergeIn, streamMsg{stream: stream, kind: 'c'})
-				return
+		// Each baseline's alerts arrive in WindowEnd order, so a stable
+		// sort by (WindowEnd, rank) is the merged order.
+		slices.SortStableFunc(release, func(a, b rankedAlert) int {
+			if c := cmp.Compare(a.WindowEnd, b.WindowEnd); c != 0 {
+				return c
 			}
-			for _, rec := range recs {
-				for _, a := range det.Observe(rec) {
-					if !send(ctx, mergeIn, streamMsg{stream: stream, kind: 'a', alert: a}) {
-						return
-					}
-				}
-				if !haveWM || rec.Time >= lastWM+cadence {
-					if !send(ctx, mergeIn, streamMsg{stream: stream, kind: 'w', wm: rec.Time}) {
-						return
-					}
-					lastWM = rec.Time
-					haveWM = true
-				}
-			}
-			pool.Put(recs)
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// orderedMerge interleaves the detector streams into one deterministic
-// output ordered by (WindowEnd, stream rank). An alert is released as
-// soon as no other stream can still produce an earlier one — each open
-// stream either has a later alert queued or a watermark at or past the
-// candidate's window end. The resulting order depends only on alert
-// keys, never on goroutine timing.
-//
-// The merge is also where the response loop closes: every bit-entropy
-// alert is handed to the responder the moment it arrives (stream 0
-// delivers alerts in window order), and each bit-entropy watermark —
-// which follows the window's alert in channel order — acknowledges the
-// dispatcher's window barrier, guaranteeing the blocks are on the
-// gateway before the next window's records are classified.
-func (e *Engine) orderedMerge(ctx context.Context, nStreams int, mergeIn <-chan streamMsg,
-	syncCh chan<- windowAck, sink func(detect.Alert)) {
-
-	queues := make([][]detect.Alert, nStreams)
-	wms := make([]time.Duration, nStreams)
-	closed := make([]bool, nStreams)
-	for i := range wms {
-		wms[i] = math.MinInt64
-	}
-	nClosed := 0
-	// winAlerted tracks whether stream 0 alerted on the window whose
-	// watermark has not arrived yet: the stream-0 channel delivers a
-	// window's alert (if any) strictly before its watermark, so the flag
-	// is always settled when the ack is sent.
-	winAlerted := false
-
-	emit := func(final bool) {
-		for {
-			best := -1
-			for s := range queues {
-				if len(queues[s]) == 0 {
-					continue
-				}
-				if best == -1 ||
-					queues[s][0].WindowEnd < queues[best][0].WindowEnd ||
-					(queues[s][0].WindowEnd == queues[best][0].WindowEnd && s < best) {
-					best = s
-				}
-			}
-			if best == -1 {
-				return
-			}
-			if !final {
-				end := queues[best][0].WindowEnd
-				for s := range queues {
-					if s == best || closed[s] || len(queues[s]) > 0 {
-						continue
-					}
-					if wms[s] < end {
-						return // stream s could still produce an earlier alert
-					}
-				}
-			}
-			a := queues[best][0]
-			queues[best] = queues[best][1:]
-			sink(a)
+			return cmp.Compare(a.rank, b.rank)
+		})
+		for _, a := range release {
+			sink(a.Alert)
 			e.alerts.Add(1)
 		}
-	}
-
-	for nClosed < nStreams {
-		select {
-		case m := <-mergeIn:
-			switch m.kind {
-			case 'a':
-				if m.stream == 0 {
-					winAlerted = true
-					if e.cfg.Responder != nil {
-						if _, err := e.cfg.Responder.HandleAlert(m.alert); err != nil && e.asyncErr == nil {
-							e.asyncErr = fmt.Errorf("engine: response: %w", err)
-						}
-					}
-				}
-				queues[m.stream] = append(queues[m.stream], m.alert)
-			case 'p':
-				// A hot swap's responder policy, routed through the
-				// stream-0 channel so it takes effect after the last
-				// pre-swap alert was handled and before the first
-				// post-swap one.
-				if e.cfg.Responder != nil {
-					if err := e.cfg.Responder.SetPolicy(*m.policy); err != nil && e.asyncErr == nil {
-						e.asyncErr = fmt.Errorf("engine: swap policy: %w", err)
-					}
-				}
-			case 'w':
-				if m.stream == 0 {
-					if syncCh != nil {
-						if !send(ctx, syncCh, windowAck{alerted: winAlerted}) {
-							return
-						}
-					}
-					winAlerted = false
-				}
-				if m.wm > wms[m.stream] {
-					wms[m.stream] = m.wm
-				}
-			case 'c':
-				closed[m.stream] = true
-				nClosed++
-			}
-			emit(false)
-		case <-ctx.Done():
+		if syncCh != nil && !send(ctx, syncCh, windowAck{alerted: alerted}) {
 			return
 		}
 	}
-	emit(true)
 }

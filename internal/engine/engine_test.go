@@ -3,7 +3,6 @@ package engine_test
 import (
 	"context"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -195,67 +194,96 @@ func alertRank(name string, baselines []detect.Detector) int {
 
 // TestEngineWithBaselines checks the merged multi-detector stream: it
 // must equal the union of each detector's sequential alerts, ordered by
-// (WindowEnd, stream rank).
+// (WindowEnd, stream rank). The second input puts the baselines off the
+// core window's phase (Müter 700 ms, Song 1.3 s) and cuts a gap
+// [k s − 400 ms, k s + 50 ms) out of the stream every second, so one
+// record closes a baseline window that ends strictly between the
+// previous record and a core boundary — the case that breaks if the
+// baselines see a record only after its window walk.
 func TestEngineWithBaselines(t *testing.T) {
 	_, tmpl, windows := loadFixture(t)
 	tr := scenarioTrace(t, "fusion/idle/FI-500")
-
-	newBaselines := func() []detect.Detector {
-		m, err := baseline.NewMuter(baseline.DefaultMuterConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := baseline.NewSong(baseline.DefaultSongConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range []detect.Detector{m, s} {
-			if err := d.Train(windows); err != nil {
-				t.Fatalf("train %s: %v", d.Name(), err)
+	var gapped trace.Trace
+	for _, r := range tr {
+		inGap := false
+		for k := 1; k <= 20; k++ {
+			at := time.Duration(k) * time.Second
+			if r.Time >= at-400*time.Millisecond && r.Time < at+50*time.Millisecond {
+				inGap = true
+				break
 			}
 		}
-		return []detect.Detector{m, s}
+		if !inGap {
+			gapped = append(gapped, r)
+		}
 	}
+	offMuter, offSong := baseline.DefaultMuterConfig(), baseline.DefaultSongConfig()
+	offMuter.Window = 700 * time.Millisecond
+	offSong.Window = 1300 * time.Millisecond
 
-	// Expected: per-detector sequential streams, merged by key.
-	ref := newBaselines()
-	var want []detect.Alert
-	want = append(want, sequentialAlerts(newSequentialCore(t, tmpl), tr)...)
-	for _, b := range ref {
-		want = append(want, sequentialAlerts(b, tr)...)
-	}
-	sort.SliceStable(want, func(i, j int) bool {
-		if want[i].WindowEnd != want[j].WindowEnd {
-			return want[i].WindowEnd < want[j].WindowEnd
-		}
-		return alertRank(want[i].Detector, ref) < alertRank(want[j].Detector, ref)
-	})
+	for _, tc := range []struct {
+		name  string
+		tr    trace.Trace
+		muter baseline.MuterConfig
+		song  baseline.SongConfig
+	}{
+		{"default", tr, baseline.DefaultMuterConfig(), baseline.DefaultSongConfig()},
+		{"off-phase-gaps", gapped, offMuter, offSong},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newBaselines := func() []detect.Detector {
+				m, err := baseline.NewMuter(tc.muter)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := baseline.NewSong(tc.song)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range []detect.Detector{m, s} {
+					if err := d.Train(windows); err != nil {
+						t.Fatalf("train %s: %v", d.Name(), err)
+					}
+				}
+				return []detect.Detector{m, s}
+			}
 
-	eng, err := engine.NewTrained(engine.Config{
-		Shards:    3,
-		Core:      detectorConfig(),
-		Baselines: newBaselines(),
-	}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := eng.Detect(context.Background(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("expected some alerts from the flooding scenario")
-	}
-	if !reflect.DeepEqual(got, want) {
-		gotN := map[string]int{}
-		for _, a := range got {
-			gotN[a.Detector]++
-		}
-		wantN := map[string]int{}
-		for _, a := range want {
-			wantN[a.Detector]++
-		}
-		t.Fatalf("merged stream differs: got %v, want %v", gotN, wantN)
+			// Expected: per-detector sequential streams, merged by key.
+			ref := newBaselines()
+			var want []detect.Alert
+			want = append(want, sequentialAlerts(newSequentialCore(t, tmpl), tc.tr)...)
+			for _, b := range ref {
+				want = append(want, sequentialAlerts(b, tc.tr)...)
+			}
+			sortAlertsByMergeOrder(want, ref)
+
+			eng, err := engine.NewTrained(engine.Config{
+				Shards:    3,
+				Core:      detectorConfig(),
+				Baselines: newBaselines(),
+			}, tmpl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := eng.Detect(context.Background(), tc.tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatal("expected some alerts from the flooding scenario")
+			}
+			if !reflect.DeepEqual(got, want) {
+				gotN := map[string]int{}
+				for _, a := range got {
+					gotN[a.Detector]++
+				}
+				wantN := map[string]int{}
+				for _, a := range want {
+					wantN[a.Detector]++
+				}
+				t.Fatalf("merged stream differs: got %v, want %v", gotN, wantN)
+			}
+		})
 	}
 }
 

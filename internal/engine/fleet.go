@@ -45,7 +45,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -262,8 +261,7 @@ type lane struct {
 	winStart   time.Duration
 	haveWindow bool
 
-	sink   func(string, detect.Alert)
-	sinkMu *sync.Mutex
+	sink func(string, detect.Alert)
 }
 
 // spinUp builds a lane serving the fleet's current model, resuming any
@@ -272,7 +270,7 @@ type lane struct {
 // advanced over the silent gap with the same skip-ahead a dedicated
 // engine applies when the vehicle's next frame arrives.
 func (f *fleetRun) spinUp(channel string, st *laneState, t time.Duration,
-	sink func(string, detect.Alert), sinkMu *sync.Mutex) (*lane, error) {
+	sink func(string, detect.Alert)) (*lane, error) {
 
 	m := f.curModel.Load()
 	det, err := core.New(m.Core())
@@ -285,7 +283,7 @@ func (f *fleetRun) spinUp(channel string, st *laneState, t time.Duration,
 	l := &lane{
 		channel: channel, st: st, m: m, det: det,
 		W:    m.Core().Window,
-		sink: sink, sinkMu: sinkMu,
+		sink: sink,
 	}
 	if gp := m.Gateway(); gp != nil {
 		l.gw = gateway.NewWithPolicy(gp)
@@ -367,7 +365,7 @@ func (l *lane) feed(f *fleetRun, rec trace.Record) error {
 }
 
 // emit closes the response loop for one alert, then hands it to the
-// sink — the same order the engine's merge stage uses (blocks are on
+// sink — the same order the engine's window merger uses (blocks are on
 // the gateway before the alert is visible downstream).
 func (l *lane) emit(a detect.Alert) error {
 	if l.resp != nil {
@@ -376,27 +374,15 @@ func (l *lane) emit(a detect.Alert) error {
 		}
 	}
 	l.st.alerts.Add(1)
-	l.sinkMu.Lock()
 	l.sink(l.channel, a)
-	l.sinkMu.Unlock()
 	return nil
 }
 
-// install applies a validated fleet model at a window boundary —
+// install applies a checked fleet model at a window boundary —
 // template, gateway policy snapshot, response policy, epoch.
 func (l *lane) install(m *model.Model) error {
-	if err := l.det.SetTemplate(m.Template()); err != nil {
+	if err := installModel(m, l.det, l.gw, l.resp); err != nil {
 		return fmt.Errorf("engine: fleet: lane %q swap: %w", l.channel, err)
-	}
-	if l.gw != nil {
-		if err := l.gw.SetPolicy(m.Gateway()); err != nil {
-			return fmt.Errorf("engine: fleet: lane %q swap: %w", l.channel, err)
-		}
-	}
-	if l.resp != nil {
-		if err := l.resp.SetPolicy(*m.Response()); err != nil {
-			return fmt.Errorf("engine: fleet: lane %q swap: %w", l.channel, err)
-		}
 	}
 	l.m = m
 	l.st.epoch.Store(m.Epoch())
@@ -448,18 +434,9 @@ func (s *Supervisor) SwapModel(m *model.Model) error {
 	if f == nil {
 		return fmt.Errorf("engine: supervisor is not in fleet mode")
 	}
-	if m == nil {
-		return fmt.Errorf("engine: fleet swap: nil model")
-	}
 	base := f.curModel.Load()
-	if m.Core() != base.Core() {
-		return fmt.Errorf("engine: fleet swap: model core config %+v does not match fleet %+v", m.Core(), base.Core())
-	}
-	if (m.Gateway() != nil) != (base.Gateway() != nil) {
-		return fmt.Errorf("engine: fleet swap: model and fleet disagree on gateway policy")
-	}
-	if (m.Response() != nil) != (base.Response() != nil) {
-		return fmt.Errorf("engine: fleet swap: model and fleet disagree on response policy")
+	if err := checkModel(m, base.Core(), base.Gateway() != nil, base.Response() != nil); err != nil {
+		return fmt.Errorf("engine: fleet swap: %w", err)
 	}
 	f.curModel.Store(m)
 	return nil
@@ -504,7 +481,7 @@ func (s *Supervisor) quotaOf(channel string) *quotaState {
 
 // runFleet is Run's fleet-mode body: demux by consistent hash into K
 // host goroutines, shed over-quota records, tear down idle lanes.
-func (s *Supervisor) runFleet(ctx context.Context, src Source, sink func(string, detect.Alert)) (map[string]Stats, error) {
+func (s *Supervisor) runFleet(ctx context.Context, src Source, pool *RecordPool, sink func(string, detect.Alert)) (map[string]Stats, error) {
 	f := s.fleet
 	K := f.cfg.Engines
 	f.mu.Lock()
@@ -512,149 +489,58 @@ func (s *Supervisor) runFleet(ctx context.Context, src Source, sink func(string,
 	f.hostErr = make([]string, K)
 	f.mu.Unlock()
 
-	var sinkMu sync.Mutex
-	_, batched := src.(BatchSource)
-	pool := NewRecordPool(4*K+8, DefaultBatch)
-	if !batched {
-		pool = NewRecordPool(256, 1)
-	}
 	hosts := make([]*fleetHost, K)
 	for i := range hosts {
 		h := &fleetHost{id: i, feed: make(chan hostMsg, s.cfg.Buffer), done: make(chan struct{})}
 		hosts[i] = h
-		go s.serveHost(ctx, f, h, sink, &sinkMu, pool)
+		go s.serveHost(ctx, f, h, sink, pool)
 	}
 
-	// Demux-local bookkeeping: the goroutine owns admission, routing and
-	// idle detection, so the whole delivered stream is a pure function of
-	// the input stream.
-	type chanState struct {
-		st       *laneState
-		host     *fleetHost
-		slab     []trace.Record
-		lastTime time.Duration
-		down     bool // teardown sent, no record since
+	// laneRoute is a channel's demux route plus what the idle sweep
+	// needs. The demux goroutine owns admission, routing and idle
+	// detection, so the whole delivered stream is a pure function of the
+	// input stream.
+	type laneRoute struct {
+		route
+		st   *laneState
+		host *fleetHost
+		down bool // teardown sent, nothing delivered since
 	}
-	chans := make(map[string]*chanState)
-	var vmax time.Duration
-	haveVmax := false
-
-	getChan := func(ch string) *chanState {
-		if c, ok := chans[ch]; ok {
-			return c
-		}
-		st := &laneState{host: f.ring.host(ch)}
+	var routes []*laneRoute
+	open := func(channel string) (*route, error) {
+		st := &laneState{host: f.ring.host(channel)}
 		f.mu.Lock()
-		f.lanes[ch] = st
+		f.lanes[channel] = st
 		f.mu.Unlock()
-		c := &chanState{st: st, host: hosts[st.host]}
-		chans[ch] = c
-		return c
+		c := &laneRoute{st: st, host: hosts[st.host]}
+		c.quota = &st.quota
+		c.deliver = func(slab []trace.Record) bool {
+			c.down = false
+			return send(ctx, c.host.feed, hostMsg{ch: channel, st: st, recs: slab})
+		}
+		routes = append(routes, c)
+		return &c.route, nil
 	}
-	sendSlab := func(ch string, c *chanState) bool {
-		if len(c.slab) == 0 {
-			return true
-		}
-		if s.cfg.Tap != nil {
-			s.cfg.Tap(ch, c.slab)
-		}
-		if !send(ctx, c.host.feed, hostMsg{ch: ch, st: c.st, recs: c.slab}) {
-			return false
-		}
-		c.slab = nil
-		return true
-	}
-	route := func(rec trace.Record) bool {
-		c := getChan(rec.Channel)
-		c.lastTime = rec.Time
-		c.down = false
-		if !haveVmax || rec.Time > vmax {
-			vmax, haveVmax = rec.Time, true
-		}
-		if !c.st.quota.admit(rec.Time, s.cfg.QuotaFrames, s.cfg.QuotaWindow) {
-			return true
-		}
-		if c.slab == nil {
-			c.slab = pool.Get()
-		}
-		c.slab = append(c.slab, rec)
-		if len(c.slab) >= DefaultBatch {
-			return sendSlab(rec.Channel, c)
-		}
-		return true
-	}
-	// flushAll sends every pending sub-slab and runs the idle sweep; it
-	// is called once per input slab, so teardown lands at deterministic
-	// stream positions.
-	flushAll := func() bool {
-		for ch, c := range chans {
-			if !sendSlab(ch, c) {
-				return false
-			}
-		}
-		if f.cfg.IdleAfter > 0 && haveVmax {
-			for ch, c := range chans {
-				if c.down || !detect.WindowExpired(c.lastTime, vmax, f.cfg.IdleAfter) {
+	var sweep func(time.Duration) bool
+	if f.cfg.IdleAfter > 0 {
+		sweep = func(newest time.Duration) bool {
+			for _, c := range routes {
+				if c.down || !detect.WindowExpired(c.lastTime, newest, f.cfg.IdleAfter) {
 					continue
 				}
-				if !send(ctx, c.host.feed, hostMsg{ch: ch, st: c.st, down: true}) {
+				if !send(ctx, c.host.feed, hostMsg{ch: c.channel, st: c.st, down: true}) {
 					return false
 				}
 				c.down = true
 			}
+			return true
 		}
-		return true
 	}
+	err := s.demux(ctx, src, pool, open, sweep)
 
-	var srcErr error
-	if batched {
-		bs := src.(BatchSource)
-		for {
-			slab, err := bs.NextBatch()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				srcErr = fmt.Errorf("engine: source: %w", err)
-				break
-			}
-			ok := true
-			for _, rec := range slab {
-				if !route(rec) {
-					ok = false
-					break
-				}
-			}
-			if !ok || !flushAll() {
-				srcErr = ctx.Err()
-				break
-			}
-		}
-	} else {
-		for {
-			rec, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				srcErr = fmt.Errorf("engine: source: %w", err)
-				break
-			}
-			if !route(rec) || !flushAll() {
-				srcErr = ctx.Err()
-				break
-			}
-		}
-	}
-	if srcErr == nil {
-		if !flushAll() {
-			srcErr = ctx.Err()
-		}
-	}
 	for _, h := range hosts {
 		close(h.feed)
 	}
-	err := srcErr
 	for _, h := range hosts {
 		<-h.done
 		if err == nil && h.err != nil {
@@ -673,7 +559,7 @@ func (s *Supervisor) runFleet(ctx context.Context, src Source, sink func(string,
 // counting lost records, so the demux never blocks behind it — the
 // other hosts' output is unaffected.
 func (s *Supervisor) serveHost(ctx context.Context, f *fleetRun, h *fleetHost,
-	sink func(string, detect.Alert), sinkMu *sync.Mutex, pool *RecordPool) {
+	sink func(string, detect.Alert), pool *RecordPool) {
 
 	defer close(h.done)
 	lanes := make(map[string]*lane)
@@ -713,7 +599,7 @@ func (s *Supervisor) serveHost(ctx context.Context, f *fleetRun, h *fleetHost,
 				l := lanes[msg.ch]
 				if l == nil {
 					var lerr error
-					l, lerr = f.spinUp(msg.ch, msg.st, msg.recs[0].Time, sink, sinkMu)
+					l, lerr = f.spinUp(msg.ch, msg.st, msg.recs[0].Time, sink)
 					if lerr != nil {
 						return lerr
 					}
@@ -760,7 +646,7 @@ func (s *Supervisor) serveHost(ctx context.Context, f *fleetRun, h *fleetHost,
 	}
 }
 
-// fleetStats builds the per-channel statistics map from lane states.
+// stats builds the per-channel statistics map from lane states.
 func (f *fleetRun) stats() map[string]Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -780,7 +666,7 @@ func (f *fleetRun) stats() map[string]Stats {
 	return out
 }
 
-// fleetHealth builds the per-channel health map from lane states.
+// health builds the per-channel health map from lane states.
 func (f *fleetRun) health() map[string]BusHealth {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -398,34 +399,33 @@ func (r *busState) addBase(st Stats) {
 // fleet — but a *crashed* bus does not: its feed drains (counting
 // lost frames) while it restarts or after it dies.
 //
-// When the source is a BatchSource (the serving layer's feed), the
-// demux consumes whole slabs and forwards per-bus sub-slabs through a
-// recycled pool — one channel send per bus per incoming slab instead of
-// one per record. Every pending sub-slab is flushed before the next
-// input slab is awaited, so batching never delays a record behind an
-// idle feed. Per-record sources travel as single-record slabs through
-// the same pool, preserving their latency.
+// Records reach the buses in pooled per-bus sub-slabs (see demux): one
+// channel send per bus per incoming slab instead of one per record when
+// the source is a BatchSource, single-record slabs otherwise.
 func (s *Supervisor) Run(ctx context.Context, src Source, sink func(channel string, a detect.Alert)) (map[string]Stats, error) {
-	if s.fleet != nil {
-		return s.runFleet(ctx, src, sink)
-	}
-	runs := make(map[string]*busState)
-	s.mu.Lock()
-	s.runs = runs
-	s.mu.Unlock()
 	var sinkMu sync.Mutex
+	locked := func(channel string, a detect.Alert) {
+		sinkMu.Lock()
+		sink(channel, a)
+		sinkMu.Unlock()
+	}
 	// Slab capacity follows the source: batch sources demux into
 	// DefaultBatch-sized sub-slabs, per-record sources travel as
 	// single-record slabs — so a pool miss under backlog allocates one
 	// record's worth, not a 64-slot slab per record, and buffered feeds
 	// pin no more memory than the records they hold.
-	_, batched := src.(BatchSource)
 	pool := NewRecordPool(64, DefaultBatch)
-	if !batched {
+	if _, batched := src.(BatchSource); !batched {
 		pool = NewRecordPool(256, 1)
 	}
+	if s.fleet != nil {
+		return s.runFleet(ctx, src, pool, locked)
+	}
+	s.mu.Lock()
+	s.runs = make(map[string]*busState)
+	s.mu.Unlock()
 
-	spawn := func(channel string) (*busState, error) {
+	open := func(channel string) (*route, error) {
 		s.mu.Lock()
 		eng := s.engines[channel]
 		s.mu.Unlock()
@@ -449,64 +449,26 @@ func (s *Supervisor) Run(ctx context.Context, src Source, sink func(channel stri
 		s.mu.Lock()
 		s.runs[channel] = r
 		s.mu.Unlock()
-		go s.serveBus(ctx, channel, r, eng, sink, &sinkMu, pool)
-		return r, nil
+		go s.serveBus(ctx, channel, r, eng, locked, pool)
+		return &route{quota: &r.quota, deliver: func(slab []trace.Record) bool {
+			return s.sendFeed(ctx, r, slab)
+		}}, nil
 	}
+	err := s.demux(ctx, src, pool, open, nil)
 
-	getRun := func(channel string) (*busState, error) {
-		if r, ok := runs[channel]; ok {
-			return r, nil
-		}
-		r, err := spawn(channel)
-		if err != nil {
-			return nil, err
-		}
-		runs[channel] = r
-		return r, nil
-	}
-
-	var srcErr error
-	if batched {
-		srcErr = s.demuxBatches(ctx, src.(BatchSource), getRun, pool)
-	} else {
-		for {
-			rec, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				srcErr = fmt.Errorf("engine: source: %w", err)
-				break
-			}
-			r, err := getRun(rec.Channel)
-			if err != nil {
-				srcErr = err
-				break
-			}
-			if !r.quota.admit(rec.Time, s.cfg.QuotaFrames, s.cfg.QuotaWindow) {
-				continue
-			}
-			slab := append(pool.Get(), rec)
-			if s.cfg.Tap != nil {
-				s.cfg.Tap(rec.Channel, slab)
-			}
-			if !s.sendFeed(ctx, r, slab) {
-				srcErr = ctx.Err()
-				break
-			}
-		}
-	}
-	for _, r := range runs {
-		close(r.feed)
-	}
-	err := srcErr
-	// Deterministic join order so the reported error does not depend on
-	// map iteration.
+	// Only the demux adds buses, so the set is final now. Join in name
+	// order, so the reported error does not depend on map iteration.
+	s.mu.Lock()
+	runs := s.runs
 	names := make([]string, 0, len(runs))
 	for ch := range runs {
 		names = append(names, ch)
 	}
+	s.mu.Unlock()
 	sort.Strings(names)
+	for _, ch := range names {
+		close(runs[ch].feed)
+	}
 	for _, ch := range names {
 		r := runs[ch]
 		<-r.done
@@ -520,6 +482,104 @@ func (s *Supervisor) Run(ctx context.Context, src Source, sink func(channel stri
 	return s.Stats(), err
 }
 
+// route is one channel's demux state: its quota gate, the sub-slab being
+// filled for it, and where a finished sub-slab goes.
+type route struct {
+	channel string
+	quota   *quotaState
+	// deliver hands a sub-slab to the channel's consumer, which owns it
+	// from then on; false means the context was canceled first.
+	deliver func(slab []trace.Record) bool
+	slab    []trace.Record
+	// lastTime is the time of the channel's latest record, admitted or
+	// shed.
+	lastTime time.Duration
+}
+
+// demux is the supervisor's one demultiplexer, shared by classic and
+// fleet mode. It splits every input slab by channel into pooled
+// sub-slabs — a per-record source is a stream of one-record slabs —
+// after admitting each record through its channel's quota gate. Every
+// sub-slab goes through Tap and is delivered before the next input slab
+// is read, so batching never delays a record behind an idle source; a
+// sub-slab reaching DefaultBatch goes at once. open builds a channel's
+// route on its first record. sweep, when set, runs after every input
+// slab with the newest record time seen, so whatever it sends lands at
+// a deterministic stream position.
+func (s *Supervisor) demux(ctx context.Context, src Source, pool *RecordPool,
+	open func(channel string) (*route, error), sweep func(newest time.Duration) bool) error {
+
+	bs, batched := src.(BatchSource)
+	byName := make(map[string]*route)
+	var routes []*route
+	var one [1]trace.Record
+	newest := time.Duration(math.MinInt64)
+	// The last-route cache skips the map lookup while consecutive records
+	// share a channel — which is every record, on a single-bus feed.
+	var last *route
+	for {
+		slab := one[:]
+		var err error
+		if batched {
+			slab, err = bs.NextBatch()
+		} else {
+			one[0], err = src.Next()
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("engine: source: %w", err)
+		}
+		for _, rec := range slab {
+			if last == nil || rec.Channel != last.channel {
+				r := byName[rec.Channel]
+				if r == nil {
+					if r, err = open(rec.Channel); err != nil {
+						return err
+					}
+					r.channel = rec.Channel
+					byName[rec.Channel] = r
+					routes = append(routes, r)
+				}
+				last = r
+			}
+			last.lastTime = rec.Time
+			if rec.Time > newest {
+				newest = rec.Time
+			}
+			if !last.quota.admit(rec.Time, s.cfg.QuotaFrames, s.cfg.QuotaWindow) {
+				continue
+			}
+			if last.slab == nil {
+				last.slab = pool.Get()
+			}
+			last.slab = append(last.slab, rec)
+			if len(last.slab) >= DefaultBatch && !s.flush(last) {
+				return ctx.Err()
+			}
+		}
+		for _, r := range routes {
+			if len(r.slab) > 0 && !s.flush(r) {
+				return ctx.Err()
+			}
+		}
+		if sweep != nil && !sweep(newest) {
+			return ctx.Err()
+		}
+	}
+}
+
+// flush shows r's pending sub-slab to Tap, then delivers it.
+func (s *Supervisor) flush(r *route) bool {
+	slab := r.slab
+	r.slab = nil
+	if s.cfg.Tap != nil {
+		s.cfg.Tap(r.channel, slab)
+	}
+	return r.deliver(slab)
+}
+
 // serveBus is one bus's supervision loop: run the engine, and on a
 // failure (panic or error) restart it from a freshly built engine with
 // capped exponential backoff, draining the feed in the meantime so the
@@ -527,12 +587,12 @@ func (s *Supervisor) Run(ctx context.Context, src Source, sink func(channel stri
 // loop; an exhausted restart budget marks the bus dead and keeps
 // draining until the feed closes.
 func (s *Supervisor) serveBus(ctx context.Context, channel string, r *busState, eng *Engine,
-	sink func(string, detect.Alert), sinkMu *sync.Mutex, pool *RecordPool) {
+	sink func(string, detect.Alert), pool *RecordPool) {
 
 	defer close(r.done)
 	attempt := 0
 	for {
-		err := r.runOnce(ctx, eng, channel, sink, sinkMu, pool)
+		err := r.runOnce(ctx, eng, channel, sink, pool)
 		if err == nil {
 			return // feed closed; clean end of stream
 		}
@@ -598,7 +658,7 @@ func (s *Supervisor) serveBus(ctx context.Context, channel string, r *busState, 
 // this remainder plus the drained slabs is exactly what the demux
 // accepted.
 func (r *busState) runOnce(ctx context.Context, eng *Engine, channel string,
-	sink func(string, detect.Alert), sinkMu *sync.Mutex, pool *RecordPool) (err error) {
+	sink func(string, detect.Alert), pool *RecordPool) (err error) {
 
 	src := NewChanBatchSource(ctx, r.feed, pool.Put)
 	defer func() {
@@ -609,11 +669,7 @@ func (r *busState) runOnce(ctx context.Context, eng *Engine, channel string,
 			r.lost.Add(uint64(src.Leftover()))
 		}
 	}()
-	_, err = eng.Run(ctx, src, func(a detect.Alert) {
-		sinkMu.Lock()
-		sink(channel, a)
-		sinkMu.Unlock()
-	})
+	_, err = eng.Run(ctx, src, func(a detect.Alert) { sink(channel, a) })
 	return err
 }
 
@@ -703,64 +759,4 @@ func (s *Supervisor) sendFeed(ctx context.Context, r *busState, slab []trace.Rec
 	r.stallSince.Store(0)
 	r.accepted.Add(n)
 	return true
-}
-
-// busPend is one bus's pending sub-slab during batched demux.
-type busPend struct {
-	run  *busState
-	slab []trace.Record
-}
-
-// demuxBatches is the slab fast path: split each incoming batch by
-// channel into pooled sub-slabs and flush them all before waiting for
-// the next batch. The single-bus common case degenerates to moving the
-// whole slab in one send.
-func (s *Supervisor) demuxBatches(ctx context.Context, bs BatchSource,
-	getRun func(string) (*busState, error), pool *RecordPool) error {
-
-	pend := make(map[string]*busPend)
-	// The last-channel cache skips the map lookup while consecutive
-	// records share a bus — which is every record, on a single-bus feed.
-	var last *busPend
-	lastCh := ""
-	haveLast := false
-	for {
-		slab, err := bs.NextBatch()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("engine: source: %w", err)
-		}
-		for _, rec := range slab {
-			if !haveLast || rec.Channel != lastCh {
-				p, ok := pend[rec.Channel]
-				if !ok {
-					r, err := getRun(rec.Channel)
-					if err != nil {
-						return err
-					}
-					p = &busPend{run: r, slab: pool.Get()}
-					pend[rec.Channel] = p
-				}
-				last, lastCh, haveLast = p, rec.Channel, true
-			}
-			if !last.run.quota.admit(rec.Time, s.cfg.QuotaFrames, s.cfg.QuotaWindow) {
-				continue
-			}
-			last.slab = append(last.slab, rec)
-		}
-		for ch, p := range pend {
-			if len(p.slab) == 0 {
-				continue
-			}
-			if s.cfg.Tap != nil {
-				s.cfg.Tap(ch, p.slab)
-			}
-			if !s.sendFeed(ctx, p.run, p.slab) {
-				return ctx.Err()
-			}
-			p.slab = pool.Get()
-		}
-	}
 }

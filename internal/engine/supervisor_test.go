@@ -210,70 +210,104 @@ func TestSupervisorCancel(t *testing.T) {
 	}
 }
 
-// TestSupervisorBatchedMatchesPerRecord pins the slab fast path: a
-// supervisor fed the mixed stream through a ChanBatchSource (slabs of
-// varying sizes, recycled through a pool) produces exactly the per-bus
-// alert streams of a per-record source — batching is a transport
-// detail, never a semantic one.
+// TestSupervisorBatchedMatchesPerRecord pins the slab fast path, in
+// classic and fleet mode: a supervisor fed the mixed stream through a
+// ChanBatchSource (slabs of varying sizes, recycled through a pool)
+// produces exactly the per-bus alert streams of a per-record source, and
+// its Tap sees exactly the same per-bus records in sub-slabs of at most
+// DefaultBatch — batching is a transport detail, never a semantic one.
 func TestSupervisorBatchedMatchesPerRecord(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	busA := retag(scenarioTrace(t, "fusion/idle/SI-100"), "can-a")
 	busB := retag(scenarioTrace(t, "fusion/idle/FI-500"), "can-b")
 	mixed := interleave(busA, busB)
 
-	newSup := func() *engine.Supervisor {
-		sup, err := engine.NewSupervisor(engine.SupervisorConfig{
-			NewEngine: func(string) (*engine.Engine, error) {
-				return engine.NewTrained(engine.Config{Shards: 2, Core: detectorConfig()}, tmpl)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sup
-	}
-	collect := func(sup *engine.Supervisor, src engine.Source) map[string][]detect.Alert {
-		got := make(map[string][]detect.Alert)
-		if _, err := sup.Run(context.Background(), src, func(ch string, a detect.Alert) {
-			got[ch] = append(got[ch], a)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-
-	want := collect(newSup(), engine.NewSliceSource(mixed))
-
-	pool := engine.NewRecordPool(8, 64)
-	feed := make(chan []trace.Record, 4)
-	recycled := 0
-	go func() {
-		defer close(feed)
-		// Deterministically varied slab sizes, including size 1 and a
-		// deliberately empty slab the source must skip.
-		sizes := []int{1, 7, 64, 0, 13, 100}
-		i, k := 0, 0
-		for i < len(mixed) {
-			n := sizes[k%len(sizes)]
-			k++
-			if n > len(mixed)-i {
-				n = len(mixed) - i
+	for _, mode := range []string{"classic", "fleet"} {
+		t.Run(mode, func(t *testing.T) {
+			type result struct {
+				alerts map[string][]detect.Alert
+				tapped map[string]trace.Trace
+				maxSub int
 			}
-			slab := append(pool.Get(), mixed[i:i+n]...)
-			feed <- slab
-			i += n
-		}
-	}()
-	src := engine.NewChanBatchSource(context.Background(), feed, func(b []trace.Record) {
-		recycled++
-		pool.Put(b)
-	})
-	got := collect(newSup(), src)
+			run := func(src engine.Source) result {
+				res := result{alerts: make(map[string][]detect.Alert), tapped: make(map[string]trace.Trace)}
+				cfg := engine.SupervisorConfig{
+					Tap: func(ch string, slab []trace.Record) {
+						res.tapped[ch] = append(res.tapped[ch], slab...)
+						res.maxSub = max(res.maxSub, len(slab))
+					},
+				}
+				if mode == "fleet" {
+					cfg.Fleet = &engine.FleetConfig{Engines: 2, Model: fleetModel(t)}
+				} else {
+					cfg.NewEngine = func(string) (*engine.Engine, error) {
+						return engine.NewTrained(engine.Config{Shards: 2, Core: detectorConfig()}, tmpl)
+					}
+				}
+				sup, err := engine.NewSupervisor(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sup.Run(context.Background(), src, func(ch string, a detect.Alert) {
+					res.alerts[ch] = append(res.alerts[ch], a)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
 
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("batched feed alerts differ from per-record feed (buses got %d, want %d)", len(got), len(want))
-	}
-	if recycled == 0 {
-		t.Error("batch source never recycled a slab")
+			want := run(engine.NewSliceSource(mixed))
+
+			pool := engine.NewRecordPool(8, 64)
+			feed := make(chan []trace.Record, 4)
+			recycled := 0
+			go func() {
+				defer close(feed)
+				// Deterministically varied slab sizes, including size 1, a
+				// deliberately empty slab the source must skip, and one
+				// large enough to split past DefaultBatch per bus.
+				sizes := []int{1, 7, 64, 0, 13, 100, 300}
+				i, k := 0, 0
+				for i < len(mixed) {
+					n := sizes[k%len(sizes)]
+					k++
+					if n > len(mixed)-i {
+						n = len(mixed) - i
+					}
+					slab := append(pool.Get(), mixed[i:i+n]...)
+					feed <- slab
+					i += n
+				}
+			}()
+			src := engine.NewChanBatchSource(context.Background(), feed, func(b []trace.Record) {
+				recycled++
+				pool.Put(b)
+			})
+			got := run(src)
+
+			if !reflect.DeepEqual(got.alerts, want.alerts) {
+				t.Errorf("batched feed alerts differ from per-record feed (buses got %d, want %d)", len(got.alerts), len(want.alerts))
+			}
+			for _, ch := range []string{"can-a", "can-b"} {
+				if len(want.alerts[ch]) == 0 {
+					t.Errorf("%s: no alerts; scenario too weak to compare", ch)
+				}
+				if !reflect.DeepEqual(got.tapped[ch], want.tapped[ch]) {
+					t.Errorf("%s: Tap saw %d records batched, %d per record", ch, len(got.tapped[ch]), len(want.tapped[ch]))
+				}
+			}
+			if !reflect.DeepEqual(want.tapped, map[string]trace.Trace{"can-a": busA, "can-b": busB}) {
+				t.Error("per-record Tap does not see each bus's records in stream order")
+			}
+			if want.maxSub != 1 {
+				t.Errorf("per-record source tapped a %d-record sub-slab, want 1", want.maxSub)
+			}
+			if got.maxSub > engine.DefaultBatch {
+				t.Errorf("batched sub-slab of %d records exceeds DefaultBatch %d", got.maxSub, engine.DefaultBatch)
+			}
+			if recycled == 0 {
+				t.Error("batch source never recycled a slab")
+			}
+		})
 	}
 }

@@ -32,7 +32,7 @@
 //
 // A Gateway is safe for concurrent use: the streaming engine classifies
 // records on its dispatch goroutine while the response stage blocks
-// identifiers from the alert-merge goroutine. Classify must still be
+// identifiers from the window-merger goroutine. Classify must still be
 // called from one goroutine at a time in timestamp order for rate
 // limiting to be meaningful.
 package gateway

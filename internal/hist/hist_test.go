@@ -58,10 +58,10 @@ func TestBoundsStrictlyIncreasing(t *testing.T) {
 
 func TestObserveAndSnapshot(t *testing.T) {
 	h := New()
-	h.Observe(time.Microsecond)      // bucket 0
-	h.Observe(-time.Second)          // clamps to 0, bucket 0
-	h.Observe(5 * time.Millisecond)  // mid-range
-	h.Observe(90 * time.Second)      // overflow
+	h.Observe(time.Microsecond)     // bucket 0
+	h.Observe(-time.Second)         // clamps to 0, bucket 0
+	h.Observe(5 * time.Millisecond) // mid-range
+	h.Observe(90 * time.Second)     // overflow
 	s := h.Snapshot()
 	if s.Count != 4 {
 		t.Fatalf("Count = %d, want 4", s.Count)

@@ -54,27 +54,27 @@ func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
 // (it is megabytes of model, already in the checkpoint/record
 // artifacts) and the admin token redacted.
 type diagConfig struct {
-	Shards            int            `json:"shards"`
-	Buffer            int            `json:"buffer"`
-	Batch             int            `json:"batch"`
-	MaxAlerts         int            `json:"max_alerts"`
-	Adapt             *AdaptOptions  `json:"adapt,omitempty"`
-	CheckpointPath    string         `json:"checkpoint_path,omitempty"`
-	AdminToken        string         `json:"admin_token,omitempty"`
-	Fleet             *FleetOptions  `json:"fleet,omitempty"`
-	QuotaFrames       int            `json:"quota_frames,omitempty"`
-	QuotaWindow       time.Duration  `json:"quota_window,omitempty"`
-	MaxBody           int64          `json:"max_body,omitempty"`
-	IngestTimeout     time.Duration  `json:"ingest_timeout,omitempty"`
-	ShedAfter         time.Duration  `json:"shed_after,omitempty"`
-	MaxRestarts       int            `json:"max_restarts,omitempty"`
-	RestartBackoff    time.Duration  `json:"restart_backoff,omitempty"`
-	StallAfter        time.Duration  `json:"stall_after,omitempty"`
-	CheckpointBackoff time.Duration  `json:"checkpoint_backoff,omitempty"`
-	JournalDir        string         `json:"journal_dir,omitempty"`
-	JournalMaxBytes   int64          `json:"journal_max_bytes,omitempty"`
-	RecordDir         string         `json:"record_dir,omitempty"`
-	FaultsArmed       bool           `json:"faults_armed,omitempty"`
+	Shards            int           `json:"shards"`
+	Buffer            int           `json:"buffer"`
+	Batch             int           `json:"batch"`
+	MaxAlerts         int           `json:"max_alerts"`
+	Adapt             *AdaptOptions `json:"adapt,omitempty"`
+	CheckpointPath    string        `json:"checkpoint_path,omitempty"`
+	AdminToken        string        `json:"admin_token,omitempty"`
+	Fleet             *FleetOptions `json:"fleet,omitempty"`
+	QuotaFrames       int           `json:"quota_frames,omitempty"`
+	QuotaWindow       time.Duration `json:"quota_window,omitempty"`
+	MaxBody           int64         `json:"max_body,omitempty"`
+	IngestTimeout     time.Duration `json:"ingest_timeout,omitempty"`
+	ShedAfter         time.Duration `json:"shed_after,omitempty"`
+	MaxRestarts       int           `json:"max_restarts,omitempty"`
+	RestartBackoff    time.Duration `json:"restart_backoff,omitempty"`
+	StallAfter        time.Duration `json:"stall_after,omitempty"`
+	CheckpointBackoff time.Duration `json:"checkpoint_backoff,omitempty"`
+	JournalDir        string        `json:"journal_dir,omitempty"`
+	JournalMaxBytes   int64         `json:"journal_max_bytes,omitempty"`
+	RecordDir         string        `json:"record_dir,omitempty"`
+	FaultsArmed       bool          `json:"faults_armed,omitempty"`
 }
 
 // handleDiag answers one request with a complete incident bundle: a

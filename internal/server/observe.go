@@ -86,9 +86,9 @@ func (b *busObs) ingestWall(windowEnd time.Duration) (time.Time, bool) {
 // bus (get-or-create under an RWMutex — the hot paths only ever take
 // the read lock).
 type observability struct {
-	ingest     *hist.Histogram                      // whole Ingest call
+	ingest     *hist.Histogram                         // whole Ingest call
 	decode     [trace.FormatBinary + 1]*hist.Histogram // Ingest minus feed wait, per format
-	checkpoint *hist.Histogram                      // one Save, fault seam included
+	checkpoint *hist.Histogram                         // one Save, fault seam included
 
 	mu    sync.RWMutex
 	buses map[string]*busObs

@@ -26,12 +26,12 @@ func TestRetryAfterHint(t *testing.T) {
 		capacity, backlog int
 		want              string
 	}{
-		{5 * time.Second, 10, 0, "5"},    // idle feed: the shed bound itself
-		{5 * time.Second, 10, 10, "10"},  // saturated feed: doubled
-		{5 * time.Second, 10, 5, "8"},    // half full: 7.5s rounded up
+		{5 * time.Second, 10, 0, "5"},      // idle feed: the shed bound itself
+		{5 * time.Second, 10, 10, "10"},    // saturated feed: doubled
+		{5 * time.Second, 10, 5, "8"},      // half full: 7.5s rounded up
 		{30 * time.Millisecond, 4, 0, "1"}, // sub-second bounds round up to 1
-		{0, 4, 4, "2"},                   // unset shed falls back to 1s
-		{time.Hour, 2, 2, "300"},         // capped: never send clients away for hours
+		{0, 4, 4, "2"},                     // unset shed falls back to 1s
+		{time.Hour, 2, 2, "300"},           // capped: never send clients away for hours
 	}
 	for _, c := range cases {
 		if got := mk(c.shed, c.capacity, c.backlog).retryAfterHint(); got != c.want {

@@ -318,6 +318,20 @@ func TestServeHotReload(t *testing.T) {
 	if code := post(t, url+"/ingest/ms-can?format=csv", encodeCSV(t, clean[:half]), nil); code != http.StatusOK {
 		t.Fatalf("first ingest status %d", code)
 	}
+	// The ingest returns once the first half is in the bus feed, but a
+	// swap lands at the dispatcher's next window boundary: reloading
+	// while the dispatcher is still inside the first half would move the
+	// swap point before the split. Wait until it has consumed all of it.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, buses := s.Stats(); buses["ms-can"].Frames >= uint64(half) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("dispatcher did not consume the first half within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	var rel struct {
 		Swapped []string `json:"swapped_buses"`
 	}
