@@ -19,6 +19,10 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go build ./...
 go test ./...
+# The serve-path benchmark is its own module over this one: build, vet
+# and test it here, so an API change that breaks it fails CI rather than
+# the benchmark run.
+(cd servebench && GOFLAGS=-mod=mod go vet ./... && GOFLAGS=-mod=mod go test ./...)
 
 # Concurrency hardening: the streaming engine (internal/engine) fans
 # work across goroutines, so the suite must hold under the race

@@ -47,7 +47,7 @@
 //	curl -X POST http://127.0.0.1:8080/admin/shutdown
 //
 // Serve a whole fleet on a fixed engine pool — vehicles (channels) are
-// consistent-hashed onto -fleet engines, idle vehicles are torn down
+// rendezvous-hashed onto -fleet engines, idle vehicles are torn down
 // after -fleet-idle, and per-vehicle ingest quotas shed floods with
 // 429; terminate TLS in-process instead of behind a proxy:
 //
@@ -171,7 +171,7 @@ func run(args []string, stdout io.Writer) error {
 		maxBody    = fs.Int64("max-body", 256<<20, "with -serve, max ingest request body bytes (413 beyond; 0 = unlimited)")
 		ingestTO   = fs.Duration("ingest-timeout", time.Minute, "with -serve, per-read deadline on ingest bodies (408 on stall; 0 disables)")
 		faultSpec  = fs.String("faults", "", "with -serve, arm deterministic fault injection for chaos drills (spec: point[scope]:kind@N[xM];...)")
-		fleet      = fs.Int("fleet", 0, "with -serve, share this many engines across all vehicles (consistent hashing; 0 = one engine per bus)")
+		fleet      = fs.Int("fleet", 0, "with -serve, share this many engines across all vehicles (rendezvous hashing; 0 = one engine per bus)")
 		fleetIdle  = fs.Duration("fleet-idle", 0, "with -fleet, tear down a vehicle's lane after this idle stream time (0 = never)")
 		quotaN     = fs.Int("quota-frames", 0, "with -serve, per-vehicle ingest quota in frames per -quota-window (0 = unlimited)")
 		quotaW     = fs.Duration("quota-window", time.Minute, "with -quota-frames, the quota accounting window (stream time)")

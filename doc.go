@@ -320,9 +320,12 @@
 //
 // The shared model is what makes fleet serving cheap. `canids -serve
 // -fleet K` multiplexes every vehicle (channel) onto K host engines by
-// consistent hashing (FNV-64a ring, 16 virtual nodes per engine), so a
-// vehicle's frames always reach the same engine and per-vehicle
-// detector state stays exact. Lanes spin up lazily on a vehicle's
+// rendezvous hashing (the host maximising a splitmix64-finalized
+// FNV-64a of name and host), so a vehicle's frames always reach the
+// same host and per-vehicle detector state stays exact. Fleet hosts run
+// under the same supervision as classic buses: a crashed host restarts
+// with an empty lane table, its vehicles respin on their next frame,
+// and frames arriving while it is down are counted lost per vehicle. Lanes spin up lazily on a vehicle's
 // first frame and, with -fleet-idle, tear down after idle stream time
 // — a returning vehicle's lane skips ahead to its next frame exactly
 // like a dedicated engine crossing the same gap, so multiplexed alert

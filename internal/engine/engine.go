@@ -270,29 +270,6 @@ type Stats struct {
 	LastTime time.Duration
 }
 
-// accumulate folds another incarnation's counters into s — how the
-// supervisor carries a restarted bus's history forward. PerShard adds
-// element-wise when the layouts match (restarts keep the shard count).
-func (s *Stats) accumulate(o Stats) {
-	s.Frames += o.Frames
-	s.Dropped += o.Dropped
-	s.DroppedInjected += o.DroppedInjected
-	s.Windows += o.Windows
-	s.Alerts += o.Alerts
-	s.Lost += o.Lost
-	s.Shed += o.Shed
-	if s.PerShard == nil {
-		s.PerShard = append([]uint64(nil), o.PerShard...)
-	} else if len(s.PerShard) == len(o.PerShard) {
-		for i := range s.PerShard {
-			s.PerShard[i] += o.PerShard[i]
-		}
-	}
-	if o.LastTime > s.LastTime {
-		s.LastTime = o.LastTime
-	}
-}
-
 // Forwarded returns the number of records that passed the pre-filter
 // (all of them when no gateway is installed).
 func (s Stats) Forwarded() uint64 { return s.Frames - s.Dropped }
@@ -345,8 +322,8 @@ type Engine struct {
 // any other engine failure.
 type PanicError struct {
 	// Stage names the pipeline stage that panicked: dispatch, shard or
-	// merger inside an engine; bus or fleet-host for the supervisor's
-	// own goroutines.
+	// merger inside an engine; host for the supervisor's own
+	// goroutines.
 	Stage string
 	// Value is the recovered panic value.
 	Value any

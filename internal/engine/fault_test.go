@@ -12,6 +12,7 @@ import (
 	"canids/internal/detect"
 	"canids/internal/engine"
 	"canids/internal/fault"
+	"canids/internal/model"
 	"canids/internal/trace"
 )
 
@@ -359,5 +360,190 @@ func TestStatsLostDirectRun(t *testing.T) {
 	}
 	if got := eng.Stats().Lost; got != 0 {
 		t.Errorf("Lost = %d on a direct run", got)
+	}
+}
+
+// fleetWant is each fleetBuses vehicle's undisturbed alert stream: a
+// dedicated engine serving the model on that vehicle alone.
+func fleetWant(t *testing.T, m *model.Model, buses map[string]trace.Trace) map[string][]detect.Alert {
+	t.Helper()
+	want := make(map[string][]detect.Alert)
+	for ch, tr := range buses {
+		eng, err := engine.NewFromModel(engine.Config{Shards: 2}, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[ch], _, err = eng.Detect(context.Background(), tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// runWithin runs the supervisor and fails the test if Run does not
+// return within the deadline — a wedged host must not hang the suite.
+func runWithin(t *testing.T, sup *engine.Supervisor, src engine.Source, sink func(string, detect.Alert)) (map[string]engine.Stats, error) {
+	t.Helper()
+	type result struct {
+		stats map[string]engine.Stats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		stats, err := sup.Run(context.Background(), src, sink)
+		done <- result{stats, err}
+	}()
+	select {
+	case r := <-done:
+		return r.stats, r.err
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return")
+		return nil, nil
+	}
+}
+
+// TestSupervisorSinkPanic: a sink that panics on one vehicle's third
+// alert fails only the host serving it, in classic and fleet mode.
+// With restarts disabled that host ends dead, having emitted a prefix
+// of its undisturbed streams; every vehicle on a live host emits
+// exactly its undisturbed stream — the panic must not leave the shared
+// sink lock held.
+func TestSupervisorSinkPanic(t *testing.T) {
+	m := fleetModel(t)
+	buses, mixed := fleetBuses(t)
+	want := fleetWant(t, m, buses)
+	for _, mode := range []string{"classic", "fleet"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := engine.SupervisorConfig{MaxRestarts: -1}
+			if mode == "fleet" {
+				cfg.Fleet = &engine.FleetConfig{Engines: 2, Model: m}
+			} else {
+				cfg.NewEngine = func(string) (*engine.Engine, error) {
+					return engine.NewFromModel(engine.Config{Shards: 2}, m)
+				}
+			}
+			sup, err := engine.NewSupervisor(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[string][]detect.Alert)
+			n := 0
+			stats, err := runWithin(t, sup, engine.NewSliceSource(mixed), func(ch string, a detect.Alert) {
+				if ch == "veh-01" {
+					if n++; n == 3 {
+						panic("sink failure")
+					}
+				}
+				got[ch] = append(got[ch], a)
+			})
+			if err == nil || !strings.Contains(err.Error(), "dead") {
+				t.Errorf("Run = %v, want the dead host's error", err)
+			}
+			health := sup.Health()
+			if health["veh-01"].State != engine.BusDead {
+				t.Errorf("veh-01 health = %+v, want dead", health["veh-01"])
+			}
+			live := 0
+			for ch, w := range want {
+				h, st := health[ch], stats[ch]
+				if h.Accepted != uint64(len(buses[ch])) || st.Frames+st.Lost != h.Accepted {
+					t.Errorf("%s: accepted %d, frames %d + lost %d, want %d", ch, h.Accepted, st.Frames, st.Lost, len(buses[ch]))
+				}
+				if h.State == engine.BusDead {
+					if len(got[ch]) > len(w) || !reflect.DeepEqual(got[ch], w[:len(got[ch])]) {
+						t.Errorf("%s: dead host emitted %d alerts that are not a prefix of its %d", ch, len(got[ch]), len(w))
+					}
+					continue
+				}
+				live++
+				if !reflect.DeepEqual(got[ch], w) {
+					t.Errorf("%s: alerts disturbed by veh-01's sink panic (got %d, want %d)", ch, len(got[ch]), len(w))
+				}
+			}
+			if mode == "classic" && live != len(want)-1 || live == 0 {
+				t.Errorf("%d vehicles on live hosts", live)
+			}
+		})
+	}
+}
+
+// slabSource is a BatchSource over an in-memory trace in fixed-size
+// slabs.
+type slabSource struct {
+	tr   trace.Trace
+	size int
+}
+
+func (s *slabSource) NextBatch() ([]trace.Record, error) {
+	if len(s.tr) == 0 {
+		return nil, io.EOF
+	}
+	n := min(s.size, len(s.tr))
+	b := s.tr[:n]
+	s.tr = s.tr[n:]
+	return b, nil
+}
+
+func (s *slabSource) Next() (trace.Record, error) {
+	if len(s.tr) == 0 {
+		return trace.Record{}, io.EOF
+	}
+	r := s.tr[0]
+	s.tr = s.tr[1:]
+	return r, nil
+}
+
+// TestFleetHostFailure: a fleet host whose sink panics once mid-slab
+// restarts with an empty lane table. Accounting stays exact on every
+// vehicle — frames + lost == input == accepted, the in-flight remainder
+// of the failed slab included — and the vehicles on the other host are
+// bit-identical to an undisturbed run.
+func TestFleetHostFailure(t *testing.T) {
+	m := fleetModel(t)
+	buses, mixed := fleetBuses(t)
+	want := fleetWant(t, m, buses)
+	sup, err := engine.NewSupervisor(engine.SupervisorConfig{
+		Fleet:          &engine.FleetConfig{Engines: 2, Model: m},
+		RestartBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string][]detect.Alert)
+	n := 0
+	stats, err := runWithin(t, sup, &slabSource{tr: mixed, size: 256}, func(ch string, a detect.Alert) {
+		if ch == "veh-01" {
+			if n++; n == 3 {
+				panic("sink failure")
+			}
+		}
+		got[ch] = append(got[ch], a)
+	})
+	// A stream that ends while the host waits out its backoff reports
+	// the crash; any other error is a failure.
+	var perr *engine.PanicError
+	if err != nil && !errors.As(err, &perr) {
+		t.Fatalf("Run = %v", err)
+	}
+	health := sup.Health()
+	if health["veh-01"].Restarts == 0 {
+		t.Errorf("veh-01 health = %+v, want its host restarted", health["veh-01"])
+	}
+	undisturbed := 0
+	for ch, tr := range buses {
+		h, st := health[ch], stats[ch]
+		if h.Accepted != uint64(len(tr)) || st.Frames+st.Lost != uint64(len(tr)) {
+			t.Errorf("%s: accepted %d, frames %d + lost %d, want %d", ch, h.Accepted, st.Frames, st.Lost, len(tr))
+		}
+		if h.Restarts > 0 {
+			continue
+		}
+		undisturbed++
+		if !reflect.DeepEqual(got[ch], want[ch]) {
+			t.Errorf("%s: alerts disturbed by the other host's failure (got %d, want %d)", ch, len(got[ch]), len(want[ch]))
+		}
+	}
+	if undisturbed == 0 {
+		t.Error("every vehicle shares the failed host; isolation is untested")
 	}
 }

@@ -156,11 +156,3 @@ func (s *ChanBatchSource) Next() (trace.Record, error) {
 	}
 	return r, nil
 }
-
-// Leftover is how many records the source has taken off the feed but
-// not yet handed to the consumer — the partially iterated slab of a
-// consumer that stopped mid-batch. The supervisor counts these as lost
-// when an engine crashes, so its accounting is exact: every accepted
-// record is either consumed by some incarnation or counted lost. Only
-// meaningful once the consumer has stopped calling Next.
-func (s *ChanBatchSource) Leftover() int { return len(s.cur) - s.next }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"canids/internal/can"
 	"canids/internal/detect"
 	"canids/internal/trace"
 )
@@ -29,18 +30,19 @@ const (
 	DefaultStallAfter = 10 * time.Second
 )
 
-// Bus health states reported by Supervisor.Health.
+// Bus health states reported by Supervisor.Health: the state of the
+// host serving the bus (see Supervisor).
 const (
-	// BusOK: the engine is live and accepting frames.
+	// BusOK: the host is live and accepting frames.
 	BusOK = "ok"
-	// BusStalled: the engine is live but has not accepted a waiting
+	// BusStalled: the host is live but has not accepted a waiting
 	// frame within StallAfter — backpressure degenerated into a stall.
 	BusStalled = "stalled"
-	// BusRestarting: the engine crashed and a restart is in progress
+	// BusRestarting: the host crashed and a restart is in progress
 	// (frames arriving now are counted lost).
 	BusRestarting = "restarting"
-	// BusDead: the restart budget is exhausted; the bus drains its feed
-	// (counting every record lost) so the rest of the fleet keeps
+	// BusDead: the restart budget is exhausted; the host drains its
+	// feed (counting every record lost) so the rest of the fleet keeps
 	// serving.
 	BusDead = "dead"
 )
@@ -68,23 +70,25 @@ type SupervisorConfig struct {
 	// model. Nil falls back to NewEngine. Called from the bus's own
 	// supervision goroutine.
 	RestartEngine func(channel string, attempt int) (*Engine, error)
-	// MaxRestarts is the per-bus restart budget for one Run: after this
-	// many failed incarnations the bus is marked dead and its feed is
-	// drained (lost frames counted) instead of crashing the fleet. Zero
-	// means DefaultMaxRestarts; negative disables restarts entirely.
+	// MaxRestarts is the per-host restart budget for one Run (a host is
+	// a bus in classic mode, one of Fleet.Engines in fleet mode): after
+	// this many failed incarnations the host is marked dead and its feed
+	// is drained (lost frames counted) instead of crashing the fleet.
+	// Zero means DefaultMaxRestarts; negative disables restarts entirely.
 	MaxRestarts int
 	// RestartBackoff is the delay before the first restart; consecutive
 	// attempts double it, capped at 5s. Zero means
 	// DefaultRestartBackoff. The feed keeps draining during the backoff
 	// — a crashed bus exerts no backpressure on its siblings.
 	RestartBackoff time.Duration
-	// StallAfter is the stall watchdog deadline: a bus with a frame
-	// waiting that its engine has not accepted for this long reports
+	// StallAfter is the stall watchdog deadline: a host with a frame
+	// waiting that it has not accepted for this long reports its buses
 	// BusStalled in Health. Zero means DefaultStallAfter.
 	StallAfter time.Duration
-	// OnBusError, when set, is called from the failing bus's supervision
-	// goroutine after each engine failure, before the restart (or the
-	// death) it triggers. It must not call back into the supervisor.
+	// OnBusError, when set, is called from the failing host's
+	// supervision goroutine after each failure, before the restart (or
+	// the death) it triggers; channel is the bus, or "fleet host i" in
+	// fleet mode. It must not call back into the supervisor.
 	OnBusError func(channel string, err error, willRestart bool)
 	// Logger receives structured supervision events (bus crashes,
 	// restarts, dead buses) with per-bus attrs. Nil discards.
@@ -98,7 +102,8 @@ type SupervisorConfig struct {
 	// runs. A slab the tap saw may still be dropped by a canceled
 	// context before delivery.
 	Tap func(channel string, slab []trace.Record)
-	// Buffer is the per-bus feed capacity; zero means DefaultBuffer.
+	// Buffer is the per-host feed capacity, in slabs; zero means
+	// DefaultBuffer.
 	Buffer int
 	// QuotaFrames and QuotaWindow, when both set, cap each channel's
 	// ingest to QuotaFrames records per QuotaWindow of record time
@@ -109,9 +114,11 @@ type SupervisorConfig struct {
 	QuotaFrames int
 	QuotaWindow time.Duration
 	// Fleet, when set, multiplexes N vehicle channels over
-	// Fleet.Engines host goroutines instead of one full Engine per bus
-	// — see FleetConfig. NewEngine/RestartEngine are ignored in fleet
-	// mode; every lane serves Fleet.Model.
+	// Fleet.Engines hosts (rendezvous-hashed by channel name) instead of
+	// one full Engine per bus — see FleetConfig. Fleet hosts restart,
+	// drain and report stalls under the same policy as classic buses.
+	// NewEngine/RestartEngine are ignored in fleet mode; every lane
+	// serves Fleet.Model.
 	Fleet *FleetConfig
 }
 
@@ -123,15 +130,18 @@ type SupervisorConfig struct {
 // the shared sink follows goroutine timing, so order-sensitive
 // consumers should key on the channel argument.
 //
-// Buses are crash-isolated: every engine runs under panic recovery,
-// and a failing engine is restarted — via RestartEngine when set —
-// with capped exponential backoff while its feed drains, so the other
-// buses' alert streams are bit-identical to an undisturbed run. Frames
-// that arrive while a bus is down are counted, exactly, in its
-// Stats.Lost: at the end of a drained run, Accepted == Frames + Lost
-// per bus (BusHealth carries all three). A bus that exhausts its
-// restart budget goes dead (Health reports it; /healthz turns 503)
-// rather than taking the daemon down.
+// The unit it runs is a host: one per bus in classic mode (serving the
+// bus's Engine), Fleet.Engines in fleet mode (each serving a lane
+// table). Hosts are crash-isolated: every host runs under panic
+// recovery, and a failing one is restarted — a classic bus via
+// RestartEngine when set — with capped exponential backoff while its
+// feed drains, so the other hosts' alert streams are bit-identical to
+// an undisturbed run. Frames that arrive while a host is down are
+// counted, exactly, in their channel's Stats.Lost: at the end of a
+// drained run, Accepted == Frames + Lost per channel (BusHealth carries
+// all three). A host that exhausts its restart budget goes dead (Health
+// reports its channels dead; /healthz turns 503) rather than taking the
+// daemon down.
 //
 // A Supervisor may be reused for sequential Runs but not concurrent
 // ones.
@@ -142,8 +152,8 @@ type Supervisor struct {
 	fleet *fleetRun
 
 	mu      sync.Mutex
-	engines map[string]*Engine
-	runs    map[string]*busState
+	engines map[string]*Engine // classic buses' engines, kept across Runs
+	chans   map[string]*chanState
 }
 
 // NewSupervisor creates a supervisor.
@@ -180,11 +190,6 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		if fc.Engines < 1 {
 			return nil, fmt.Errorf("engine: fleet mode needs at least 1 engine, got %d", fc.Engines)
 		}
-		if fc.Vnodes <= 0 {
-			fc2 := *fc
-			fc2.Vnodes = DefaultVnodes
-			fc = &fc2
-		}
 		if fc.IdleAfter != 0 {
 			if fc.IdleAfter < fc.Model.Core().Window {
 				return nil, fmt.Errorf("engine: fleet IdleAfter %v shorter than the detection window %v — teardown would lose in-window state", fc.IdleAfter, fc.Model.Core().Window)
@@ -193,11 +198,7 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 				return nil, fmt.Errorf("engine: fleet IdleAfter %v shorter than the gateway rate window %v — teardown would lose rate state", fc.IdleAfter, gp.RateWindow())
 			}
 		}
-		s.fleet = &fleetRun{
-			cfg:   *fc,
-			ring:  newHashRing(fc.Engines, fc.Vnodes),
-			lanes: make(map[string]*laneState),
-		}
+		s.fleet = &fleetRun{cfg: *fc}
 		s.fleet.curModel.Store(fc.Model)
 	}
 	return s, nil
@@ -206,12 +207,9 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 // Channels returns the bus names seen so far, ascending. Safe to call
 // while Run is in flight.
 func (s *Supervisor) Channels() []string {
-	if s.fleet != nil {
-		return s.fleet.laneNames()
-	}
 	s.mu.Lock()
-	out := make([]string, 0, len(s.engines))
-	for ch := range s.engines {
+	out := make([]string, 0, len(s.chans))
+	for ch := range s.chans {
 		out = append(out, ch)
 	}
 	s.mu.Unlock()
@@ -229,29 +227,28 @@ func (s *Supervisor) Engine(channel string) *Engine {
 }
 
 // Stats returns the per-bus statistics, keyed by channel name. Safe to
-// call live: each engine's counters are atomic snapshots. Counters
-// accumulate across a bus's restarts within a Run — a restarted bus
-// reports its whole history, not just the newest incarnation — and
-// Lost carries the frames that arrived while the bus was down.
+// call live: every counter is an atomic snapshot. Counters accumulate
+// across a host's restarts within a Run — a restarted bus reports its
+// whole history, not just the newest incarnation (PerShard excepted: it
+// covers the newest engine) — and Lost carries the frames that arrived
+// while the bus's host was down.
 func (s *Supervisor) Stats() map[string]Stats {
-	if s.fleet != nil {
-		return s.fleet.stats()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]Stats, len(s.engines))
-	for ch, e := range s.engines {
-		st := e.Stats()
-		if r := s.runs[ch]; r != nil {
-			r.mu.Lock()
-			base := r.base
-			base.PerShard = append([]uint64(nil), r.base.PerShard...)
-			r.mu.Unlock()
-			base.accumulate(st)
-			st = base
-			st.Lost = r.lost.Load()
-			st.Shed = r.quota.shed.Load()
+	out := make(map[string]Stats, len(s.chans))
+	for ch, c := range s.chans {
+		var st Stats
+		if e := s.engines[ch]; e != nil {
+			st = e.Stats()
 		}
+		st.Frames += c.frames.Load()
+		st.Dropped += c.dropped.Load()
+		st.DroppedInjected += c.droppedInjected.Load()
+		st.Windows += c.windows.Load()
+		st.Alerts += c.alerts.Load()
+		st.LastTime = max(st.LastTime, time.Duration(c.lastTime.Load()))
+		st.Lost = c.lost.Load()
+		st.Shed = c.quota.shed.Load()
 		out[ch] = st
 	}
 	return out
@@ -279,16 +276,18 @@ func (s *Supervisor) TotalStats() Stats {
 
 // BusHealth is one bus's liveness report.
 type BusHealth struct {
-	// State is one of BusOK, BusStalled, BusRestarting, BusDead.
+	// State is one of BusOK, BusStalled, BusRestarting, BusDead — the
+	// state of the bus's host — or BusIdle for a torn-down fleet lane
+	// on a live host.
 	State string `json:"state"`
-	// Restarts counts engine restarts this Run (failed rebuild attempts
-	// included).
+	// Restarts counts the host's restarts this Run (failed rebuild
+	// attempts included).
 	Restarts uint64 `json:"restarts,omitempty"`
-	// Accepted counts records the demux delivered into the bus feed;
+	// Accepted counts records the demux delivered into the host feed;
 	// after a drain, Accepted == Stats.Frames + Stats.Lost exactly.
 	Accepted uint64 `json:"accepted"`
-	// Lost counts records that arrived while the bus was down; the same
-	// value is surfaced as Stats.Lost.
+	// Lost counts records that arrived while the host was down; the
+	// same value is surfaced as Stats.Lost.
 	Lost uint64 `json:"lost,omitempty"`
 	// Shed counts records the per-channel ingest quota refused at the
 	// demux (see SupervisorConfig.QuotaFrames).
@@ -297,7 +296,7 @@ type BusHealth struct {
 	// fleet-wide convergence signal after a reload. Zero when the bus's
 	// engine was assembled without a model.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// LastError is the most recent engine failure, if any.
+	// LastError is the host's most recent failure, if any.
 	LastError string `json:"last_error,omitempty"`
 	// StalledSeconds is how long the oldest waiting frame has been
 	// refused (only set in state BusStalled).
@@ -307,107 +306,206 @@ type BusHealth struct {
 // Health reports each bus's liveness. Safe to call while Run is in
 // flight; buses appear with their first record.
 func (s *Supervisor) Health() map[string]BusHealth {
-	if s.fleet != nil {
-		return s.fleet.health()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := time.Now()
-	out := make(map[string]BusHealth, len(s.runs))
-	for ch, r := range s.runs {
-		h := BusHealth{
-			Restarts: r.restarts.Load(),
-			Accepted: r.accepted.Load(),
-			Lost:     r.lost.Load(),
-			Shed:     r.quota.shed.Load(),
+	out := make(map[string]BusHealth, len(s.chans))
+	for ch, c := range s.chans {
+		h := c.host
+		bh := BusHealth{
+			State:    BusOK,
+			Restarts: h.restarts.Load(),
+			Accepted: c.accepted.Load(),
+			Lost:     c.lost.Load(),
+			Shed:     c.quota.shed.Load(),
+			Epoch:    c.epoch.Load(),
 		}
 		if e := s.engines[ch]; e != nil {
 			if m := e.Model(); m != nil {
-				h.Epoch = m.Epoch()
+				bh.Epoch = m.Epoch()
 			}
 		}
-		switch r.state.Load() {
+		switch h.state.Load() {
 		case stateDead:
-			h.State = BusDead
+			bh.State = BusDead
 		case stateRestarting:
-			h.State = BusRestarting
+			bh.State = BusRestarting
 		default:
-			h.State = BusOK
-			if since := r.stallSince.Load(); since != 0 {
+			if c.idle.Load() {
+				bh.State = BusIdle
+			}
+			if since := h.stallSince.Load(); since != 0 {
 				if stalled := now.Sub(time.Unix(0, since)); stalled >= s.cfg.StallAfter {
-					h.State = BusStalled
-					h.StalledSeconds = stalled.Seconds()
+					bh.State = BusStalled
+					bh.StalledSeconds = stalled.Seconds()
 				}
 			}
 		}
-		r.mu.Lock()
-		h.LastError = r.lastErr
-		r.mu.Unlock()
-		out[ch] = h
+		h.mu.Lock()
+		bh.LastError = h.lastErr
+		h.mu.Unlock()
+		out[ch] = bh
 	}
 	return out
 }
 
-// busState is the supervision state of one bus pipeline. The feed
-// carries record slabs, not records: the demux moves whole batches per
-// channel operation and the engine consumes them through a
-// ChanBatchSource, so per-record sends never dominate multi-bus
-// serving.
-type busState struct {
-	feed chan []trace.Record
-	done chan struct{}
-	err  error // set before done closes
+// chanState is one channel's record — the only place its fate is
+// counted. The demux owns the routing fields; accepted, lost and the
+// quota's shed count are read live by Stats and Health. The counters
+// below them are a fleet lane's (written by its host), or in classic
+// mode the totals of the bus's replaced Engine incarnations; the
+// teardown residue is a fleet lane's.
+type chanState struct {
+	name string
+	host *host
+
+	// Demux-owned routing state: the quota gate every record is
+	// admitted through, the sub-slab being filled, the time of the
+	// latest record (admitted or shed), and whether an idle teardown was
+	// sent with nothing delivered since.
+	quota    quotaState
+	slab     []trace.Record
+	lastSeen time.Duration
+	down     bool
+
+	accepted atomic.Uint64
+	lost     atomic.Uint64
+
+	frames          atomic.Uint64
+	dropped         atomic.Uint64
+	droppedInjected atomic.Uint64
+	windows         atomic.Uint64
+	alerts          atomic.Uint64
+	lastTime        atomic.Int64
+	epoch           atomic.Uint64
+	idle            atomic.Bool
+
+	// Teardown residue: the tumbling phases and quarantine list a respun
+	// lane resumes from. Host-goroutine owned; never read while live.
+	winStart   time.Duration
+	haveWindow bool
+	rateStart  time.Duration
+	haveRate   bool
+	quar       map[can.ID]time.Duration
+}
+
+// fold adds a replaced engine incarnation's counters to the channel's.
+func (c *chanState) fold(st Stats) {
+	c.frames.Add(st.Frames)
+	c.dropped.Add(st.Dropped)
+	c.droppedInjected.Add(st.DroppedInjected)
+	c.windows.Add(st.Windows)
+	c.alerts.Add(st.Alerts)
+	if int64(st.LastTime) > c.lastTime.Load() {
+		c.lastTime.Store(int64(st.LastTime))
+	}
+}
+
+// host is the one unit the supervisor runs: a goroutine serving a feed
+// of single-channel record slabs under panic recovery, the restart
+// ladder and the stall watchdog. The feed carries slabs, not records,
+// so the demux moves whole batches per channel operation.
+type host struct {
+	name  string // for logs and OnBusError: the bus, or "fleet host i"
+	label string // how Run's error names the host
+	feed  chan hostMsg
+	done  chan struct{}
+	err   error // set before done closes
+
+	// serve runs one incarnation over the feed until it closes (nil) or
+	// fails; restart, when set, prepares the attempt-th (1-based)
+	// replacement. Both run on the host's goroutine.
+	serve   func(in *hostFeed) error
+	restart func(attempt int) error
 
 	state    atomic.Int32
 	restarts atomic.Uint64
-	lost     atomic.Uint64
-	accepted atomic.Uint64
 	// stallSince is when the demux first blocked sending to this feed
 	// (unix nanos; 0 = not blocked). The stall watchdog derives
 	// BusStalled from it.
 	stallSince atomic.Int64
 
-	// quota is the channel's ingest-quota gate; the demux goroutine
-	// admits through it before anything else sees the record.
-	quota quotaState
-
 	mu      sync.Mutex
 	lastErr string
-	base    Stats // accumulated counters of replaced incarnations
 }
 
-func (r *busState) noteError(err error) {
-	r.mu.Lock()
-	r.lastErr = err.Error()
-	r.mu.Unlock()
+func (h *host) noteError(err error) {
+	h.mu.Lock()
+	h.lastErr = err.Error()
+	h.mu.Unlock()
 }
 
-func (r *busState) addBase(st Stats) {
-	r.mu.Lock()
-	r.base.accumulate(st)
-	r.mu.Unlock()
+// hostMsg is one demux→host delivery: a single-channel record slab, or
+// (recs nil) a command to tear the channel's idle fleet lane down.
+type hostMsg struct {
+	c    *chanState
+	recs []trace.Record
+}
+
+// hostFeed is one host incarnation's reader over its feed — message by
+// message for a lane table, record by record (as a Source) for an
+// Engine. It tracks the message in flight, so a failed incarnation's
+// unconsumed records are counted lost against their channel, and
+// recycles each slab once consumed.
+type hostFeed struct {
+	ctx  context.Context
+	feed <-chan hostMsg
+	pool *RecordPool
+	cur  hostMsg // message in flight
+	next int     // records of cur already consumed
+}
+
+// take recycles the message in flight and returns the next one.
+func (f *hostFeed) take() (hostMsg, error) {
+	if f.cur.recs != nil {
+		f.pool.Put(f.cur.recs)
+	}
+	f.cur, f.next = hostMsg{}, 0
+	select {
+	case m, ok := <-f.feed:
+		if !ok {
+			return m, io.EOF
+		}
+		f.cur = m
+		return m, nil
+	case <-f.ctx.Done():
+		return hostMsg{}, f.ctx.Err()
+	}
+}
+
+// Next implements Source over the feed's slabs.
+func (f *hostFeed) Next() (trace.Record, error) {
+	for f.next >= len(f.cur.recs) {
+		if _, err := f.take(); err != nil {
+			return trace.Record{}, err
+		}
+	}
+	r := f.cur.recs[f.next]
+	f.next++
+	return r, nil
 }
 
 // Run consumes the mixed source until EOF, a source error, or context
-// cancellation, demultiplexing records by channel into one engine per
-// bus. The sink receives every alert tagged with its bus; calls are
-// serialized across buses, so the sink needs no locking of its own. Run
-// returns the final per-bus statistics and the first error any stage
-// hit (a bus that crashed but was successfully restarted is not an
-// error; a dead bus is). Backpressure propagates: one stalled bus
-// pipeline eventually stalls the demux, bounding memory across the
-// fleet — but a *crashed* bus does not: its feed drains (counting
-// lost frames) while it restarts or after it dies.
+// cancellation, demultiplexing records by channel to their hosts. The
+// sink receives every alert tagged with its bus; calls are serialized
+// across hosts, so the sink needs no locking of its own, and a sink
+// that panics fails only the host it panicked on. Run returns the final
+// per-bus statistics and the first error any stage hit (a host that
+// crashed but was successfully restarted is not an error; a dead one
+// is). Backpressure propagates: one stalled host eventually stalls the
+// demux, bounding memory across the fleet — but a *crashed* host does
+// not: its feed drains (counting lost frames) while it restarts or
+// after it dies.
 //
-// Records reach the buses in pooled per-bus sub-slabs (see demux): one
-// channel send per bus per incoming slab instead of one per record when
-// the source is a BatchSource, single-record slabs otherwise.
+// Records reach the hosts in pooled per-channel sub-slabs (see demux):
+// one channel send per bus per incoming slab instead of one per record
+// when the source is a BatchSource, single-record slabs otherwise.
 func (s *Supervisor) Run(ctx context.Context, src Source, sink func(channel string, a detect.Alert)) (map[string]Stats, error) {
 	var sinkMu sync.Mutex
 	locked := func(channel string, a detect.Alert) {
 		sinkMu.Lock()
+		defer sinkMu.Unlock()
 		sink(channel, a)
-		sinkMu.Unlock()
 	}
 	// Slab capacity follows the source: batch sources demux into
 	// DefaultBatch-sized sub-slabs, per-record sources travel as
@@ -418,62 +516,74 @@ func (s *Supervisor) Run(ctx context.Context, src Source, sink func(channel stri
 	if _, batched := src.(BatchSource); !batched {
 		pool = NewRecordPool(256, 1)
 	}
-	if s.fleet != nil {
-		return s.runFleet(ctx, src, pool, locked)
-	}
 	s.mu.Lock()
-	s.runs = make(map[string]*busState)
+	s.chans = make(map[string]*chanState)
 	s.mu.Unlock()
 
-	open := func(channel string) (*route, error) {
-		s.mu.Lock()
-		eng := s.engines[channel]
-		s.mu.Unlock()
-		if eng == nil {
-			var err error
-			eng, err = s.cfg.NewEngine(channel)
+	var hosts []*host
+	start := func(h *host) *host {
+		h.feed, h.done = make(chan hostMsg, s.cfg.Buffer), make(chan struct{})
+		hosts = append(hosts, h)
+		go s.serveHost(ctx, h, pool)
+		return h
+	}
+	var open func(channel string) (*chanState, error)
+	var idleAfter time.Duration
+	if f := s.fleet; f != nil {
+		for i := 0; i < f.cfg.Engines; i++ {
+			name := fmt.Sprintf("fleet host %d", i)
+			start(&host{name: name, label: name, serve: func(in *hostFeed) error {
+				return f.serveLanes(in, locked)
+			}})
+		}
+		open = func(channel string) (*chanState, error) {
+			return &chanState{name: channel, host: hosts[hostOf(channel, len(hosts))]}, nil
+		}
+		idleAfter = f.cfg.IdleAfter
+	} else {
+		open = func(channel string) (*chanState, error) {
+			eng, err := s.busEngine(channel)
 			if err != nil {
-				return nil, fmt.Errorf("engine: supervisor: bus %q: %w", channel, err)
+				return nil, err
 			}
-			if eng == nil {
-				return nil, fmt.Errorf("engine: supervisor: NewEngine(%q) returned nil", channel)
-			}
-			s.mu.Lock()
-			s.engines[channel] = eng
-			s.mu.Unlock()
+			c := &chanState{name: channel}
+			c.host = start(&host{
+				name:  channel,
+				label: fmt.Sprintf("bus %q", channel),
+				serve: func(in *hostFeed) error {
+					_, err := eng.Run(ctx, in, func(a detect.Alert) { locked(channel, a) })
+					return err
+				},
+				restart: func(attempt int) error {
+					next, err := s.rebuild(channel, attempt)
+					if err != nil {
+						return err
+					}
+					// Fold the crashed incarnation's counters in and
+					// publish the replacement in one step, so Stats never
+					// counts either twice.
+					s.mu.Lock()
+					c.fold(eng.Stats())
+					s.engines[channel] = next
+					s.mu.Unlock()
+					eng = next
+					return nil
+				},
+			})
+			return c, nil
 		}
-		r := &busState{
-			feed: make(chan []trace.Record, s.cfg.Buffer),
-			done: make(chan struct{}),
-		}
-		s.mu.Lock()
-		s.runs[channel] = r
-		s.mu.Unlock()
-		go s.serveBus(ctx, channel, r, eng, locked, pool)
-		return &route{quota: &r.quota, deliver: func(slab []trace.Record) bool {
-			return s.sendFeed(ctx, r, slab)
-		}}, nil
 	}
-	err := s.demux(ctx, src, pool, open, nil)
+	err := s.demux(ctx, src, pool, open, idleAfter)
 
-	// Only the demux adds buses, so the set is final now. Join in name
-	// order, so the reported error does not depend on map iteration.
-	s.mu.Lock()
-	runs := s.runs
-	names := make([]string, 0, len(runs))
-	for ch := range runs {
-		names = append(names, ch)
+	// Only the demux starts hosts, so the set is final now. Join in
+	// start order, so the reported error is deterministic.
+	for _, h := range hosts {
+		close(h.feed)
 	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	for _, ch := range names {
-		close(runs[ch].feed)
-	}
-	for _, ch := range names {
-		r := runs[ch]
-		<-r.done
-		if err == nil && r.err != nil {
-			err = fmt.Errorf("bus %q: %w", ch, r.err)
+	for _, h := range hosts {
+		<-h.done
+		if err == nil && h.err != nil {
+			err = fmt.Errorf("%s: %w", h.label, h.err)
 		}
 	}
 	if err == nil {
@@ -482,18 +592,26 @@ func (s *Supervisor) Run(ctx context.Context, src Source, sink func(channel stri
 	return s.Stats(), err
 }
 
-// route is one channel's demux state: its quota gate, the sub-slab being
-// filled for it, and where a finished sub-slab goes.
-type route struct {
-	channel string
-	quota   *quotaState
-	// deliver hands a sub-slab to the channel's consumer, which owns it
-	// from then on; false means the context was canceled first.
-	deliver func(slab []trace.Record) bool
-	slab    []trace.Record
-	// lastTime is the time of the channel's latest record, admitted or
-	// shed.
-	lastTime time.Duration
+// busEngine returns a classic bus's engine: the one kept from an
+// earlier Run, or a new one from NewEngine.
+func (s *Supervisor) busEngine(channel string) (*Engine, error) {
+	s.mu.Lock()
+	eng := s.engines[channel]
+	s.mu.Unlock()
+	if eng != nil {
+		return eng, nil
+	}
+	eng, err := s.cfg.NewEngine(channel)
+	if err != nil {
+		return nil, fmt.Errorf("engine: supervisor: bus %q: %w", channel, err)
+	}
+	if eng == nil {
+		return nil, fmt.Errorf("engine: supervisor: NewEngine(%q) returned nil", channel)
+	}
+	s.mu.Lock()
+	s.engines[channel] = eng
+	s.mu.Unlock()
+	return eng, nil
 }
 
 // demux is the supervisor's one demultiplexer, shared by classic and
@@ -503,20 +621,22 @@ type route struct {
 // sub-slab goes through Tap and is delivered before the next input slab
 // is read, so batching never delays a record behind an idle source; a
 // sub-slab reaching DefaultBatch goes at once. open builds a channel's
-// route on its first record. sweep, when set, runs after every input
-// slab with the newest record time seen, so whatever it sends lands at
-// a deterministic stream position.
+// record on its first record. With idleAfter set (fleet mode), every
+// input slab ends with a sweep that sends a teardown to each channel
+// silent for idleAfter before the newest record time seen, so
+// teardowns land at deterministic stream positions.
 func (s *Supervisor) demux(ctx context.Context, src Source, pool *RecordPool,
-	open func(channel string) (*route, error), sweep func(newest time.Duration) bool) error {
+	open func(channel string) (*chanState, error), idleAfter time.Duration) error {
 
 	bs, batched := src.(BatchSource)
-	byName := make(map[string]*route)
-	var routes []*route
+	byName := make(map[string]*chanState)
+	var chans []*chanState
 	var one [1]trace.Record
 	newest := time.Duration(math.MinInt64)
-	// The last-route cache skips the map lookup while consecutive records
-	// share a channel — which is every record, on a single-bus feed.
-	var last *route
+	// The last-channel cache skips the map lookup while consecutive
+	// records share a channel — which is every record, on a single-bus
+	// feed.
+	var last *chanState
 	for {
 		slab := one[:]
 		var err error
@@ -532,19 +652,21 @@ func (s *Supervisor) demux(ctx context.Context, src Source, pool *RecordPool,
 			return fmt.Errorf("engine: source: %w", err)
 		}
 		for _, rec := range slab {
-			if last == nil || rec.Channel != last.channel {
-				r := byName[rec.Channel]
-				if r == nil {
-					if r, err = open(rec.Channel); err != nil {
+			if last == nil || rec.Channel != last.name {
+				c := byName[rec.Channel]
+				if c == nil {
+					if c, err = open(rec.Channel); err != nil {
 						return err
 					}
-					r.channel = rec.Channel
-					byName[rec.Channel] = r
-					routes = append(routes, r)
+					byName[rec.Channel] = c
+					chans = append(chans, c)
+					s.mu.Lock()
+					s.chans[rec.Channel] = c
+					s.mu.Unlock()
 				}
-				last = r
+				last = c
 			}
-			last.lastTime = rec.Time
+			last.lastSeen = rec.Time
 			if rec.Time > newest {
 				newest = rec.Time
 			}
@@ -555,122 +677,138 @@ func (s *Supervisor) demux(ctx context.Context, src Source, pool *RecordPool,
 				last.slab = pool.Get()
 			}
 			last.slab = append(last.slab, rec)
-			if len(last.slab) >= DefaultBatch && !s.flush(last) {
+			if len(last.slab) >= DefaultBatch && !s.flush(ctx, last) {
 				return ctx.Err()
 			}
 		}
-		for _, r := range routes {
-			if len(r.slab) > 0 && !s.flush(r) {
+		for _, c := range chans {
+			if len(c.slab) > 0 && !s.flush(ctx, c) {
 				return ctx.Err()
 			}
 		}
-		if sweep != nil && !sweep(newest) {
-			return ctx.Err()
+		if idleAfter <= 0 {
+			continue
+		}
+		for _, c := range chans {
+			if c.down || !detect.WindowExpired(c.lastSeen, newest, idleAfter) {
+				continue
+			}
+			if !s.sendFeed(ctx, c, nil) {
+				return ctx.Err()
+			}
+			c.down = true
 		}
 	}
 }
 
-// flush shows r's pending sub-slab to Tap, then delivers it.
-func (s *Supervisor) flush(r *route) bool {
-	slab := r.slab
-	r.slab = nil
+// flush shows c's pending sub-slab to Tap, then delivers it.
+func (s *Supervisor) flush(ctx context.Context, c *chanState) bool {
+	slab := c.slab
+	c.slab, c.down = nil, false
 	if s.cfg.Tap != nil {
-		s.cfg.Tap(r.channel, slab)
+		s.cfg.Tap(c.name, slab)
 	}
-	return r.deliver(slab)
+	return s.sendFeed(ctx, c, slab)
 }
 
-// serveBus is one bus's supervision loop: run the engine, and on a
-// failure (panic or error) restart it from a freshly built engine with
-// capped exponential backoff, draining the feed in the meantime so the
-// demux never blocks behind a dead stage. A clean feed close ends the
-// loop; an exhausted restart budget marks the bus dead and keeps
-// draining until the feed closes.
-func (s *Supervisor) serveBus(ctx context.Context, channel string, r *busState, eng *Engine,
-	sink func(string, detect.Alert), pool *RecordPool) {
+// sendFeed delivers one of c's slabs (nil: a teardown) into its host's
+// feed, counting acceptance at delivery and feeding the stall watchdog:
+// a blocked send records when it started waiting, so Health can report
+// a host that stopped consuming. The fast path is one non-blocking
+// send. False means the context was canceled first.
+func (s *Supervisor) sendFeed(ctx context.Context, c *chanState, slab []trace.Record) bool {
+	h, m := c.host, hostMsg{c: c, recs: slab}
+	select {
+	case h.feed <- m:
+		c.accepted.Add(uint64(len(slab)))
+		return true
+	default:
+	}
+	h.stallSince.CompareAndSwap(0, time.Now().UnixNano())
+	if !send(ctx, h.feed, m) {
+		return false
+	}
+	h.stallSince.Store(0)
+	c.accepted.Add(uint64(len(slab)))
+	return true
+}
 
-	defer close(r.done)
+// serveHost is one host's supervision loop: serve the feed, and on a
+// failure (panic or error) restart with capped exponential backoff,
+// draining the feed in the meantime so the demux never blocks behind a
+// dead stage. A clean feed close ends the loop; an exhausted restart
+// budget marks the host dead and keeps draining until the feed closes.
+func (s *Supervisor) serveHost(ctx context.Context, h *host, pool *RecordPool) {
+	defer close(h.done)
 	attempt := 0
 	for {
-		err := r.runOnce(ctx, eng, channel, sink, pool)
+		err := h.runOnce(ctx, pool)
 		if err == nil {
 			return // feed closed; clean end of stream
 		}
 		if ctx.Err() != nil {
-			r.err = err
+			h.err = err
 			return
 		}
-		r.noteError(err)
-		s.cfg.Logger.Error("bus engine failed", "bus", channel, "attempt", attempt, "err", err)
+		h.noteError(err)
+		s.cfg.Logger.Error("bus engine failed", "bus", h.name, "attempt", attempt, "err", err)
 		if s.cfg.OnBusError != nil {
-			s.cfg.OnBusError(channel, err, attempt < s.cfg.MaxRestarts)
+			s.cfg.OnBusError(h.name, err, attempt < s.cfg.MaxRestarts)
 		}
 		for {
 			if attempt >= s.cfg.MaxRestarts {
-				r.state.Store(stateDead)
-				r.err = fmt.Errorf("dead after %d restarts: %w", attempt, err)
-				s.cfg.Logger.Error("bus dead; draining feed", "bus", channel, "restarts", attempt, "err", err)
-				s.drainFeed(ctx, r, pool)
+				h.state.Store(stateDead)
+				h.err = fmt.Errorf("dead after %d restarts: %w", attempt, err)
+				s.cfg.Logger.Error("bus dead; draining feed", "bus", h.name, "restarts", attempt, "err", err)
+				drain(ctx, h, nil, pool)
 				return
 			}
 			attempt++
 			// State first: Health must never pair a restart count that
 			// includes this restart with the crashed incarnation's OK.
-			r.state.Store(stateRestarting)
-			r.restarts.Add(1)
-			if closed := s.backoffDrain(ctx, r, restartBackoff(s.cfg.RestartBackoff, attempt), pool); closed {
-				// The stream ended while the bus was down; report the
-				// crash rather than resurrect an engine with nothing to
-				// do.
-				r.err = err
+			h.state.Store(stateRestarting)
+			h.restarts.Add(1)
+			timer := time.NewTimer(restartBackoff(s.cfg.RestartBackoff, attempt))
+			closed := drain(ctx, h, timer.C, pool)
+			timer.Stop()
+			if closed || ctx.Err() != nil {
+				// The stream ended while the host was down; report the
+				// crash rather than resurrect it with nothing to do.
+				h.err = err
 				return
 			}
-			if ctx.Err() != nil {
-				r.err = err
-				return
-			}
-			next, ferr := s.rebuild(channel, attempt)
-			if ferr != nil {
-				err = ferr
-				r.noteError(ferr)
-				if s.cfg.OnBusError != nil {
-					s.cfg.OnBusError(channel, ferr, attempt < s.cfg.MaxRestarts)
+			if h.restart != nil {
+				if ferr := h.restart(attempt); ferr != nil {
+					err = ferr
+					h.noteError(ferr)
+					if s.cfg.OnBusError != nil {
+						s.cfg.OnBusError(h.name, ferr, attempt < s.cfg.MaxRestarts)
+					}
+					continue
 				}
-				continue
 			}
-			// Fold the crashed incarnation's counters into the base, then
-			// publish the replacement.
-			r.addBase(eng.Stats())
-			s.mu.Lock()
-			s.engines[channel] = next
-			s.mu.Unlock()
-			eng = next
-			r.state.Store(stateOK)
-			s.cfg.Logger.Info("bus engine restarted", "bus", channel, "attempt", attempt)
+			h.state.Store(stateOK)
+			s.cfg.Logger.Info("bus engine restarted", "bus", h.name, "attempt", attempt)
 			break
 		}
 	}
 }
 
-// runOnce runs one engine incarnation over the bus feed under panic
-// recovery. On failure, records the source had pulled off the feed but
-// not yet delivered are counted lost — the engine's Frames counter plus
-// this remainder plus the drained slabs is exactly what the demux
-// accepted.
-func (r *busState) runOnce(ctx context.Context, eng *Engine, channel string,
-	sink func(string, detect.Alert), pool *RecordPool) (err error) {
-
-	src := NewChanBatchSource(ctx, r.feed, pool.Put)
+// runOnce runs one incarnation over the host feed under panic recovery.
+// On failure, the records the incarnation had taken off the feed but
+// not yet consumed are counted lost — so every accepted record is
+// either in some incarnation's Frames or in Lost.
+func (h *host) runOnce(ctx context.Context, pool *RecordPool) (err error) {
+	in := &hostFeed{ctx: ctx, feed: h.feed, pool: pool}
 	defer func() {
 		if v := recover(); v != nil {
-			err = &PanicError{Stage: "bus", Value: v, Stack: debug.Stack()}
+			err = &PanicError{Stage: "host", Value: v, Stack: debug.Stack()}
 		}
-		if err != nil {
-			r.lost.Add(uint64(src.Leftover()))
+		if err != nil && in.cur.c != nil {
+			in.cur.c.lost.Add(uint64(len(in.cur.recs) - in.next))
 		}
 	}()
-	_, err = eng.Run(ctx, src, func(a detect.Alert) { sink(channel, a) })
-	return err
+	return h.serve(in)
 }
 
 // rebuild constructs the next engine incarnation for a crashed bus.
@@ -701,62 +839,25 @@ func restartBackoff(base time.Duration, attempt int) time.Duration {
 	return d
 }
 
-// backoffDrain waits out one restart backoff while consuming the feed
-// (every drained record is lost and counted). Returns true when the
-// feed closed — the stream is over and there is nothing to restart for.
-func (s *Supervisor) backoffDrain(ctx context.Context, r *busState, d time.Duration, pool *RecordPool) (feedClosed bool) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+// drain consumes a down host's feed, counting every record lost
+// against its channel, until the feed closes (true), wait fires, or the
+// context ends. A dead host drains with a nil wait — until the feed
+// closes — so the demux never blocks behind the corpse.
+func drain(ctx context.Context, h *host, wait <-chan time.Time, pool *RecordPool) (feedClosed bool) {
 	for {
 		select {
-		case slab, ok := <-r.feed:
+		case m, ok := <-h.feed:
 			if !ok {
 				return true
 			}
-			r.lost.Add(uint64(len(slab)))
-			pool.Put(slab)
-		case <-timer.C:
-			return false
-		case <-ctx.Done():
-			return false
-		}
-	}
-}
-
-// drainFeed consumes a dead bus's feed until it closes, counting every
-// record lost, so the demux never blocks behind the corpse.
-func (s *Supervisor) drainFeed(ctx context.Context, r *busState, pool *RecordPool) {
-	for {
-		select {
-		case slab, ok := <-r.feed:
-			if !ok {
-				return
+			if m.recs != nil {
+				m.c.lost.Add(uint64(len(m.recs)))
+				pool.Put(m.recs)
 			}
-			r.lost.Add(uint64(len(slab)))
-			pool.Put(slab)
+		case <-wait:
+			return false
 		case <-ctx.Done():
-			return
+			return false
 		}
 	}
-}
-
-// sendFeed delivers one slab into a bus feed, tracking acceptance and
-// the stall watchdog: a blocked send records when it started waiting,
-// so Health can report a bus that stopped consuming. The fast path is
-// one non-blocking send.
-func (s *Supervisor) sendFeed(ctx context.Context, r *busState, slab []trace.Record) bool {
-	n := uint64(len(slab))
-	select {
-	case r.feed <- slab:
-		r.accepted.Add(n)
-		return true
-	default:
-	}
-	r.stallSince.CompareAndSwap(0, time.Now().UnixNano())
-	if !send(ctx, r.feed, slab) {
-		return false
-	}
-	r.stallSince.Store(0)
-	r.accepted.Add(n)
-	return true
 }

@@ -192,12 +192,14 @@ type AdaptOptions struct {
 	FreezeTemplate bool
 }
 
-// FleetOptions arms fleet serving: many vehicle channels multiplexed
-// over a fixed pool of engine hosts, all sharing one immutable
-// model.Model (the per-vehicle marginal state shrinks to detector
-// counters and the quarantine list). Fleet mode gates off online
-// adaptation, checkpointing and fault injection — one model serves the
-// whole fleet, swapped atomically by /admin/reload.
+// FleetOptions arms fleet serving: many vehicle channels
+// rendezvous-hashed over a fixed pool of engine hosts, all sharing one
+// immutable model.Model (the per-vehicle marginal state shrinks to
+// detector counters and the quarantine list). A crashed host restarts
+// under the same policy as a classic bus (MaxRestarts, RestartBackoff),
+// with an empty lane table. Fleet mode gates off online adaptation,
+// checkpointing and fault injection — one model serves the whole fleet,
+// swapped atomically by /admin/reload.
 type FleetOptions struct {
 	// Engines is the host-goroutine pool size (K in "N vehicles over K
 	// engines"). At least 1.
