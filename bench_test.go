@@ -490,7 +490,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // BenchmarkEnginePrevention measures what the prevention stage costs:
 // the same recorded attack trace through the same engine, with the
 // filter stage off and with the full gateway → responder → blocklist
-// loop on (including the per-window dispatcher barrier). The "frames/s"
+// loop on (including the response at every window close). The "frames/s"
 // metrics of the two sub-benchmarks are directly comparable;
 // allocs/op is reported so the smoke pass records the per-run
 // allocation budget of each path (the per-frame guard proper is

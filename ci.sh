@@ -18,6 +18,14 @@ go vet ./...
 # gofmt drift fails the gate; `gofmt -w <file>` fixes a listed file.
 test -z "$(gofmt -l .)"
 go build ./...
+# Every package under internal/ needs a non-test importer in this
+# module; one without is dead code. internal/signal (a DBC-style signal
+# codec nothing uses yet) is the one exception until it is removed.
+imported=$(go list -f '{{join .Imports "\n"}}' ./... | sort -u)
+orphans=$(go list ./internal/... | grep -vxF canids/internal/signal | grep -vxF -f <(printf '%s\n' "$imported") || true)
+if [[ -n "$orphans" ]]; then
+  echo "packages under internal/ with no non-test importer:"; echo "$orphans"; exit 1
+fi
 go test ./...
 # The serve-path benchmark is its own module over this one: build, vet
 # and test it here, so an API change that breaks it fails CI rather than

@@ -46,12 +46,12 @@
 // a Source abstraction feeds records from trace files (all three log
 // formats decode incrementally), live channels, or generators; a
 // dispatcher shards the per-frame counting across N worker pipelines by
-// CAN ID over bounded channels; per-shard bit counts merge losslessly
-// (they are integers) into whole windows scored through the exact
-// sequential code path (core.Detector.ScoreWindow); and that window
-// merger, the one stage after the shards, releases each window's
-// bit-entropy alert together with the optional Müter/Song baselines'
-// alerts (observed on the dispatcher) in one deterministic (WindowEnd,
+// CAN ID over bounded channels; at each window close it merges the
+// per-shard bit counts losslessly (they are integers), scores the whole
+// window through the exact sequential code path
+// (core.Detector.ScoreWindow), and releases the window's bit-entropy
+// alert together with the optional Müter/Song baselines' alerts
+// (observed on the dispatcher too) in one deterministic (WindowEnd,
 // detector rank) order. The engine's output is bit-identical
 // to a sequential core.Detector at any shard count — pinned by
 // TestEngineMatchesSequential for shards 1, 2 and 8 — and the whole
@@ -112,15 +112,15 @@
 // (/alerts, /stats, /healthz) and two admin verbs. POST /admin/reload
 // hot-swaps a snapshot: every live engine queues the new model.Model
 // (engine.Swap) that the dispatcher installs at its next window
-// boundary — reusing the prevention window barrier position — so each
+// boundary — the same point where prevention's blocks land — so each
 // window is scored wholly under one template, no frames are dropped,
 // and the resulting alert stream is bit-identical to a sequential
 // detector that switches templates at the same boundary, at any shard
 // count (TestEngineHotSwapMatchesSequential, shards 1/2/8 under
 // -race).
-// Gateway budgets/whitelist swap on the dispatch side of the boundary
-// and responder policy lands in the window merger, so the whole policy
-// set changes at one deterministic stream position. POST /admin/shutdown
+// Template, gateway budgets/whitelist and responder policy all install
+// on the dispatcher at that boundary, so the whole policy set changes
+// at one deterministic stream position. POST /admin/shutdown
 // drains: ingest stops, final partial windows flush like the offline
 // detector's Flush, and the response carries the final counts — the
 // invariant ci.sh's serve smoke leg scripts against (served alert count
@@ -255,25 +255,24 @@
 // exposition byte-stable for equal state (TestMetricsHistogramByteStable
 // scrapes twice and diffs).
 //
-// /metrics exports six histogram families, each with a counter it must
+// /metrics exports five histogram families, each with a counter it must
 // agree with at quiescence: canids_ingest_request_seconds (one
 // observation per HTTP ingest call) and canids_ingest_decode_seconds
 // per wire format (request time minus feed backpressure);
-// canids_pipeline_latency_seconds{bus} — a wall stamp rides the
-// engine's flush token from the dispatcher's broadcast to the merged
-// window being scored, one observation per closed window, so _count
-// equals canids_bus_windows_total; canids_barrier_stall_seconds{bus},
-// the dispatcher's wait on the per-window barrier;
+// canids_pipeline_latency_seconds{bus} — the dispatcher's wall time
+// from sending a window's flush tokens to the merged window being
+// scored, one observation per closed window, so _count equals
+// canids_bus_windows_total;
 // canids_detect_latency_seconds{bus} — end-to-end detection latency
 // from record ingest to alert emit, resolved through a bounded
 // per-bus watermark ring pairing stream time with arrival wall time at
 // the demux tap, one observation per alert, so _count equals
 // canids_bus_alerts_total (fleet mode included; the per-engine pipeline
 // histograms ride per-bus engine builds, which fleet lanes bypass); and
-// canids_checkpoint_save_seconds. The timing is side-band only: stamps
-// ride existing channel messages and never branch the pipeline, so the
-// deterministic alert stream and record/replay bit-identity are
-// untouched (the shards-1/2/8 -race parity suites pin this).
+// canids_checkpoint_save_seconds. The timing is side-band only: wall
+// stamps never branch the pipeline, so the deterministic alert stream
+// and record/replay bit-identity are untouched (the shards-1/2/8 -race
+// parity suites pin this).
 //
 // The daemon's own voice is structured: log/slog on stderr (stdout
 // stays reserved for the mode transcripts scripts parse), with

@@ -1,7 +1,7 @@
 // Package engine is the streaming detection subsystem: it consumes CAN
 // record streams from any Source (trace files, the live simulated bus,
-// generators), shards the per-frame counting work across parallel worker
-// pipelines, and merges every detector's verdicts into one deterministic,
+// generators), shards the per-frame bit counting across parallel
+// workers, and scores every closed window in one deterministic,
 // timestamp-ordered alert stream. With a gateway and responder installed
 // it is also the prevention subsystem: frames are filtered before
 // detection, alerts turn into blocks, and blocks drop the rest of the
@@ -9,58 +9,60 @@
 //
 // # Architecture
 //
-//	                                  ┌─ shard 0 ─ BitCounter ─┐
-//	source ─ [gateway] ─ dispatcher ──┼─ shard 1 ─ ...         ├─ window merger ─ sink
-//	             ▲      [baselines]   └─ shard N ─ BitCounter ─┘        │
-//	             │                                                      ▼
-//	             └───────────────── blocks ◀─────────────────────── responder
+//	                                   ┌─ shard 0 ─ BitCounter ─┐
+//	source ─ [gateway] ─ dispatcher ───┼─ shard 1 ─ ...         │
+//	             ▲       [baselines]   └─ shard N ─ BitCounter ─┤
+//	             │            ▲                                 │
+//	             │            └───── ready at window close ─────┘
+//	             │            │
+//	             │            ▼ merge counters, score
+//	             └─ blocks ◀─ responder ─ sink
 //
 // The dispatcher reads the source sequentially, tracks the detection
-// window exactly like the sequential core.Detector, routes each record to
-// the shard owning its CAN ID (id mod shards), and broadcasts a flush
-// token to every shard when a window closes. Records travel in batches
-// (Config.Batch) to amortize channel operations; a window flush forces
-// the pending batches out first, so batching never reorders work. Shards
-// keep one entropy.BitCounter per open window; on flush they hand their
-// partial counts to the window merger, which sums them — integer counts
-// merge losslessly — measures the combined window once, and scores it
-// through core.Detector.ScoreWindow, the same code path the sequential
-// detector uses. The engine's bit-entropy alert stream is therefore
-// bit-identical to a sequential core.Detector fed the same records, for
-// any shard count (pinned by TestEngineMatchesSequential).
+// window exactly like the sequential core.Detector, and routes each
+// record to the shard owning its CAN ID (id mod shards). Records travel
+// in batches (Config.Batch) to amortize channel operations. Shards only
+// count: each keeps one entropy.BitCounter. When a window closes, the
+// dispatcher forces the pending batches out, sends every shard a flush
+// token and waits for each shard's ready signal; it then merges the
+// shard counters — integer counts merge losslessly — resets them in
+// place, and scores the window through core.Detector.ScoreWindow, the
+// same code path the sequential detector uses. The engine's bit-entropy
+// alert stream is therefore bit-identical to a sequential core.Detector
+// fed the same records, for any shard count (pinned by
+// TestEngineMatchesSequential). An engine runs K+1 goroutines: the
+// caller's, which dispatches and scores, and K shards.
 //
 // Optional baseline detectors (Müter, Song) observe the full forwarded
 // stream on the dispatch goroutine: their window state is not
 // decomposable by identifier (Müter's Shannon entropy needs the whole ID
-// distribution), so they cannot be sharded. Their alerts ride shard 0's
-// next flush token to the window merger, which releases them together
-// with the closing window's bit-entropy alert.
+// distribution), so they cannot be sharded. Their alerts are held until
+// the next window close and released with that window's bit-entropy
+// alert.
 //
-// All stages connect through bounded channels (Config.Buffer), so a slow
-// sink exerts backpressure instead of growing queues without limit, and
-// every stage honors context cancellation for clean shutdown.
+// The shard channels are bounded (Config.Buffer), so slow shards exert
+// backpressure on the source instead of growing queues without limit,
+// and every stage honors context cancellation for clean shutdown.
 //
 // # Prevention
 //
 // Config.Gateway installs a pre-filter on the dispatch path: every
 // record is classified in stream order, and only forwarded records reach
 // the detectors (dropped ones are counted in Stats and reported through
-// Config.OnDrop). Config.Responder closes the loop: the window merger
-// hands every bit-entropy alert to the responder, whose inference puts
-// the top suspects on the gateway blocklist, so subsequent attack frames
-// are dropped before they can pollute further windows.
+// Config.OnDrop). Config.Responder closes the loop: every bit-entropy
+// alert goes to the responder as soon as its window is scored, and the
+// responder's inference puts the top suspects on the gateway blocklist,
+// so subsequent attack frames are dropped before they can pollute
+// further windows.
 //
 // Blocking is deterministic. An alert for window W can only exist once W
-// has closed, so the dispatcher — which may run arbitrarily far ahead of
-// the scoring stages — synchronizes at each window boundary: after
-// broadcasting W's flush tokens it waits until the window merger confirms
-// W's alerts have been handled (and their blocks applied) before
-// classifying the first record of the next window. The blocked-frame set
-// therefore depends only on the record stream, never on goroutine
-// timing or shard count: it equals a sequential loop that classifies
-// each record, feeds forwarded ones to a core.Detector, and hands every
-// alert to the responder before touching the next record (pinned by
-// TestEnginePreventionMatchesSequential).
+// has closed, and the dispatcher scores W — and applies the responder's
+// blocks — before it classifies the record that closed W or any record
+// after it. The blocked-frame set therefore depends only on the record
+// stream, never on goroutine timing or shard count: it equals a
+// sequential loop that classifies each record, feeds forwarded ones to a
+// core.Detector, and hands every alert to the responder before touching
+// the next record (pinned by TestEnginePreventionMatchesSequential).
 //
 // # Deterministic alert ordering
 //
@@ -71,11 +73,11 @@
 // window ending at or before t. The dispatcher feeds each forwarded
 // record to the baselines before that record's window walk, so when a
 // record at time t closes window W, every alert released with W ends at
-// or before t and every alert still to come ends after it. The merger
-// stable-sorts each release by (WindowEnd, rank), and the whole output
-// is ordered by those data-derived keys — never by goroutine scheduling
-// — so repeated runs of the same input produce the same stream, at any
-// shard count.
+// or before t and every alert still to come ends after it. Each release
+// is stable-sorted by (WindowEnd, rank), and the whole output is ordered
+// by those data-derived keys — never by goroutine scheduling — so
+// repeated runs of the same input produce the same stream, at any shard
+// count.
 package engine
 
 import (
@@ -101,7 +103,7 @@ import (
 	"canids/internal/trace"
 )
 
-// DefaultBuffer is the default capacity of every inter-stage channel.
+// DefaultBuffer is the default capacity of every dispatcher→shard channel.
 const DefaultBuffer = 128
 
 // DefaultBatch is the default number of records per channel send on the
@@ -113,8 +115,8 @@ type Config struct {
 	// Shards is the number of parallel bit-counting workers the frame
 	// stream is partitioned across (by CAN ID). Zero means 1.
 	Shards int
-	// Buffer is the capacity of every inter-stage channel; the bound is
-	// what turns a slow consumer into backpressure. Zero means
+	// Buffer is the capacity of every dispatcher→shard channel; the
+	// bound is what turns a slow shard into backpressure. Zero means
 	// DefaultBuffer.
 	Buffer int
 	// Batch is how many records the dispatcher accumulates per channel
@@ -137,11 +139,11 @@ type Config struct {
 	// outlives the stream that triggered it).
 	Gateway *gateway.Gateway
 	// Responder, when set, closes the detect→infer→block loop: the
-	// window merger hands it every bit-entropy alert, in window order, and
-	// the dispatcher synchronizes at window boundaries so the resulting
-	// blocks land at a deterministic point in the record stream.
-	// Requires Gateway, and the responder must be bound to that same
-	// gateway (response.Responder.Gateway).
+	// dispatcher hands it every bit-entropy alert, in window order, as
+	// it scores the window, so the resulting blocks land before the next
+	// record is classified. A responder error ends the run. Requires
+	// Gateway, and the responder must be bound to that same gateway
+	// (response.Responder.Gateway).
 	Responder *response.Responder
 	// OnDrop, when set, is called synchronously from the dispatch
 	// goroutine, in stream order, for every record the gateway drops —
@@ -151,28 +153,24 @@ type Config struct {
 	// Adapt, when set, is the online-adaptation hook (internal/adapt
 	// implements it): Observe sees every forwarded record on the
 	// dispatch goroutine, and WindowClosed runs at every window boundary
-	// — after the closed window's alerts have been handled — so a
-	// returned model lands at that exact boundary. Installing a hook
-	// enables the same per-window dispatcher barrier prevention uses,
-	// which is what makes the closed window's verdict available at the
-	// boundary deterministically. The hook must not call back into the
-	// engine.
+	// — after the closed window has been scored and its alerts handled —
+	// so a returned model lands at that exact boundary. The hook must not
+	// call back into the engine.
 	Adapt AdaptHook
 	// Fault, when set, arms deterministic fault injection: the dispatch
 	// goroutine consults the fault.EngineFrame seam once per consumed
-	// record and the window merger consults fault.EngineSwap per template
-	// install, both scoped by FaultScope. Nil (the default) costs one
-	// cached nil check on the hot path.
+	// record and fault.EngineSwap once per boundary model install, both
+	// scoped by FaultScope. Nil (the default) costs one cached nil check
+	// on the hot path.
 	Fault *fault.Injector
 	// FaultScope tags this engine's seams — the serving layer sets the
 	// bus channel, so one spec can target one bus of a fleet.
 	FaultScope string
 	// Timing arms side-band latency instrumentation. It is
-	// observability-only: wall-clock timestamps ride the existing flush
-	// tokens and never influence control flow, so the deterministic
-	// alert stream and record/replay bit-identity are untouched. Each
-	// nil histogram costs one cached nil check per window boundary —
-	// nothing on the per-frame path.
+	// observability-only: wall-clock timestamps never influence control
+	// flow, so the deterministic alert stream and record/replay
+	// bit-identity are untouched. A nil histogram costs one cached nil
+	// check per window boundary — nothing on the per-frame path.
 	Timing Timing
 	// Logger receives structured pipeline events (fatal stage failures,
 	// boundary model installs). Nil discards.
@@ -183,16 +181,12 @@ type Config struct {
 // field is optional; a nil histogram disables that measurement
 // (hist.Histogram's Observe is nil-receiver-safe).
 type Timing struct {
-	// WindowClose observes demux→window-close pipeline latency: the
-	// wall-clock time from the dispatcher broadcasting a window's flush
-	// tokens to the window merger finishing that window's scoring. One
-	// observation per closed window, so its _count reconciles with the
-	// Windows counter at quiescence.
+	// WindowClose observes window-close pipeline latency: the
+	// wall-clock time from the dispatcher sending a window's flush
+	// tokens to that window's scoring being done. One observation per
+	// closed window, so its _count reconciles with the Windows counter
+	// at quiescence.
 	WindowClose *hist.Histogram
-	// BarrierStall observes how long the dispatcher parks on the
-	// per-window barrier waiting for the window merger's ack. Only
-	// populated when prevention or adaptation arms the barrier.
-	BarrierStall *hist.Histogram
 }
 
 // WindowInfo describes one closed detection window to the adaptation
@@ -249,7 +243,7 @@ type Stats struct {
 	// DroppedInjected is the subset of Dropped carrying attack ground
 	// truth — the frames prevention actually stopped.
 	DroppedInjected uint64
-	// Windows is the number of detection windows the merger closed.
+	// Windows is the number of detection windows the engine closed.
 	Windows uint64
 	// Alerts is the number of alerts emitted to the sink.
 	Alerts uint64
@@ -289,16 +283,11 @@ type Engine struct {
 	perShard        []atomic.Uint64
 	lastTime        atomic.Int64
 
-	// asyncErr is the first non-fatal error raised off the dispatch path
-	// (the responder failing on an alert). Written only by the window
-	// merger, read by Run after the pipeline is joined.
-	asyncErr error
-
-	// failMu guards the fatal-error latch: the first pipeline failure —
-	// a recovered panic in any stage, or a swap template rejected at
-	// install — is recorded here and cancels the run's internal context,
-	// so every stage (including a dispatcher parked on the window
-	// barrier) unwinds instead of deadlocking behind the dead stage.
+	// failMu guards the fatal-error latch: the first recovered panic in
+	// any goroutine is recorded here and cancels the run's internal
+	// context, so every stage (including a dispatcher waiting for the
+	// shards at a window close) unwinds instead of deadlocking behind
+	// the dead one.
 	failMu    sync.Mutex
 	failErr   error
 	runCancel context.CancelFunc
@@ -321,9 +310,8 @@ type Engine struct {
 // crashing the process; the supervisor's restart path treats it like
 // any other engine failure.
 type PanicError struct {
-	// Stage names the pipeline stage that panicked: dispatch, shard or
-	// merger inside an engine; host for the supervisor's own
-	// goroutines.
+	// Stage names the pipeline stage that panicked: dispatch or shard
+	// inside an engine; host for the supervisor's own goroutines.
 	Stage string
 	// Value is the recovered panic value.
 	Value any
@@ -354,9 +342,8 @@ func (e *Engine) fail(err error) {
 }
 
 // guard runs one pipeline stage under panic recovery: a panic becomes
-// the run's fatal error instead of crashing the process. The stage's
-// own defers (closing its output channel) still run during the unwind,
-// so downstream stages observe a normal end of stream or the cancel.
+// the run's fatal error instead of crashing the process, and its cancel
+// stops a dispatcher waiting on the dead stage.
 func (e *Engine) guard(stage string, f func()) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -512,10 +499,9 @@ func NewFromModel(cfg Config, m *model.Model) (*Engine, error) {
 	return e, nil
 }
 
-// install applies a validated model to the engine's components while no
-// stream is running and publishes the model pointer. The running
-// counterpart is the dispatcher's boundary install, which routes the
-// template through the window merger instead.
+// install applies a validated model to the engine's components and
+// publishes the model pointer: at construction, and (through
+// installAt) at a window boundary of a running stream.
 func (e *Engine) install(m *model.Model) error {
 	if err := installModel(m, e.det, e.cfg.Gateway, e.cfg.Responder); err != nil {
 		return err
@@ -573,28 +559,6 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// shardMsg is one dispatcher→shard message: a batch of records, or a
-// window-flush token carrying the closing window's start time. wall is
-// the side-band timing stamp taken at flush broadcast (zero when
-// Timing.WindowClose is nil); it rides the token unchanged and never
-// affects control flow. Shard 0's flush tokens also carry the baseline
-// alerts raised since the previous flush.
-type shardMsg struct {
-	recs   []trace.Record
-	start  time.Duration
-	wall   time.Time
-	flush  bool
-	alerts []rankedAlert
-}
-
-// partial is one shard's contribution to one closed window.
-type partial struct {
-	start   time.Duration
-	wall    time.Time
-	counter *entropy.BitCounter
-	alerts  []rankedAlert
-}
-
 // rankedAlert is an alert tagged with its detector's place in the output
 // order: 0 for the bit-entropy detector, 1+j for Config.Baselines[j].
 type rankedAlert struct {
@@ -602,23 +566,8 @@ type rankedAlert struct {
 	detect.Alert
 }
 
-// swapMsg carries one queued model from the dispatcher to the window
-// merger: the model to install, and the start time of the first window
-// it applies to.
-type swapMsg struct {
-	from time.Duration
-	m    *model.Model
-}
-
-// windowAck is the window merger's per-window acknowledgement to the
-// dispatcher barrier: the closed window's alerts have been handled
-// (blocks applied), and whether the bit-entropy detector alerted on it.
-type windowAck struct {
-	alerted bool
-}
-
 // RecordPool recycles record-batch slices so a steady-state batched
-// fan-out allocates nothing: the engine's dispatcher and workers share
+// fan-out allocates nothing: the engine's dispatcher and shards share
 // one, the multi-bus supervisor recycles its demux slabs through one,
 // and the serving layer's ingest path feeds slabs from its own.
 // Misses (an empty or full free list) fall back to the allocator; the
@@ -653,23 +602,31 @@ func (p *RecordPool) Put(b []trace.Record) {
 	}
 }
 
+// shard is one bit-counting worker's state as the dispatcher sees it:
+// the channel carrying record batches (a nil batch is a window-flush
+// token) and the counter the worker adds them to. The dispatcher reads
+// and resets the counter only after the worker's ready signal and
+// before its own next send on in, so the two never touch it at once.
+type shard struct {
+	in      chan []trace.Record
+	counter *entropy.BitCounter
+}
+
 // Run consumes the source until EOF, a source error, or context
 // cancellation, calling sink for every alert in deterministic
-// (WindowEnd, detector rank) order from the window merger's goroutine.
-// On EOF the final partial window is flushed, like the sequential
-// detector's Flush; on error or cancellation in-flight window state is
-// discarded. Run returns the final statistics.
+// (WindowEnd, detector rank) order from Run's own goroutine. On EOF the
+// final partial window is flushed, like the sequential detector's
+// Flush; on error or cancellation in-flight window state is discarded.
+// Run returns the final statistics.
 //
 // Every pipeline stage runs under panic recovery: a panic anywhere —
 // including a panicking sink or adaptation hook — surfaces as a
 // *PanicError from Run instead of crashing the process, which is what
 // lets the multi-bus supervisor isolate and restart a crashed bus.
 func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (Stats, error) {
-	K := e.cfg.Shards
-
-	// The internal run context lets a fatal stage failure unwind the
-	// whole pipeline (fail cancels it); the caller's ctx stays the
-	// authority on what error a plain cancellation reports.
+	// The internal run context lets a shard's panic unwind the whole
+	// pipeline (fail cancels it); the caller's ctx stays the authority
+	// on what error a plain cancellation reports.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	e.failMu.Lock()
@@ -686,7 +643,6 @@ func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (
 		e.perShard[i].Store(0)
 	}
 	e.lastTime.Store(0)
-	e.asyncErr = nil
 	e.det.Reset()
 	for _, b := range e.cfg.Baselines {
 		b.Reset()
@@ -695,46 +651,28 @@ func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (
 		e.cfg.Gateway.Reset()
 	}
 
-	shardIn := make([]chan shardMsg, K)
-	shardOut := make([]chan partial, K)
-	for i := 0; i < K; i++ {
-		shardIn[i] = make(chan shardMsg, e.cfg.Buffer)
-		shardOut[i] = make(chan partial, e.cfg.Buffer)
-	}
-	// syncCh carries the merger's per-window acknowledgements back to the
-	// dispatcher when prevention or adaptation is active. Each ack
-	// reports whether the closed window alerted — the verdict the
-	// adaptation hook learns from. At most one ack is ever in flight (the
-	// dispatcher consumes one before broadcasting the next flush), except
-	// the final EOF flush, whose ack parks in the buffer — hence capacity
-	// 1 keeps the merger from blocking.
-	var syncCh chan windowAck
-	if e.cfg.Responder != nil || e.cfg.Adapt != nil {
-		syncCh = make(chan windowAck, 1)
-	}
-	// swapCh hands queued model updates from the dispatcher to the
-	// window merger. Sends happen at window boundaries only, so a small
-	// buffer keeps the dispatcher from blocking on a busy merger.
-	swapCh := make(chan swapMsg, 4)
-	pool := NewRecordPool(4*K+8, e.cfg.Batch)
-
+	shards := make([]shard, e.cfg.Shards)
+	// Each shard signals ready once per flush token, and the dispatcher
+	// sends the next tokens only after collecting every signal, so one
+	// slot per shard means a shard never blocks on it.
+	ready := make(chan struct{}, len(shards))
+	pool := NewRecordPool(4*len(shards)+8, e.cfg.Batch)
 	var wg sync.WaitGroup
-	for i := 0; i < K; i++ {
+	for i := range shards {
+		shards[i] = shard{
+			in:      make(chan []trace.Record, e.cfg.Buffer),
+			counter: entropy.MustBitCounter(e.cfg.Core.Width),
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, sh shard) {
 			defer wg.Done()
-			e.guard("shard", func() { e.shardWorker(runCtx, i, shardIn[i], shardOut[i], pool) })
-		}(i)
+			e.guard("shard", func() { e.shardWorker(runCtx, i, sh, ready, pool) })
+		}(i, shards[i])
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		e.guard("merger", func() { e.windowMerger(runCtx, shardOut, swapCh, syncCh, sink) })
-	}()
 
-	err := e.dispatchGuarded(runCtx, src, shardIn, syncCh, swapCh, pool)
-	for i := range shardIn {
-		close(shardIn[i])
+	err := e.dispatchGuarded(runCtx, src, shards, ready, pool, sink)
+	for i := range shards {
+		close(shards[i].in)
 	}
 	wg.Wait()
 	e.failMu.Lock()
@@ -742,12 +680,9 @@ func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (
 	e.runCancel = nil
 	e.failMu.Unlock()
 	if ferr != nil {
-		// A fatal stage failure outranks the cancellation noise it caused
-		// in the other stages.
+		// A shard's panic outranks the cancellation noise it caused in
+		// the dispatcher.
 		err = ferr
-	}
-	if err == nil {
-		err = e.asyncErr
 	}
 	if err == nil {
 		err = ctx.Err()
@@ -756,9 +691,9 @@ func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (
 }
 
 // dispatchGuarded runs dispatch under the same panic recovery as the
-// other stages, on Run's own goroutine.
-func (e *Engine) dispatchGuarded(ctx context.Context, src Source, shardIn []chan shardMsg,
-	syncCh chan windowAck, swapCh chan swapMsg, pool *RecordPool) (err error) {
+// shards, on Run's own goroutine.
+func (e *Engine) dispatchGuarded(ctx context.Context, src Source, shards []shard,
+	ready <-chan struct{}, pool *RecordPool, sink func(detect.Alert)) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			perr := &PanicError{Stage: "dispatch", Value: v, Stack: debug.Stack()}
@@ -766,7 +701,7 @@ func (e *Engine) dispatchGuarded(ctx context.Context, src Source, shardIn []chan
 			err = perr
 		}
 	}()
-	return e.dispatch(ctx, src, shardIn, syncCh, swapCh, pool)
+	return e.dispatch(ctx, src, shards, ready, pool, sink)
 }
 
 // Detect runs the engine over an in-memory trace and collects the alerts.
@@ -786,60 +721,62 @@ func send[T any](ctx context.Context, ch chan<- T, m T) bool {
 	}
 }
 
-// dispatch reads the source sequentially, classifies each record through
-// the gateway (when prevention is on), feeds forwarded records to the
-// baseline detectors, maintains the detection window over the forwarded
-// stream exactly like core.Detector.Observe (same origin, same step,
-// same skip-ahead over empty slots), and fans records out in batches:
-// the owning shard gets the record, and every shard gets a flush token
-// per closed window. With a responder installed, the dispatcher waits at
-// each window boundary until the merger has handled the closed window's
-// alerts, so blocks land before the next window's first record.
+// dispatch is the engine's sequential loop. It reads the source,
+// classifies each record through the gateway (when prevention is on),
+// feeds forwarded records to the baseline detectors, maintains the
+// detection window over the forwarded stream exactly like
+// core.Detector.Observe (same origin, same step, same skip-ahead over
+// empty slots), and sends each record, batched, to the shard owning its
+// ID.
+//
+// At every window boundary it, in order: closes the window (see
+// closeWindow: score, respond, release), hands the window's verdict to
+// the adaptation hook, and installs the model the hook returned, then
+// any queued Swap — so an operator reload always wins over a concurrent
+// promotion. Only then does it classify the record that crossed the
+// boundary, which is the order a sequential loop and a fleet lane use.
 //
 // Baselines observe a record before its window walk, so the alerts that
-// record raises leave with the flush it may trigger; that is what keeps
+// record raises leave with the window it may close; that is what keeps
 // the released alerts ahead of every later one (see the package doc).
-//
-// The dispatcher is also where hot swaps land: a queued model is
-// consumed at the first window boundary crossed after it was queued.
-// Gateway policy is installed right there as one atomic pointer store —
-// the dispatcher is the only goroutine classifying records — while the
-// template and responder policy travel to the merger tagged with the new
-// window's start time, so in-flight earlier windows are still scored
-// under the old model.
-//
-// The adaptation hook rides the same boundary: after the barrier ack
-// confirms the closed window's verdict, WindowClosed may return a
-// model, which is applied exactly like a queued one — adaptation first,
-// then any externally queued swap, so an operator reload always wins
-// over a concurrent promotion.
-func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardMsg,
-	syncCh chan windowAck, swapCh chan swapMsg, pool *RecordPool) error {
+func (e *Engine) dispatch(ctx context.Context, src Source, shards []shard,
+	ready <-chan struct{}, pool *RecordPool, sink func(detect.Alert)) error {
 
 	W := e.cfg.Core.Window
+	width := e.cfg.Core.Width
 	batch := e.cfg.Batch
 	gw := e.cfg.Gateway
+	resp := e.cfg.Responder
 	adapt := e.cfg.Adapt
 	flt, fltScope := e.cfg.Fault, e.cfg.FaultScope
 	closeHist := e.cfg.Timing.WindowClose
-	stallHist := e.cfg.Timing.BarrierStall
+	base := e.cfg.Baselines
+	nShards := uint32(len(shards))
 	var winStart time.Duration
 	var winDropped uint64
 	haveWindow := false
-	nShards := uint32(len(shardIn))
-	base := e.cfg.Baselines
-	// baseAlerts collects baseline alerts until the next flush token
-	// carries them to the merger.
-	var baseAlerts []rankedAlert
 
-	pend := make([][]trace.Record, len(shardIn))
-	// flushWindow forces the pending batches out, then broadcasts the
-	// flush token closing the window that started at start.
-	flushWindow := func(start time.Duration) bool {
+	pend := make([][]trace.Record, len(shards))
+	master := entropy.MustBitCounter(width)
+	h := make([]float64, width)
+	p := make([]float64, width)
+	// release holds the alerts raised since the last window close: the
+	// baselines' as they observe records, then the closing window's
+	// bit-entropy alert.
+	var release []rankedAlert
+
+	// closeWindow ends the window that started at start: it forces the
+	// pending batches out, sends every shard a flush token and waits for
+	// all of them to be ready, merges and resets the shard counters,
+	// scores the merged window, hands its alert to the responder (so the
+	// blocks are on the gateway before the next record is classified),
+	// and releases the held alerts to the sink in (WindowEnd, rank)
+	// order. It reports whether the bit-entropy detector alerted.
+	closeWindow := func(start time.Duration) (bool, error) {
 		for i, b := range pend {
 			if len(b) > 0 {
-				if !send(ctx, shardIn[i], shardMsg{recs: b}) {
-					return false
+				if !send(ctx, shards[i].in, b) {
+					return false, ctx.Err()
 				}
 				pend[i] = nil
 			}
@@ -848,16 +785,56 @@ func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardM
 		if closeHist != nil {
 			wall = time.Now()
 		}
-		for i := range shardIn {
-			m := shardMsg{start: start, wall: wall, flush: true}
-			if i == 0 {
-				m.alerts, baseAlerts = baseAlerts, nil
-			}
-			if !send(ctx, shardIn[i], m) {
-				return false
+		for i := range shards {
+			if !send(ctx, shards[i].in, nil) {
+				return false, ctx.Err()
 			}
 		}
-		return true
+		for range shards {
+			select {
+			case <-ready:
+			case <-ctx.Done():
+				return false, ctx.Err()
+			}
+		}
+		for i := range shards {
+			master.Merge(shards[i].counter)
+			shards[i].counter.Reset()
+		}
+		e.windows.Add(1)
+		alerted := false
+		if n := int(master.Total()); n > 0 {
+			master.MeasureInto(h, p)
+			// Same scoring path as the sequential detector; the merged
+			// integer counts make the measurement bit-identical.
+			if a := e.det.ScoreWindow(start, h, p, n); a != nil {
+				alerted = true
+				if resp != nil {
+					if _, err := resp.HandleAlert(*a); err != nil {
+						return false, fmt.Errorf("engine: response: %w", err)
+					}
+				}
+				release = append(release, rankedAlert{Alert: *a})
+			}
+		}
+		master.Reset()
+		if closeHist != nil {
+			closeHist.Observe(time.Since(wall))
+		}
+		// Each baseline's alerts arrive in WindowEnd order, so a stable
+		// sort by (WindowEnd, rank) is the merged order.
+		slices.SortStableFunc(release, func(a, b rankedAlert) int {
+			if c := cmp.Compare(a.WindowEnd, b.WindowEnd); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.rank, b.rank)
+		})
+		for _, a := range release {
+			sink(a.Alert)
+			e.alerts.Add(1)
+		}
+		release = release[:0]
+		return alerted, nil
 	}
 
 	for {
@@ -895,7 +872,7 @@ func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardM
 			}
 		}
 		for j, b := range base {
-			baseAlerts = appendRanked(baseAlerts, 1+j, b.Observe(rec))
+			release = appendRanked(release, 1+j, b.Observe(rec))
 		}
 		if !haveWindow {
 			winStart = rec.Time
@@ -905,53 +882,18 @@ func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardM
 		// through detect's shared window arithmetic; bit-identical
 		// output depends on it.
 		for detect.WindowExpired(winStart, rec.Time, W) {
-			if !flushWindow(winStart) {
-				return ctx.Err()
+			alerted, err := closeWindow(winStart)
+			if err != nil {
+				return err
 			}
 			closedStart := winStart
 			winStart = detect.NextWindowStart(winStart, rec.Time, W)
-			var ack windowAck
-			if syncCh != nil {
-				var parked time.Time
-				if stallHist != nil {
-					parked = time.Now()
-				}
-				select {
-				case ack = <-syncCh:
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-				if stallHist != nil {
-					stallHist.Observe(time.Since(parked))
-				}
-			}
-			// applySwap installs one validated model at this boundary —
-			// the single code path every swap source funnels through:
-			// gateway policy right here (the dispatcher is the only
-			// goroutine classifying records) as one atomic pointer
-			// store, template and responder policy via the merger,
-			// tagged with the new window's start. validateModel checked
-			// the model against the config, so the install cannot fail.
-			applySwap := func(m *model.Model) error {
-				if gw != nil {
-					if err := gw.SetPolicy(m.Gateway()); err != nil {
-						return fmt.Errorf("engine: swap: %w", err)
-					}
-				}
-				if !send(ctx, swapCh, swapMsg{from: winStart, m: m}) {
-					return ctx.Err()
-				}
-				e.curModel.Store(m)
-				e.cfg.Logger.Debug("model installed at window boundary",
-					"scope", fltScope, "epoch", m.Epoch(), "from", winStart.String())
-				return nil
-			}
 			if adapt != nil {
 				info := WindowInfo{
 					Start:     closedStart,
 					End:       detect.WindowEnd(closedStart, W),
 					NextStart: winStart,
-					Alerted:   ack.alerted,
+					Alerted:   alerted,
 					Dropped:   winDropped,
 				}
 				winDropped = 0
@@ -959,13 +901,13 @@ func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardM
 					if err := e.validateModel(m); err != nil {
 						return fmt.Errorf("engine: adapt: %w", err)
 					}
-					if err := applySwap(m); err != nil {
+					if err := e.installAt(m, winStart); err != nil {
 						return err
 					}
 				}
 			}
 			if m := e.takePendingSwap(); m != nil {
-				if err := applySwap(m); err != nil {
+				if err := e.installAt(m, winStart); err != nil {
 					return err
 				}
 			}
@@ -979,7 +921,7 @@ func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardM
 		}
 		pend[s] = append(pend[s], rec)
 		if len(pend[s]) >= batch {
-			if !send(ctx, shardIn[s], shardMsg{recs: pend[s]}) {
+			if !send(ctx, shards[s].in, pend[s]) {
 				return ctx.Err()
 			}
 			pend[s] = nil
@@ -988,12 +930,33 @@ func (e *Engine) dispatch(ctx context.Context, src Source, shardIn []chan shardM
 	if haveWindow {
 		// Flush the final partial window, like detect.Detector.Flush.
 		for j, b := range base {
-			baseAlerts = appendRanked(baseAlerts, 1+j, b.Flush())
+			release = appendRanked(release, 1+j, b.Flush())
 		}
-		if !flushWindow(winStart) {
-			return ctx.Err()
+		if _, err := closeWindow(winStart); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// installAt installs one validated model at the boundary opening the
+// window that starts at from — the single code path every swap source
+// funnels through. Every window scored from here on uses its template,
+// and every record classified from here on its gateway policy.
+// validateModel checked the model against the config, so the install
+// cannot fail in practice; the fault.EngineSwap seam is how the
+// regression test forces the failure path, which ends the run with an
+// error the supervisor's restart path absorbs like any other crash.
+func (e *Engine) installAt(m *model.Model, from time.Duration) error {
+	err := e.install(m)
+	if err == nil && e.cfg.Fault != nil {
+		err = e.cfg.Fault.Hit(fault.EngineSwap, e.cfg.FaultScope)
+	}
+	if err != nil {
+		return fmt.Errorf("engine: swap template rejected at install: %w", err)
+	}
+	e.cfg.Logger.Debug("model installed at window boundary",
+		"scope", e.cfg.FaultScope, "epoch", m.Epoch(), "from", from.String())
 	return nil
 }
 
@@ -1007,159 +970,26 @@ func appendRanked(dst []rankedAlert, rank int, alerts []detect.Alert) []rankedAl
 
 // shardWorker counts identifier bits for the records routed to one
 // shard. The per-frame path — batched receive, BitCounter.Add, one
-// atomic tick per batch — is allocation-free; a fresh counter is
-// allocated only when a window closes and its predecessor is handed to
-// the merger.
-func (e *Engine) shardWorker(ctx context.Context, i int, in <-chan shardMsg, out chan<- partial, pool *RecordPool) {
-	defer close(out)
-	width := e.cfg.Core.Width
-	counter := entropy.MustBitCounter(width)
+// atomic tick per batch — is allocation-free. A flush token only
+// signals ready: the dispatcher merges and resets the counter before it
+// sends this shard anything else.
+func (e *Engine) shardWorker(ctx context.Context, i int, sh shard, ready chan<- struct{}, pool *RecordPool) {
 	for {
 		select {
-		case m, ok := <-in:
+		case recs, ok := <-sh.in:
 			if !ok {
 				return
 			}
-			if m.flush {
-				if !send(ctx, out, partial{start: m.start, wall: m.wall, counter: counter, alerts: m.alerts}) {
-					return
-				}
-				counter = entropy.MustBitCounter(width)
+			if recs == nil {
+				ready <- struct{}{}
 				continue
 			}
-			for _, r := range m.recs {
-				counter.Add(r.Frame.ID)
+			for _, r := range recs {
+				sh.counter.Add(r.Frame.ID)
 			}
-			e.perShard[i].Add(uint64(len(m.recs)))
-			pool.Put(m.recs)
+			e.perShard[i].Add(uint64(len(recs)))
+			pool.Put(recs)
 		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// windowMerger is the engine's one stage after the shards. It
-// reassembles whole windows from per-shard partial counts, scores them
-// through the sequential detector's own ScoreWindow, and releases each
-// window's alerts. Shards emit exactly one partial per flush token, and
-// tokens are broadcast to every shard, so reading one partial per shard
-// per window pairs them up without any further coordination.
-//
-// For window W the merger, in order: installs the swaps queued for W
-// (template, then response policy), scores W, hands W's bit-entropy
-// alert to the responder, sends W's alerts — the bit-entropy one plus
-// the baseline alerts riding shard 0's token — to the sink in
-// (WindowEnd, rank) order, and acks the dispatcher's barrier. The ack
-// follows the responder, so blocks are on the gateway before the next
-// window's records are classified.
-//
-// A swapMsg tagged "from W" is installed after every window starting
-// before W has been scored and before the first window starting at or
-// after W is. The dispatcher sends the swapMsg before it dispatches any
-// record of window W, and W's partials can only arrive after those
-// records, so by the time W is assembled the swapMsg is guaranteed to
-// be waiting in swapCh — a non-blocking drain per window cannot miss it.
-func (e *Engine) windowMerger(ctx context.Context, shardOut []chan partial, swapCh <-chan swapMsg,
-	syncCh chan<- windowAck, sink func(detect.Alert)) {
-
-	width := e.cfg.Core.Width
-	master := entropy.MustBitCounter(width)
-	h := make([]float64, width)
-	p := make([]float64, width)
-	closeHist := e.cfg.Timing.WindowClose
-	resp := e.cfg.Responder
-	var swaps []swapMsg
-	var release []rankedAlert
-	for {
-		var start time.Duration
-		var wall time.Time
-		release = release[:0]
-		for s := range shardOut {
-			select {
-			case pt, ok := <-shardOut[s]:
-				if !ok {
-					// Shards close their outputs together (the
-					// dispatcher broadcasts tokens and closes inputs
-					// to all of them), so the first closed output
-					// means the stream is over.
-					return
-				}
-				master.Merge(pt.counter)
-				start = pt.start
-				wall = pt.wall
-				release = append(release, pt.alerts...)
-			case <-ctx.Done():
-				return
-			}
-		}
-	drain:
-		for {
-			select {
-			case m := <-swapCh:
-				swaps = append(swaps, m)
-			default:
-				break drain
-			}
-		}
-		for len(swaps) > 0 && swaps[0].from <= start {
-			// Validated by Swap; the merger is the only goroutine
-			// touching the detector while the engine runs. An install
-			// rejection is therefore unreachable in practice, but a panic
-			// here would kill the process — make it an engine-fatal error
-			// instead, which the supervisor's restart path absorbs like
-			// any other crash. The fault.EngineSwap seam is how the
-			// regression test forces this path.
-			m := swaps[0].m
-			err := e.det.SetTemplate(m.Template())
-			if err == nil && e.cfg.Fault != nil {
-				err = e.cfg.Fault.Hit(fault.EngineSwap, e.cfg.FaultScope)
-			}
-			if err != nil {
-				e.fail(fmt.Errorf("engine: swap template rejected at install: %w", err))
-				return
-			}
-			if resp != nil {
-				if err := resp.SetPolicy(*m.Response()); err != nil && e.asyncErr == nil {
-					e.asyncErr = fmt.Errorf("engine: swap policy: %w", err)
-				}
-			}
-			swaps = swaps[1:]
-		}
-		e.windows.Add(1)
-		alerted := false
-		if n := int(master.Total()); n > 0 {
-			master.MeasureInto(h, p)
-			// Same scoring path as the sequential detector; the merged
-			// integer counts make the measurement bit-identical.
-			if a := e.det.ScoreWindow(start, h, p, n); a != nil {
-				alerted = true
-				if resp != nil {
-					if _, err := resp.HandleAlert(*a); err != nil && e.asyncErr == nil {
-						e.asyncErr = fmt.Errorf("engine: response: %w", err)
-					}
-				}
-				release = append(release, rankedAlert{Alert: *a})
-			}
-		}
-		master.Reset()
-		if closeHist != nil && !wall.IsZero() {
-			// One observation per closed window, taken once scoring is
-			// done, so the histogram count reconciles with Windows.
-			closeHist.Observe(time.Since(wall))
-		}
-		// Each baseline's alerts arrive in WindowEnd order, so a stable
-		// sort by (WindowEnd, rank) is the merged order.
-		slices.SortStableFunc(release, func(a, b rankedAlert) int {
-			if c := cmp.Compare(a.WindowEnd, b.WindowEnd); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.rank, b.rank)
-		})
-		for _, a := range release {
-			sink(a.Alert)
-			e.alerts.Add(1)
-		}
-		if syncCh != nil && !send(ctx, syncCh, windowAck{alerted: alerted}) {
 			return
 		}
 	}

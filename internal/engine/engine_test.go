@@ -398,31 +398,46 @@ func TestEngineSourceError(t *testing.T) {
 }
 
 // TestEngineSteadyStateAllocs is the alloc-regression guard for the
-// per-frame shard path: a whole engine run over a clean scenario trace
-// must amortize to well under one allocation per frame. The fixed
-// per-run setup (goroutines, channels) plus one BitCounter per shard
-// per window is ~0.04 allocs/frame at this trace size; a regression
-// that allocates per record lands at ≥1 and trips the bound with 4x
-// margin.
+// per-frame shard path and the window close: a whole engine run over a
+// clean scenario trace must amortize to well under one allocation per
+// frame, and a warm run over the same trace cut to half length must
+// allocate no less — the fixed per-run setup (goroutines, channels,
+// counters) is all a run allocates, because shard counters are merged
+// and reset in place. A regression that allocates per record lands at
+// ≥1 allocs/frame; one that allocates per window grows with the window
+// count.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
-	tr := scenarioTrace(t, "fusion/idle/clean")
+	full := scenarioTrace(t, "fusion/idle/clean")
+	half := full[:len(full)/2]
 	eng, err := engine.NewTrained(engine.Config{Shards: 4, Core: detectorConfig()}, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, _, err := eng.Detect(ctx, tr); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(3, func() {
-		if _, _, err := eng.Detect(ctx, tr); err != nil {
+	warmAllocs := func(tr trace.Trace) (float64, uint64) {
+		_, st, err := eng.Detect(ctx, tr)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if perFrame := avg / float64(len(tr)); perFrame > 0.25 {
+		return testing.AllocsPerRun(3, func() {
+			if _, _, err := eng.Detect(ctx, tr); err != nil {
+				t.Fatal(err)
+			}
+		}), st.Windows
+	}
+	avgHalf, winHalf := warmAllocs(half)
+	avgFull, winFull := warmAllocs(full)
+	if perFrame := avgFull / float64(len(full)); perFrame > 0.25 {
 		t.Errorf("engine allocates %.3f allocs/frame (%.0f per run over %d frames); per-frame path must stay allocation-free",
-			perFrame, avg, len(tr))
+			perFrame, avgFull, len(full))
+	}
+	if winFull <= winHalf {
+		t.Fatalf("full trace closed %d windows, half closed %d; the trace is too short to compare", winFull, winHalf)
+	}
+	if avgFull > avgHalf {
+		t.Errorf("warm run allocates %.0f over %d windows but %.0f over %d; allocations must not grow with the window count",
+			avgFull, winFull, avgHalf, winHalf)
 	}
 }
 

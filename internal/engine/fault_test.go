@@ -46,9 +46,9 @@ func TestEngineRunRecoversPanic(t *testing.T) {
 	}
 }
 
-// TestEngineRunRecoversStagePanic: a panic on a worker goroutine (here
-// the merger, via the swap-install seam) also lands in Run's error, and
-// does not deadlock the dispatcher parked on the window barrier.
+// TestEngineRunRecoversStagePanic: a panic at a window boundary (here
+// via the swap-install seam) also lands in Run's error, and does not
+// deadlock the shards waiting on the dispatcher.
 func TestEngineRunRecoversStagePanic(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
@@ -71,14 +71,14 @@ func TestEngineRunRecoversStagePanic(t *testing.T) {
 	select {
 	case err = <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("Run did not return after merger panic (barrier deadlock)")
+		t.Fatal("Run did not return after the install panic (deadlock)")
 	}
 	var perr *engine.PanicError
 	if !errors.As(err, &perr) {
 		t.Fatalf("Run error = %v (%T), want *engine.PanicError", err, err)
 	}
-	if perr.Stage != "merger" {
-		t.Errorf("panic stage = %q, want merger", perr.Stage)
+	if perr.Stage != "dispatch" {
+		t.Errorf("panic stage = %q, want dispatch", perr.Stage)
 	}
 }
 

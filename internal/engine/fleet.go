@@ -1,7 +1,7 @@
 // Fleet mode: many vehicles multiplexed over a few engine hosts.
 //
 // Classic supervision gives every bus its own full Engine — dispatcher,
-// shard workers, merger, buffered channels. That is the right shape for
+// shard workers, buffered channels. That is the right shape for
 // a handful of high-rate buses, but it makes the per-vehicle marginal
 // cost a whole pipeline, which is what caps how many vehicles one
 // serving node can hold. Fleet mode inverts the layout: K hosts serve
@@ -14,7 +14,7 @@
 //
 // Determinism is preserved lane by lane: a lane walks windows through
 // the same detect arithmetic as the engine's dispatcher and scores them
-// through the same core.Detector the window merger uses, so a vehicle's
+// through the same core.Detector the dispatcher uses, so a vehicle's
 // alert stream is bit-identical to a dedicated engine fed the same
 // records (TestFleetMatchesDedicatedEngines) — the engine's own
 // equivalence to the sequential detector closes the triangle.
@@ -158,7 +158,7 @@ type lane struct {
 
 	// Mirror of the detector's window walk (same arithmetic), so the
 	// lane knows when a boundary was crossed — the only point a model
-	// swap may land, exactly like the engine dispatcher's barrier.
+	// swap may land, exactly like the engine dispatcher's window close.
 	winStart   time.Duration
 	haveWindow bool
 
@@ -260,8 +260,8 @@ func (l *lane) feed(f *fleetRun, rec trace.Record) error {
 }
 
 // emit closes the response loop for one alert, then hands it to the
-// sink — the same order the engine's window merger uses (blocks are on
-// the gateway before the alert is visible downstream).
+// sink — the same order the engine's dispatcher uses (blocks are on the
+// gateway before the alert is visible downstream).
 func (l *lane) emit(a detect.Alert) error {
 	if l.resp != nil {
 		if _, err := l.resp.HandleAlert(a); err != nil {

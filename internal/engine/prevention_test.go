@@ -129,8 +129,8 @@ func enginePrevention(t *testing.T, tmpl core.Template, legal, pool []can.ID,
 // criterion: with blocking enabled, the engine's alert stream, its
 // dropped-frame set and the responder's action history are bit-identical
 // to the sequential reference loop at shard counts 1, 2 and 8 — the
-// window barrier makes blocks land at the same stream position
-// regardless of parallelism.
+// dispatcher responds at every window close, so blocks land at the same
+// stream position regardless of parallelism.
 func TestEnginePreventionMatchesSequential(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	cases := []struct {
@@ -284,8 +284,8 @@ func TestEnginePreventionStopsAttack(t *testing.T) {
 // and Song pipelines attached: the merged stream must equal the union of
 // each detector's sequential alerts over the *forwarded* record stream
 // (baselines sit behind the gateway too), ordered by (WindowEnd, rank),
-// and the window barrier must not deadlock against the baseline
-// watermark gating.
+// and responding at each window close must not disturb the baseline
+// alerts held for release.
 func TestEnginePreventionWithBaselines(t *testing.T) {
 	_, tmpl, windows := loadFixture(t)
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
@@ -329,7 +329,7 @@ func TestEnginePreventionWithBaselines(t *testing.T) {
 }
 
 // TestEngineGatewayOnly installs a gateway without a responder: the
-// whitelist filters, no barrier runs, and the alert stream equals a
+// whitelist filters, nothing is blocked, and the alert stream equals a
 // sequential detector over the filtered records.
 func TestEngineGatewayOnly(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)

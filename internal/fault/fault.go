@@ -49,9 +49,9 @@ const (
 	// goroutine, scoped by the engine's Config.FaultScope (the serving
 	// layer sets it to the bus channel).
 	EngineFrame Point = "engine.frame"
-	// EngineSwap fires when the window merger installs a swap template —
-	// the only way to reach the install-failure path, since validation
-	// makes a real rejection unreachable.
+	// EngineSwap fires when the dispatcher installs a model at a window
+	// boundary — the only way to reach the install-failure path, since
+	// validation makes a real rejection unreachable.
 	EngineSwap Point = "engine.swap"
 	// CheckpointSave fires before each per-bus checkpoint write, scoped
 	// by bus.

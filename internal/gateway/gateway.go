@@ -31,10 +31,10 @@
 // (owned by the classify caller, like every detector's window state).
 //
 // A Gateway is safe for concurrent use: the streaming engine classifies
-// records on its dispatch goroutine while the response stage blocks
-// identifiers from the window-merger goroutine. Classify must still be
-// called from one goroutine at a time in timestamp order for rate
-// limiting to be meaningful.
+// records and blocks identifiers on its dispatch goroutine while callers
+// may read quarantines and counters from others. Classify
+// must still be called from one goroutine at a time in timestamp order
+// for rate limiting to be meaningful.
 package gateway
 
 import (

@@ -9,7 +9,7 @@
 // sees it and never mutated afterwards. Swapping models — a hot
 // reload, an adaptation promotion, a checkpoint restore, the initial
 // build — means constructing a fresh Model and installing the pointer
-// at the engine's window-boundary barrier; readers on the hot path
+// at the engine's next window boundary; readers on the hot path
 // never take a lock. Because the value is immutable, any number of
 // engines (or multiplexed vehicle lanes) can share one Model: the
 // per-vehicle marginal state shrinks to the detector counters and the

@@ -5,7 +5,7 @@
 // blocklist for a configurable quarantine period.
 //
 // A Responder is safe for concurrent use: the streaming engine hands it
-// alerts from the window-merger goroutine while the caller reads Actions
+// alerts from its dispatch goroutine while the caller reads Actions
 // from another. The policy itself is an immutable snapshot behind an atomic
 // pointer — HandleAlert reads it without taking a lock; only the
 // per-responder action history is mutex-guarded.

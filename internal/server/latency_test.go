@@ -20,7 +20,6 @@ var histFamilies = []string{
 	"canids_ingest_request_seconds",
 	"canids_ingest_decode_seconds",
 	"canids_pipeline_latency_seconds",
-	"canids_barrier_stall_seconds",
 	"canids_detect_latency_seconds",
 	"canids_checkpoint_save_seconds",
 }

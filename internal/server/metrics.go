@@ -159,10 +159,6 @@ func (s *Server) metricsText() []byte {
 	for i, ch := range obsNames {
 		obsBuses[i].pipeline.WriteProm(&b, "canids_pipeline_latency_seconds", histBus(ch))
 	}
-	m.family("canids_barrier_stall_seconds", "histogram", "Dispatcher stall on the per-window barrier, per bus (prevention/adaptation only).")
-	for i, ch := range obsNames {
-		obsBuses[i].barrier.WriteProm(&b, "canids_barrier_stall_seconds", histBus(ch))
-	}
 	m.family("canids_detect_latency_seconds", "histogram", "End-to-end detection latency per bus: record ingest to alert emit.")
 	for i, ch := range obsNames {
 		obsBuses[i].detect.WriteProm(&b, "canids_detect_latency_seconds", histBus(ch))

@@ -28,8 +28,7 @@ type mark struct {
 // its engine as side-band timing hooks, the end-to-end detection
 // histogram, and the ingest-watermark ring connecting the two clocks.
 type busObs struct {
-	pipeline *hist.Histogram // demux → window-close (engine Timing)
-	barrier  *hist.Histogram // dispatcher barrier stall (engine Timing)
+	pipeline *hist.Histogram // flush → window scored (engine Timing)
 	detect   *hist.Histogram // record ingest → alert emit
 
 	mu       sync.Mutex
@@ -117,7 +116,7 @@ func (o *observability) bus(ch string) *busObs {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if b = o.buses[ch]; b == nil {
-		b = &busObs{pipeline: hist.New(), barrier: hist.New(), detect: hist.New()}
+		b = &busObs{pipeline: hist.New(), detect: hist.New()}
 		o.buses[ch] = b
 	}
 	return b

@@ -59,7 +59,7 @@
 //
 // Reload decodes and validates a full snapshot, then queues an
 // engine.Swap on every live bus engine: the swap lands at each engine's
-// next window boundary (the PR 3 dispatcher barrier position), so every
+// next window boundary (where prevention's blocks land too), so every
 // window is scored wholly under one template — zero dropped frames, no
 // torn windows, deterministic for a given record stream. Buses that
 // appear after the reload are built from the new snapshot. The model's
@@ -672,7 +672,7 @@ func (s *Server) buildBus(m *model.Model, channel string) (*engine.Engine, error
 		hook = ad
 	}
 	b := s.obs.bus(channel)
-	timing := engine.Timing{WindowClose: b.pipeline, BarrierStall: b.barrier}
+	timing := engine.Timing{WindowClose: b.pipeline}
 	eng, err := buildEngine(m, s.cfg, hook, channel, timing, s.log.With("bus", channel))
 	if err != nil {
 		return nil, err

@@ -129,15 +129,24 @@ func AppendBinary(dst []byte, t Trace) ([]byte, error) {
 	return out, nil
 }
 
+// checkMeta reports whether the binary format can carry a record's
+// Channel and Source, as an ErrBinaryMeta error when it cannot.
+func checkMeta(channel, source string) error {
+	if meta := len(channel) + 1 + len(source); meta > math.MaxUint16 {
+		return fmt.Errorf("%w: %d meta bytes, at most %d", ErrBinaryMeta, meta, math.MaxUint16)
+	}
+	if strings.IndexByte(channel, 0) >= 0 {
+		return fmt.Errorf("%w: channel %q contains NUL", ErrBinaryMeta, channel)
+	}
+	return nil
+}
+
 // appendRecord appends one record in the binary layout.
 func appendRecord(b []byte, r *Record) ([]byte, error) {
+	if err := checkMeta(r.Channel, r.Source); err != nil {
+		return b, err
+	}
 	meta := len(r.Channel) + 1 + len(r.Source)
-	if meta > math.MaxUint16 {
-		return b, fmt.Errorf("%w: %d meta bytes, at most %d", ErrBinaryMeta, meta, math.MaxUint16)
-	}
-	if strings.IndexByte(r.Channel, 0) >= 0 {
-		return b, fmt.Errorf("%w: channel %q contains NUL", ErrBinaryMeta, r.Channel)
-	}
 	head := len(b)
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Time))
 	b = append(b, 0, 0, 0, 0, 0) // frame length, meta length, injected

@@ -41,10 +41,21 @@ func FuzzReadCandump(f *testing.F) {
 func FuzzReadCSV(f *testing.F) {
 	f.Add("time_us,channel,id,dlc,data,source,injected\n1000,ms,123,2,DEAD,ecu1,0\n")
 	f.Add("time_us,channel,id,dlc,data,source,injected\n")
+	f.Add("time_us,channel,id,dlc,data,source,injected\n1000,ms,FFFFFFFF,0,,ecu1,0\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := ReadCSV(strings.NewReader(input))
 		if err != nil {
 			return
+		}
+		// Every accepted record must be valid and capturable: a CSV
+		// ingest feeds the same binary capture the other formats do.
+		for i := range tr {
+			if err := tr[i].Frame.Validate(); err != nil {
+				t.Fatalf("accepted record %d is invalid: %v", i, err)
+			}
+		}
+		if _, err := AppendBinary(nil, tr); err != nil {
+			t.Fatalf("AppendBinary of accepted trace: %v", err)
 		}
 		var buf bytes.Buffer
 		if err := WriteCSV(&buf, tr); err != nil {

@@ -242,6 +242,15 @@ func parseCSVRow(row []string, rowNum int) (Record, error) {
 			frame.Data[j] = byte(b)
 		}
 	}
+	// Reject rows a binary capture could not carry: an identifier wider
+	// than 29 bits (candump and binary input reject it too), or a
+	// channel/source the binary format cannot encode.
+	if err := frame.Validate(); err != nil {
+		return Record{}, fmt.Errorf("%w: row %d: %v", ErrSyntax, rowNum, err)
+	}
+	if err := checkMeta(row[1], row[5]); err != nil {
+		return Record{}, fmt.Errorf("%w: row %d: %v", ErrSyntax, rowNum, err)
+	}
 	return Record{
 		Time:     time.Duration(us) * time.Microsecond,
 		Channel:  row[1],

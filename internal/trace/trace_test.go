@@ -162,6 +162,10 @@ func TestReadCSVErrors(t *testing.T) {
 		"time_us,channel,id,dlc,data,source,injected\n1,ms,ZZZ,0,,a,0",
 		"time_us,channel,id,dlc,data,source,injected\n1,ms,100,9,,a,0",
 		"time_us,channel,id,dlc,data,source,injected\n1,ms,100,2,AB,a,0",
+		// Rows the binary capture could not carry: an identifier above
+		// 29 bits, a channel containing NUL.
+		"time_us,channel,id,dlc,data,source,injected\n1,ms,FFFFFFFF,0,,a,0",
+		"time_us,channel,id,dlc,data,source,injected\n1,m\x00s,100,0,,a,0",
 	}
 	for _, s := range rows {
 		if _, err := ReadCSV(strings.NewReader(s)); err == nil {
