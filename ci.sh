@@ -40,6 +40,15 @@ go test ./...
 go test -race ./...
 go test -shuffle=on ./...
 
+# Fuzz smoke: each differential fuzzer runs for 10 s against its
+# reference — the original candump, CSV and binary decoders, and the
+# map-based gateway. A mismatch fails CI, and go test saves the input
+# under the package's testdata/fuzz, where plain `go test` replays it.
+echo "== fuzz smoke"
+for target in trace:FuzzReadCandump trace:FuzzReadCSV trace:FuzzReadBinary gateway:FuzzGatewayClassify; do
+  go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
+done
+
 # Serve smoke: train once (-save), run the real `canids -serve` daemon
 # on a random port, ingest a ground-truth capture over HTTP, drain via
 # the admin endpoint, and require the served alert count to equal the

@@ -309,13 +309,16 @@
 // per-bus canids_model_epoch{bus} gauges, and ci.sh's fleet smoke leg
 // asserts a single reload converges every lane to one epoch.
 //
-// Because the model is immutable, the hot paths need no policy locks:
-// gateway.Gateway and response.Responder read their policy through an
-// atomic.Pointer snapshot (gateway.Policy is itself immutable), and
-// only the genuinely mutable per-engine state — quarantine deadlines,
-// rate-window counters — keeps a mutex. Classify and HandleAlert are
-// lock-free on the policy read, and the steady-state allocation guard
-// (<0.25 allocs/frame) still holds.
+// Because the model is immutable, the hot paths need no policy locks.
+// gateway.Policy is immutable and shared by every gateway serving the
+// model; it keeps 11-bit identifiers in dense tables, so Classify costs
+// two table reads and a count. A gateway's mutable state — quarantine
+// deadlines, rate-window counters, verdict counts — belongs to the
+// goroutine that classifies, which also runs the responder and installs
+// models (an engine's dispatcher, a fleet host), so it takes no lock
+// either. response.Responder reads its policy through an atomic.Pointer
+// snapshot. The steady-state allocation guard (<0.25 allocs/frame)
+// covers the serve path, candump bodies and an armed fleet included.
 //
 // The shared model is what makes fleet serving cheap. `canids -serve
 // -fleet K` multiplexes every vehicle (channel) onto K host engines by

@@ -136,7 +136,9 @@ type Config struct {
 	// classifies every record in stream order and only Forward verdicts
 	// reach the detectors. Run resets the gateway's streaming rate state
 	// and counters; the blocklist persists across runs (a quarantine
-	// outlives the stream that triggered it).
+	// outlives the stream that triggered it). The dispatcher owns the
+	// gateway while Run runs: read its quarantines and counters after
+	// Run returns.
 	Gateway *gateway.Gateway
 	// Responder, when set, closes the detect→infer→block loop: the
 	// dispatcher hands it every bit-entropy alert, in window order, as
@@ -569,37 +571,55 @@ type rankedAlert struct {
 // RecordPool recycles record-batch slices so a steady-state batched
 // fan-out allocates nothing: the engine's dispatcher and shards share
 // one, the multi-bus supervisor recycles its demux slabs through one,
-// and the serving layer's ingest path feeds slabs from its own.
-// Misses (an empty or full free list) fall back to the allocator; the
-// pool is bounded, so a stalled consumer can never pin unbounded
-// memory. Safe for concurrent use.
+// and the serving layer's ingest path feeds slabs from its own. Its
+// bound is the number of slabs its consumers can hold in flight
+// (channel capacity plus the slab in hand), raised with Reserve as
+// consumers start, so a steady stream misses only while the pool
+// warms up. A miss (an empty free list) falls back to the allocator;
+// a Put past the bound drops the slice, so the pool never pins more
+// memory than its consumers' peak. Safe for concurrent use.
 type RecordPool struct {
-	free chan []trace.Record
+	mu   sync.Mutex
+	free [][]trace.Record
+	max  int
 	size int
 }
 
 // NewRecordPool creates a pool holding up to slots free slices of the
-// given capacity.
+// given capacity. It allocates no slices up front.
 func NewRecordPool(slots, size int) *RecordPool {
-	return &RecordPool{free: make(chan []trace.Record, slots), size: size}
+	return &RecordPool{max: slots, size: size}
+}
+
+// Reserve raises the pool's bound by n slots, for a consumer that can
+// hold n more slabs in flight.
+func (p *RecordPool) Reserve(n int) {
+	p.mu.Lock()
+	p.max += n
+	p.mu.Unlock()
 }
 
 // Get returns an empty slice, recycled when one is free.
 func (p *RecordPool) Get() []trace.Record {
-	select {
-	case b := <-p.free:
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		b := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
 		return b[:0]
-	default:
-		return make([]trace.Record, 0, p.size)
 	}
+	p.mu.Unlock()
+	return make([]trace.Record, 0, p.size)
 }
 
 // Put returns a slice to the pool (dropped when the free list is full).
 func (p *RecordPool) Put(b []trace.Record) {
-	select {
-	case p.free <- b:
-	default:
+	p.mu.Lock()
+	if len(p.free) < p.max {
+		p.free = append(p.free, b)
 	}
+	p.mu.Unlock()
 }
 
 // shard is one bit-counting worker's state as the dispatcher sees it:
@@ -656,7 +676,9 @@ func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (
 	// sends the next tokens only after collecting every signal, so one
 	// slot per shard means a shard never blocks on it.
 	ready := make(chan struct{}, len(shards))
-	pool := NewRecordPool(4*len(shards)+8, e.cfg.Batch)
+	// Each shard holds up to Buffer batches queued and one in hand, and
+	// the dispatcher one pending batch per shard.
+	pool := NewRecordPool(len(shards)*(e.cfg.Buffer+2), e.cfg.Batch)
 	var wg sync.WaitGroup
 	for i := range shards {
 		shards[i] = shard{

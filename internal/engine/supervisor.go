@@ -511,10 +511,11 @@ func (s *Supervisor) Run(ctx context.Context, src Source, sink func(channel stri
 	// DefaultBatch-sized sub-slabs, per-record sources travel as
 	// single-record slabs — so a pool miss under backlog allocates one
 	// record's worth, not a 64-slot slab per record, and buffered feeds
-	// pin no more memory than the records they hold.
-	pool := NewRecordPool(64, DefaultBatch)
+	// pin no more memory than the records they hold. The pool's bound
+	// grows with the hosts and channels that hold its slabs.
+	pool := NewRecordPool(0, DefaultBatch)
 	if _, batched := src.(BatchSource); !batched {
-		pool = NewRecordPool(256, 1)
+		pool = NewRecordPool(0, 1)
 	}
 	s.mu.Lock()
 	s.chans = make(map[string]*chanState)
@@ -523,6 +524,8 @@ func (s *Supervisor) Run(ctx context.Context, src Source, sink func(channel stri
 	var hosts []*host
 	start := func(h *host) *host {
 		h.feed, h.done = make(chan hostMsg, s.cfg.Buffer), make(chan struct{})
+		// A host holds up to Buffer slabs queued and one in hand.
+		pool.Reserve(s.cfg.Buffer + 1)
 		hosts = append(hosts, h)
 		go s.serveHost(ctx, h, pool)
 		return h
@@ -658,6 +661,7 @@ func (s *Supervisor) demux(ctx context.Context, src Source, pool *RecordPool,
 					if c, err = open(rec.Channel); err != nil {
 						return err
 					}
+					pool.Reserve(1) // the channel's sub-slab in progress
 					byName[rec.Channel] = c
 					chans = append(chans, c)
 					s.mu.Lock()

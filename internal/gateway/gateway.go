@@ -22,27 +22,27 @@
 // A gateway splits into an immutable half and a mutable half. The
 // immutable half is Policy — whitelist, rate budgets, rate horizon —
 // built once and never mutated; swapping policy means installing a
-// fresh Policy value behind an atomic pointer, so the classify hot
-// path reads it without taking any lock and any number of gateways (a
-// fleet of vehicle lanes) can share one Policy. The mutable half is
-// per-gateway: the dynamic quarantine blocklist (written by the
-// response stage, guarded by a small mutex that the hot path skips
-// entirely while the blocklist is empty) and the rate-window counters
-// (owned by the classify caller, like every detector's window state).
+// fresh Policy value, and any number of gateways (a fleet of vehicle
+// lanes) can share one Policy. Identifiers up to 0x7FF — every
+// standard one — are looked up in dense tables indexed by identifier
+// rather than in maps. The mutable half is per-gateway: the dynamic
+// quarantine blocklist, the rate-window counters and the verdict
+// counts.
 //
-// A Gateway is safe for concurrent use: the streaming engine classifies
-// records and blocks identifiers on its dispatch goroutine while callers
-// may read quarantines and counters from others. Classify
-// must still be called from one goroutine at a time in timestamp order
-// for rate limiting to be meaningful.
+// A Gateway is not safe for concurrent use. It belongs to the
+// goroutine that classifies: in the streaming engine that is the
+// dispatcher, which also runs the responder that blocks identifiers and
+// installs models at window boundaries; in a fleet it is the lane's
+// host. Read Quarantines, Blocked and Stats on that goroutine, or after
+// it has stopped (the CLI's -watch report reads them after the run).
+// Classify must be called in timestamp order for rate limiting to be
+// meaningful.
 package gateway
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"canids/internal/can"
@@ -130,14 +130,29 @@ func (s Stats) Sub(o Stats) Stats {
 // Policy is the immutable half of a gateway: the whitelist, the
 // per-identifier rate budgets and the rate horizon. A Policy is never
 // mutated after construction — derive a changed one with WithBudgets
-// or WithLegal and install it with Gateway.SetPolicy — so readers
-// never need a lock and many gateways can share one value.
+// or WithLegal and install it with Gateway.SetPolicy — so many
+// gateways can share one value.
+//
+// Identifiers up to 0x7FF (standard ones, and extended ones of the
+// same values, which share their key) live in dense tables: slot maps
+// each to 1 + its index in ids and budget, or to 0 when it is neither
+// legal nor budgeted. Legal identifiers take the first nLegal slots.
+// A gateway counts frames per slot. Wider identifiers keep maps.
 type Policy struct {
-	legal      map[can.ID]bool
-	budget     map[can.ID]int
+	slot       *[can.MaxStandardID + 1]uint16
+	ids        []can.ID
+	budget     []int // per slot; 0 when the identifier has no budget
+	nLegal     int
+	wideLegal  map[can.ID]bool
+	wideBudget map[can.ID]int
+	whitelist  bool // the legal set is non-empty
+	limited    bool // the budget table is non-empty
 	rateWindow time.Duration
 	rateSlack  float64
 }
+
+// noSlots is the slot table of a policy with no 11-bit identifiers.
+var noSlots [can.MaxStandardID + 1]uint16
 
 // NewPolicy validates cfg and builds an immutable policy from it.
 func NewPolicy(cfg Config) (*Policy, error) {
@@ -147,68 +162,123 @@ func NewPolicy(cfg Config) (*Policy, error) {
 	if (cfg.RateSlack > 0 || len(cfg.Budgets) > 0) && cfg.RateWindow <= 0 {
 		return nil, fmt.Errorf("gateway: rate limiting needs a positive window, got %v", cfg.RateWindow)
 	}
+	if err := checkBudgets(cfg.Budgets); err != nil {
+		return nil, err
+	}
 	p := &Policy{rateWindow: cfg.RateWindow, rateSlack: cfg.RateSlack}
-	if len(cfg.Budgets) > 0 {
-		budget, err := copyBudgets(cfg.Budgets)
-		if err != nil {
-			return nil, err
-		}
-		p.budget = budget
-	}
-	if len(cfg.Legal) > 0 {
-		p.legal = make(map[can.ID]bool, len(cfg.Legal))
-		for _, id := range cfg.Legal {
-			p.legal[id] = true
-		}
-	}
+	p.build(cfg.Legal, cfg.Budgets)
 	return p, nil
+}
+
+// build fills p's tables from a legal set and a validated budget
+// table; either may be empty.
+func (p *Policy) build(legal []can.ID, budgets map[can.ID]int) {
+	p.slot, p.ids, p.nLegal, p.wideLegal = &noSlots, nil, 0, nil
+	p.whitelist = len(legal) > 0
+	if len(legal)+len(budgets) > 0 {
+		slot := new([can.MaxStandardID + 1]uint16)
+		ids := make([]can.ID, 0, len(legal)+len(budgets))
+		for _, id := range legal {
+			if id > can.MaxStandardID {
+				if p.wideLegal == nil {
+					p.wideLegal = make(map[can.ID]bool)
+				}
+				p.wideLegal[id] = true
+			} else if slot[id] == 0 {
+				ids = append(ids, id)
+				slot[id] = uint16(len(ids))
+			}
+		}
+		p.nLegal = len(ids)
+		for id := range budgets {
+			if id <= can.MaxStandardID && slot[id] == 0 {
+				ids = append(ids, id)
+				slot[id] = uint16(len(ids))
+			}
+		}
+		p.slot, p.ids = slot, ids
+	}
+	p.setBudgets(budgets)
+}
+
+// setBudgets fills p's budget tables from a validated budget table
+// whose 11-bit identifiers all have slots.
+func (p *Policy) setBudgets(budgets map[can.ID]int) {
+	p.budget, p.wideBudget, p.limited = nil, nil, len(budgets) > 0
+	if !p.limited {
+		return
+	}
+	p.budget = make([]int, len(p.ids))
+	for id, b := range budgets {
+		if id > can.MaxStandardID {
+			if p.wideBudget == nil {
+				p.wideBudget = make(map[can.ID]int)
+			}
+			p.wideBudget[id] = b
+		} else {
+			p.budget[p.slot[id]-1] = b
+		}
+	}
+}
+
+// slotOf returns id's slot, or 0 when it has none.
+func (p *Policy) slotOf(id can.ID) uint16 {
+	if id > can.MaxStandardID {
+		return 0
+	}
+	return p.slot[id]
 }
 
 // WithBudgets derives a policy with the budget table replaced. An
 // empty (or nil) table disables rate limiting. A non-empty table
 // requires the policy's rate horizon to be positive, like
-// Config.Budgets.
+// Config.Budgets. When p already has a slot for every budgeted
+// identifier — an adapted table over a whitelisted fleet always does —
+// the new policy shares p's slot table, so a gateway swapping between
+// them keeps its rate-window counts in place.
 func (p *Policy) WithBudgets(budgets map[can.ID]int) (*Policy, error) {
-	next := *p
-	if len(budgets) == 0 {
-		next.budget = nil
-		return &next, nil
-	}
-	if p.rateWindow <= 0 {
+	if len(budgets) > 0 && p.rateWindow <= 0 {
 		return nil, fmt.Errorf("gateway: rate limiting needs a positive window, got %v", p.rateWindow)
 	}
-	budget, err := copyBudgets(budgets)
-	if err != nil {
+	if err := checkBudgets(budgets); err != nil {
 		return nil, err
 	}
-	next.budget = budget
-	return &next, nil
+	next := &Policy{rateWindow: p.rateWindow, rateSlack: p.rateSlack}
+	for id := range budgets {
+		if id <= can.MaxStandardID && p.slot[id] == 0 {
+			next.build(p.legalIDs(), budgets)
+			return next, nil
+		}
+	}
+	next.slot, next.ids, next.nLegal, next.wideLegal, next.whitelist = p.slot, p.ids, p.nLegal, p.wideLegal, p.whitelist
+	next.setBudgets(budgets)
+	return next, nil
 }
 
 // WithLegal derives a policy with the whitelist replaced. An empty (or
 // nil) set disables the whitelist check.
 func (p *Policy) WithLegal(legal []can.ID) *Policy {
-	next := *p
-	next.legal = nil
-	if len(legal) > 0 {
-		next.legal = make(map[can.ID]bool, len(legal))
-		for _, id := range legal {
-			next.legal[id] = true
-		}
+	next := &Policy{rateWindow: p.rateWindow, rateSlack: p.rateSlack}
+	next.build(legal, p.Budgets())
+	return next
+}
+
+// legalIDs returns the whitelisted identifiers in slot order.
+func (p *Policy) legalIDs() []can.ID {
+	ids := append([]can.ID(nil), p.ids[:p.nLegal]...)
+	for id := range p.wideLegal {
+		ids = append(ids, id)
 	}
-	return &next
+	return ids
 }
 
 // Legal returns the whitelisted identifiers, ascending, or nil when
 // the whitelist is disabled.
 func (p *Policy) Legal() []can.ID {
-	if len(p.legal) == 0 {
+	if !p.whitelist {
 		return nil
 	}
-	ids := make([]can.ID, 0, len(p.legal))
-	for id := range p.legal {
-		ids = append(ids, id)
-	}
+	ids := p.legalIDs()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
@@ -216,11 +286,16 @@ func (p *Policy) Legal() []can.ID {
 // Budgets returns a copy of the per-identifier budget table, or nil
 // when rate limiting is off.
 func (p *Policy) Budgets() map[can.ID]int {
-	if p.budget == nil {
+	if !p.limited {
 		return nil
 	}
-	out := make(map[can.ID]int, len(p.budget))
-	for id, b := range p.budget {
+	out := make(map[can.ID]int, len(p.ids)+len(p.wideBudget))
+	for s, b := range p.budget {
+		if b != 0 {
+			out[p.ids[s]] = b
+		}
+	}
+	for id, b := range p.wideBudget {
 		out[id] = b
 	}
 	return out
@@ -236,29 +311,22 @@ func (p *Policy) RateSlack() float64 { return p.rateSlack }
 // from clean traffic, then classify frames in timestamp order with
 // Classify.
 type Gateway struct {
-	// policy is the immutable policy snapshot; Classify loads it
-	// lock-free, writers replace it wholesale under swapMu (which only
-	// serializes writers against each other, never readers).
-	policy atomic.Pointer[Policy]
-	swapMu sync.Mutex
+	policy *Policy
 
-	// The quarantine blocklist is per-gateway mutable state written by
-	// the response stage. nBlocked mirrors len(blocked) so the classify
-	// hot path skips the mutex entirely while nothing is quarantined.
-	quarMu   sync.Mutex
-	blocked  map[can.ID]time.Duration
-	nBlocked atomic.Int64
+	// The quarantine blocklist, written by the response stage.
+	blocked map[can.ID]time.Duration
 
-	// Rate-window counters, owned by the classify caller (Classify is
-	// single-goroutine, like every detector's window walk).
+	// The open rate window: its origin, and the frames counted in it
+	// per slot of the policy, plus per identifier for those without a
+	// slot (wide ones, and unbudgeted ones when no whitelist drops
+	// them first). Every counted identifier keeps its count across a
+	// policy swap until the window expires.
 	windowStart time.Duration
 	haveWindow  bool
-	seen        map[can.ID]int
+	counts      []uint32
+	other       map[can.ID]uint32
 
-	forwarded   atomic.Int64
-	dropUnknown atomic.Int64
-	dropRate    atomic.Int64
-	dropBlocked atomic.Int64
+	stats Stats
 }
 
 // New creates a gateway.
@@ -274,24 +342,21 @@ func New(cfg Config) (*Gateway, error) {
 // policy — the fleet path, where hundreds of vehicle lanes reference
 // one Policy value instead of copying its tables.
 func NewWithPolicy(p *Policy) *Gateway {
-	g := &Gateway{
-		blocked: make(map[can.ID]time.Duration),
-		seen:    make(map[can.ID]int),
+	g := &Gateway{policy: p}
+	if p.limited {
+		g.counts = make([]uint32, len(p.ids))
 	}
-	g.policy.Store(p)
 	return g
 }
 
-// copyBudgets validates and copies an injected budget table.
-func copyBudgets(budgets map[can.ID]int) (map[can.ID]int, error) {
-	out := make(map[can.ID]int, len(budgets))
+// checkBudgets validates an injected budget table.
+func checkBudgets(budgets map[can.ID]int) error {
 	for id, b := range budgets {
 		if b < 1 {
-			return nil, fmt.Errorf("gateway: budget for %v must be >= 1, got %d", id, b)
+			return fmt.Errorf("gateway: budget for %v must be >= 1, got %d", id, b)
 		}
-		out[id] = b
 	}
-	return out, nil
+	return nil
 }
 
 // RateLearner derives per-identifier frame budgets from clean traffic
@@ -385,18 +450,44 @@ func (g *Gateway) LearnRates(windows []trace.Trace) error {
 }
 
 // Policy returns the active immutable policy snapshot.
-func (g *Gateway) Policy() *Policy { return g.policy.Load() }
+func (g *Gateway) Policy() *Policy { return g.policy }
 
 // SetPolicy installs a policy snapshot wholesale — the single swap
 // path hot reload, adaptation and fleet model swaps all funnel
-// through. A nil policy is rejected.
+// through. A nil policy is rejected. The open rate window's counts
+// carry over identifier by identifier.
 func (g *Gateway) SetPolicy(p *Policy) error {
 	if p == nil {
 		return fmt.Errorf("gateway: nil policy")
 	}
-	g.swapMu.Lock()
-	g.policy.Store(p)
-	g.swapMu.Unlock()
+	old := g.policy
+	g.policy = p
+	if p.slot == old.slot && p.limited == old.limited {
+		return nil // same slots: the counts stand
+	}
+	var counts []uint32
+	if p.limited {
+		counts = make([]uint32, len(p.ids))
+	}
+	for s, n := range g.counts {
+		if n == 0 {
+			continue
+		}
+		if to := p.slotOf(old.ids[s]); to != 0 && counts != nil {
+			counts[to-1] = n
+		} else {
+			g.countOther(old.ids[s], n)
+		}
+	}
+	if counts != nil {
+		for id, n := range g.other {
+			if to := p.slotOf(id); to != 0 {
+				counts[to-1] += n
+				delete(g.other, id)
+			}
+		}
+	}
+	g.counts = counts
 	return nil
 }
 
@@ -404,7 +495,7 @@ func (g *Gateway) SetPolicy(p *Policy) error {
 // table (learned or injected), or nil when rate limiting is off — the
 // export half of persisting gateway policy in a model snapshot.
 func (g *Gateway) Budgets() map[can.ID]int {
-	return g.policy.Load().Budgets()
+	return g.policy.Budgets()
 }
 
 // SetBudgets replaces the per-identifier frame budget table, e.g. with
@@ -412,33 +503,28 @@ func (g *Gateway) Budgets() map[can.ID]int {
 // nil) table disables rate limiting. Requires a positive RateWindow,
 // like Config.Budgets.
 func (g *Gateway) SetBudgets(budgets map[can.ID]int) error {
-	g.swapMu.Lock()
-	defer g.swapMu.Unlock()
-	next, err := g.policy.Load().WithBudgets(budgets)
+	next, err := g.policy.WithBudgets(budgets)
 	if err != nil {
 		return err
 	}
-	g.policy.Store(next)
-	return nil
+	return g.SetPolicy(next)
 }
 
 // SetLegal replaces the whitelist. An empty (or nil) set disables the
 // whitelist check, matching New.
 func (g *Gateway) SetLegal(legal []can.ID) {
-	g.swapMu.Lock()
-	g.policy.Store(g.policy.Load().WithLegal(legal))
-	g.swapMu.Unlock()
+	g.SetPolicy(g.policy.WithLegal(legal)) //nolint:errcheck // never nil
 }
 
 // Legal returns the whitelisted identifiers, ascending, or nil when the
 // whitelist is disabled.
-func (g *Gateway) Legal() []can.ID { return g.policy.Load().Legal() }
+func (g *Gateway) Legal() []can.ID { return g.policy.Legal() }
 
 // RateWindow returns the configured rate-limit horizon.
-func (g *Gateway) RateWindow() time.Duration { return g.policy.Load().rateWindow }
+func (g *Gateway) RateWindow() time.Duration { return g.policy.rateWindow }
 
 // RateSlack returns the configured learning slack multiplier.
-func (g *Gateway) RateSlack() float64 { return g.policy.Load().rateSlack }
+func (g *Gateway) RateSlack() float64 { return g.policy.rateSlack }
 
 // Block adds an identifier to the blocklist until the given time
 // (zero = forever). The entropy IDS's inference feeds this. A block
@@ -446,40 +532,27 @@ func (g *Gateway) RateSlack() float64 { return g.policy.Load().rateSlack }
 // blocked, the later deadline wins, and a forever block (until zero)
 // stays forever.
 func (g *Gateway) Block(id can.ID, until time.Duration) {
-	g.quarMu.Lock()
-	defer g.quarMu.Unlock()
-	if prev, ok := g.blocked[id]; ok {
-		if prev == 0 || (until != 0 && until < prev) {
-			return
-		}
-		g.blocked[id] = until
+	if prev, ok := g.blocked[id]; ok && (prev == 0 || (until != 0 && until < prev)) {
 		return
 	}
+	if g.blocked == nil {
+		g.blocked = make(map[can.ID]time.Duration)
+	}
 	g.blocked[id] = until
-	g.nBlocked.Add(1)
 }
 
 // Unblock removes an identifier from the blocklist.
-func (g *Gateway) Unblock(id can.ID) {
-	g.quarMu.Lock()
-	if _, ok := g.blocked[id]; ok {
-		delete(g.blocked, id)
-		g.nBlocked.Add(-1)
-	}
-	g.quarMu.Unlock()
-}
+func (g *Gateway) Unblock(id can.ID) { delete(g.blocked, id) }
 
 // Blocked returns the blocklisted identifiers, ascending. Expiry is
 // processed lazily by Classify, so an identifier whose deadline lapsed
 // without another frame arriving is still listed; use Quarantines to
 // filter by deadline.
 func (g *Gateway) Blocked() []can.ID {
-	g.quarMu.Lock()
 	ids := make([]can.ID, 0, len(g.blocked))
 	for id := range g.blocked {
 		ids = append(ids, id)
 	}
-	g.quarMu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
@@ -488,8 +561,6 @@ func (g *Gateway) Blocked() []can.ID {
 // deadline (zero = forever), including lazily-expired entries (see
 // Blocked).
 func (g *Gateway) Quarantines() map[can.ID]time.Duration {
-	g.quarMu.Lock()
-	defer g.quarMu.Unlock()
 	out := make(map[can.ID]time.Duration, len(g.blocked))
 	for id, until := range g.blocked {
 		out[id] = until
@@ -527,82 +598,101 @@ func (g *Gateway) SeedRateWindow(start time.Duration) {
 
 // Classify returns the verdict for one frame. Records must arrive in
 // non-decreasing timestamp order for rate limiting to be meaningful.
-// The policy read is lock-free; the quarantine mutex is touched only
-// while the blocklist is non-empty.
+// An 11-bit identifier costs two table reads and a count, and a map
+// lookup while the blocklist is non-empty.
 func (g *Gateway) Classify(rec trace.Record) Verdict {
-	p := g.policy.Load()
 	id := rec.Frame.ID
-	if g.nBlocked.Load() != 0 {
-		g.quarMu.Lock()
+	if len(g.blocked) != 0 {
 		if until, ok := g.blocked[id]; ok {
 			if until == 0 || rec.Time < until {
-				g.quarMu.Unlock()
-				g.dropBlocked.Add(1)
+				g.stats.DropBlocked++
 				return DropBlocked
 			}
 			delete(g.blocked, id)
-			g.nBlocked.Add(-1)
 		}
-		g.quarMu.Unlock()
 	}
-	if p.legal != nil && !p.legal[id] {
-		g.dropUnknown.Add(1)
-		return DropUnknown
-	}
-	if p.budget != nil {
-		if !g.haveWindow {
-			g.haveWindow = true
-			g.windowStart = rec.Time
+	p := g.policy
+	if p.whitelist || p.limited {
+		s := p.slotOf(id)
+		if p.whitelist && !p.legal(id, s) {
+			g.stats.DropUnknown++
+			return DropUnknown
 		}
-		// Same overflow-safe boundary walk as every detector (see
-		// internal/detect): the arithmetic skip makes a huge timestamp
-		// gap O(1) instead of one iteration per elapsed window, and the
-		// expiry check cannot wrap at the top of the int64 range.
-		if detect.WindowExpired(g.windowStart, rec.Time, p.rateWindow) {
-			g.windowStart = detect.NextWindowStart(g.windowStart, rec.Time, p.rateWindow)
-			clear(g.seen)
-		}
-		g.seen[id]++
-		if budget, ok := p.budget[id]; ok && g.seen[id] > budget {
-			g.dropRate.Add(1)
+		if p.limited && g.overBudget(p, id, s, rec.Time) {
+			g.stats.DropRate++
 			return DropRate
 		}
 	}
-	g.forwarded.Add(1)
+	g.stats.Forwarded++
 	return Forward
+}
+
+// legal reports whether id, whose slot is s, is whitelisted.
+func (p *Policy) legal(id can.ID, s uint16) bool {
+	if id > can.MaxStandardID {
+		return p.wideLegal[id]
+	}
+	return s != 0 && int(s) <= p.nLegal
+}
+
+// overBudget counts one frame of id, whose slot is s, in the rate
+// window holding t, and reports whether the count exceeds id's budget.
+func (g *Gateway) overBudget(p *Policy, id can.ID, s uint16, t time.Duration) bool {
+	if !g.haveWindow {
+		g.haveWindow = true
+		g.windowStart = t
+	}
+	// Same overflow-safe boundary walk as every detector (see
+	// internal/detect): the arithmetic skip makes a huge timestamp gap
+	// O(1) instead of one iteration per elapsed window, and the expiry
+	// check cannot wrap at the top of the int64 range.
+	if detect.WindowExpired(g.windowStart, t, p.rateWindow) {
+		g.windowStart = detect.NextWindowStart(g.windowStart, t, p.rateWindow)
+		clear(g.counts)
+		clear(g.other)
+	}
+	if s != 0 {
+		g.counts[s-1]++
+		b := p.budget[s-1]
+		return b != 0 && int(g.counts[s-1]) > b
+	}
+	n := g.countOther(id, 1)
+	b, ok := p.wideBudget[id]
+	return ok && int(n) > b
+}
+
+// countOther adds n frames to the count of an identifier without a
+// slot and returns its new count.
+func (g *Gateway) countOther(id can.ID, n uint32) uint32 {
+	if g.other == nil {
+		g.other = make(map[can.ID]uint32)
+	}
+	g.other[id] += n
+	return g.other[id]
 }
 
 // Filter classifies a whole trace and returns the forwarded records plus
 // the per-verdict counts of this call alone (the delta over the
 // gateway's cumulative Stats).
 func (g *Gateway) Filter(tr trace.Trace) (trace.Trace, Stats) {
-	before := g.Stats()
+	before := g.stats
 	var out trace.Trace
 	for _, r := range tr {
 		if g.Classify(r) == Forward {
 			out = append(out, r)
 		}
 	}
-	return out, g.Stats().Sub(before)
+	return out, g.stats.Sub(before)
 }
 
 // Stats returns a copy of the cumulative counters.
-func (g *Gateway) Stats() Stats {
-	return Stats{
-		Forwarded:   int(g.forwarded.Load()),
-		DropUnknown: int(g.dropUnknown.Load()),
-		DropRate:    int(g.dropRate.Load()),
-		DropBlocked: int(g.dropBlocked.Load()),
-	}
-}
+func (g *Gateway) Stats() Stats { return g.stats }
 
 // Reset clears streaming state (not the learned budgets or blocklist).
 func (g *Gateway) Reset() {
 	g.haveWindow = false
 	g.windowStart = 0
-	clear(g.seen)
-	g.forwarded.Store(0)
-	g.dropUnknown.Store(0)
-	g.dropRate.Store(0)
-	g.dropBlocked.Store(0)
+	clear(g.counts)
+	clear(g.other)
+	g.stats = Stats{}
 }

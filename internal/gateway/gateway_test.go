@@ -3,7 +3,6 @@ package gateway
 import (
 	"maps"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -325,11 +324,11 @@ func TestStatsSub(t *testing.T) {
 	}
 }
 
-// TestConcurrentBlockClassify exercises the engine's access pattern —
-// one goroutine classifying in timestamp order while another blocks and
-// inspects — and relies on the -race CI leg to catch unsynchronized
-// state.
-func TestConcurrentBlockClassify(t *testing.T) {
+// TestInterleavedBlockClassify exercises the engine's access pattern —
+// classifying in timestamp order while the responder, on the same
+// goroutine, blocks, inspects and lifts identifiers between frames —
+// and checks no verdict goes uncounted.
+func TestInterleavedBlockClassify(t *testing.T) {
 	g, err := New(Config{RateWindow: time.Second, RateSlack: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -337,24 +336,16 @@ func TestConcurrentBlockClassify(t *testing.T) {
 	if err := g.LearnRates(trainingWindows(3)); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2000; i++ {
-			g.Classify(rec(time.Duration(i)*time.Millisecond, can.ID(0x100+i%4)))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			g.Block(can.ID(0x100+i%4), time.Duration(i)*time.Millisecond)
+	for i := 0; i < 2000; i++ {
+		g.Classify(rec(time.Duration(i)*time.Millisecond, can.ID(0x100+i%4)))
+		if i%4 == 0 {
+			j := i / 4
+			g.Block(can.ID(0x100+j%4), time.Duration(j)*time.Millisecond)
 			g.Blocked()
 			g.Stats()
-			g.Unblock(can.ID(0x100 + i%4))
+			g.Unblock(can.ID(0x100 + (j+1)%4))
 		}
-	}()
-	wg.Wait()
+	}
 	if st := g.Stats(); st.Forwarded+st.Dropped() != 2000 {
 		t.Errorf("lost verdicts: %+v", st)
 	}
@@ -584,5 +575,60 @@ func TestRateLearnerValidation(t *testing.T) {
 	l.ObserveCounts(nil) // empty: must not count
 	if l.Windows() != 0 {
 		t.Error("empty counts counted as a window")
+	}
+}
+
+// classifyStream is a whitelisted, rate-limited gateway over 200
+// legal 11-bit identifiers, with records cycling through them and two
+// unknown ones at 100 µs spacing, and one identifier quarantined.
+func classifyStream(t testing.TB) (*Gateway, trace.Trace) {
+	legal := make([]can.ID, 200)
+	budgets := make(map[can.ID]int, len(legal))
+	for i := range legal {
+		legal[i] = can.ID(i * 7)
+		budgets[legal[i]] = 50
+	}
+	g, err := New(Config{Legal: legal, RateWindow: time.Second, Budgets: budgets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Block(legal[3], 0)
+	tr := make(trace.Trace, 4096)
+	for i := range tr {
+		id := legal[i%len(legal)]
+		if i%50 == 0 {
+			id = 0x7FE
+		}
+		tr[i] = rec(time.Duration(i)*100*time.Microsecond, id)
+	}
+	return g, tr
+}
+
+// TestClassifySteadyStateAllocs pins Classify at zero allocations per
+// frame once the rate window is open, with the whitelist, budgets and
+// a quarantine all in play.
+func TestClassifySteadyStateAllocs(t *testing.T) {
+	g, tr := classifyStream(t)
+	g.Filter(tr)
+	i := 0
+	if n := testing.AllocsPerRun(5000, func() {
+		r := tr[i%len(tr)]
+		r.Time += 2 * time.Second
+		g.Classify(r)
+		i++
+	}); n != 0 {
+		t.Errorf("Classify: %v allocs/frame, want 0", n)
+	}
+}
+
+// BenchmarkClassify reports the per-frame cost of a warm gateway.
+func BenchmarkClassify(b *testing.B) {
+	g, tr := classifyStream(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := tr[i%len(tr)]
+		r.Time += time.Duration(i/len(tr)) * time.Second
+		g.Classify(r)
 	}
 }

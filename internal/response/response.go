@@ -4,11 +4,13 @@
 // malicious-ID inference, and pushes the top candidates onto a gateway
 // blocklist for a configurable quarantine period.
 //
-// A Responder is safe for concurrent use: the streaming engine hands it
-// alerts from its dispatch goroutine while the caller reads Actions
-// from another. The policy itself is an immutable snapshot behind an atomic
-// pointer — HandleAlert reads it without taking a lock; only the
-// per-responder action history is mutex-guarded.
+// HandleAlert blocks on the Responder's gateway, so it runs on the
+// goroutine that classifies with that gateway: the streaming engine
+// hands it alerts from its dispatch goroutine. Actions may be read from
+// another goroutine meanwhile. The policy itself is an immutable
+// snapshot behind an atomic pointer — HandleAlert reads it without
+// taking a lock; only the per-responder action history is
+// mutex-guarded.
 package response
 
 import (

@@ -327,6 +327,8 @@ type Server struct {
 	feed  chan []trace.Record
 	pool  *engine.RecordPool
 	batch int
+	// decoders recycles Ingest's decoders across requests.
+	decoders decoderPool
 
 	// mu guards the served snapshot/model pair and the engine/adapter
 	// registries. The engine factory and Reload both hold it end to
@@ -901,10 +903,11 @@ func (s *Server) Ingest(channel string, format trace.Format, r io.Reader) (int, 
 	if !s.started.Load() {
 		return 0, ErrNotStarted
 	}
-	dec, err := trace.NewDecoder(format, r)
+	dec, err := s.decoders.get(format, r)
 	if err != nil {
 		return 0, err
 	}
+	defer s.decoders.put(format, dec)
 	// Request duration is the whole Ingest call; decode duration is the
 	// same interval minus time spent parked on the feed channel — the
 	// decode/backpressure split the ROADMAP's serve-vs-engine gap needs.

@@ -792,40 +792,74 @@ func TestServeAdaptLifecycle(t *testing.T) {
 }
 
 // TestIngestSteadyStateAllocs extends the engine's allocation guard to
-// the serve path: a warm server ingesting binary bodies — decode, feed
-// slabs, demux and the sharded engine together — stays below 0.25
-// allocations per frame. Each body is the clean capture shifted past
-// the previous one, so stream time keeps advancing.
+// the serve path: a warm server ingesting binary or candump bodies —
+// decode, feed slabs, demux and the sharded engine together — and a
+// fleet with the gateway and responder armed stay below 0.25
+// allocations per frame. Each body is the capture shifted past the
+// previous one, so stream time keeps advancing.
 func TestIngestSteadyStateAllocs(t *testing.T) {
-	snap, clean, _ := loadFixture(t)
-	s, _ := startServer(t, server.Config{Snapshot: snap})
-	const runs = 5
-	span := clean[len(clean)-1].Time + time.Second
-	// One body to build the bus engine, one for AllocsPerRun's warm-up
-	// call, one per measured run.
-	bodies := make([][]byte, runs+2)
-	for i := range bodies {
-		shifted := append(trace.Trace(nil), clean...)
-		for j := range shifted {
-			shifted[j].Time += time.Duration(i) * span
-		}
-		var err error
-		if bodies[i], err = trace.AppendBinary(nil, shifted); err != nil {
-			t.Fatal(err)
-		}
+	snap, clean, attacked := loadFixture(t)
+	// The prevention leg serves a fleet with the gateway's whitelist and
+	// learned rate budgets and a responder, over the attacked capture,
+	// so classify, block and quarantine expiry all run.
+	learner, err := gateway.NewRateLearner(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	next := 0
-	ingest := func() {
-		n, err := s.Ingest("", trace.FormatBinary, bytes.NewReader(bodies[next]))
-		next++
-		if err != nil || n != len(clean) {
-			t.Fatalf("ingest accepted %d of %d records: %v", n, len(clean), err)
-		}
+	for _, w := range clean.Windows(snap.Core.Window, false) {
+		learner.ObserveWindow(w)
 	}
-	ingest()
-	if perFrame := testing.AllocsPerRun(runs, ingest) / float64(len(clean)); perFrame >= 0.25 {
-		t.Errorf("Ingest allocates %.3f allocs/frame over %d-frame binary bodies; the serve path must stay below 0.25",
-			perFrame, len(clean))
+	budgets, err := learner.Budgets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed := *snap
+	armed.Gateway = &store.GatewayPolicy{Legal: snap.Pool, RateWindow: snap.Core.Window, RateSlack: 2, Budgets: budgets}
+	armed.Response = &store.ResponsePolicy{Rank: 10, BlockTop: 1, Quarantine: time.Second}
+	for _, leg := range []struct {
+		name    string
+		cfg     server.Config
+		format  trace.Format
+		channel string
+		records trace.Trace
+	}{
+		{"binary", server.Config{Snapshot: snap}, trace.FormatBinary, "", clean},
+		{"candump", server.Config{Snapshot: snap}, trace.FormatCandump, "", clean},
+		{"fleet-prevention", server.Config{Snapshot: &armed, Fleet: &server.FleetOptions{Engines: 2}},
+			trace.FormatCandump, "veh-01", attacked},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			s, _ := startServer(t, leg.cfg)
+			const runs = 5
+			span := leg.records[len(leg.records)-1].Time + time.Second
+			// One body to build the bus engine, one for AllocsPerRun's
+			// warm-up call, one per measured run.
+			bodies := make([][]byte, runs+2)
+			for i := range bodies {
+				shifted := append(trace.Trace(nil), leg.records...)
+				for j := range shifted {
+					shifted[j].Time += time.Duration(i) * span
+				}
+				var buf bytes.Buffer
+				if err := trace.Write(&buf, leg.format, shifted); err != nil {
+					t.Fatal(err)
+				}
+				bodies[i] = buf.Bytes()
+			}
+			next := 0
+			ingest := func() {
+				n, err := s.Ingest(leg.channel, leg.format, bytes.NewReader(bodies[next]))
+				next++
+				if err != nil || n != len(leg.records) {
+					t.Fatalf("ingest accepted %d of %d records: %v", n, len(leg.records), err)
+				}
+			}
+			ingest()
+			if perFrame := testing.AllocsPerRun(runs, ingest) / float64(len(leg.records)); perFrame >= 0.25 {
+				t.Errorf("Ingest allocates %.3f allocs/frame over %d-frame %v bodies; the serve path must stay below 0.25",
+					perFrame, len(leg.records), leg.format)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,12 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/csv"
+	"errors"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -9,12 +14,54 @@ import (
 	"canids/internal/can"
 )
 
+// FuzzReadCandump holds CandumpDecoder to the reference decoder — the
+// same records, an error on the same line with the same sentinels, also
+// after a Reset — and checks that accepted logs round-trip.
 func FuzzReadCandump(f *testing.F) {
 	f.Add("(1.000000) can0 123#DEADBEEF\n")
 	f.Add("# comment\n\n(2.5) x 1#R\n")
 	f.Add("(999999999.999999) vcan0 7FF#0102030405060708\n")
+	for _, seed := range []string{
+		// Unicode separators: U+00A0 and U+0085 split fields, a raw
+		// 0x85 or 0xA0 byte (invalid UTF-8) does not.
+		"(1.000001)\u00a0can0\u0085123#00\n",
+		"\u2028(1.000001) can0 123#00\u3000\n",
+		"(1.000001)\xa0can0 123#00\n",
+		"(1.000001) ca\xc2n0 123#00\n",
+		"(1.000001) ca\u00a0n0 123#00\n(1.000002) can0\u0085 123#00\n",
+		// Signs, leading zeros, CRLF and tabs.
+		"(+1.+000002) can0 123#00\r\n(-0.-0) can0 0001#R\r\n",
+		"(-1.000000) can0 123#00\n",
+		"\t(0001.0000001)\tcan0\t00000007FF#\n",
+		"((1.5))) can0 7FF#AB\n)1.5( can0 1#\n",
+		"(1.5.5) can0 1#00\n(1) can0 1#00\n",
+		"(9223372036.000000) c 1#00\n(9223372035.999999) c 1#00\n",
+		// Identifier widths: 3 and 4 digits, 9 digits, past 29 and 32 bits.
+		"(1.0) c 800#00\n(1.0) c 0800#00\n(1.0) c 000000001#00\n",
+		"(1.0) c 1FFFFFFF#00\n(1.0) c 20000000#00\n(1.0) c 100000000#00\n",
+		// Remote frames and data lengths.
+		"(1.0) c 123#R\n(1.0) c 123#r5\n(1.0) c 123#R8\n(1.0) c 123#R9\n",
+		"(1.0) c 123#R+1\n(1.0) c 123#R300\n(1.0) c 123#Rx\n",
+		"(1.0) c 123#ABC\n(1.0) c 123#000102030405060708\n(1.0) c 123#0G\n",
+		"(1.0) c #00\n(1.0) c 1G#00\n(1.0) c 123\n(1.0) c 123#00 extra\n",
+		// A line longer than the initial buffer.
+		"(1.0) " + strings.Repeat("c", 70_000) + " 123#00\n(2.0) c 1#\n",
+	} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
-		tr, err := ReadCandump(strings.NewReader(input))
+		// parseFrame accepts exactly what can.ParseFrame accepts.
+		for _, tok := range strings.Fields(input) {
+			want, err := can.ParseFrame(tok)
+			got, ok := parseFrame([]byte(tok))
+			if ok != (err == nil) || ok && got != want {
+				t.Fatalf("parseFrame(%q) = %+v, %v; can.ParseFrame = %+v, %v", tok, got, ok, want, err)
+			}
+		}
+		d := NewCandumpDecoder(strings.NewReader(input))
+		checkSameText(t, d, newRefCandumpDecoder(strings.NewReader(input)))
+		d.Reset(strings.NewReader(input))
+		tr, err := checkSameText(t, d, newRefCandumpDecoder(strings.NewReader(input)))
 		if err != nil {
 			return
 		}
@@ -38,12 +85,34 @@ func FuzzReadCandump(f *testing.F) {
 	})
 }
 
+// FuzzReadCSV holds CSVDecoder to the reference decoder — the same
+// records, an error on the same row with the same sentinels, also after
+// a Reset — and checks that accepted records are valid, capturable and
+// round-trip.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("time_us,channel,id,dlc,data,source,injected\n1000,ms,123,2,DEAD,ecu1,0\n")
 	f.Add("time_us,channel,id,dlc,data,source,injected\n")
 	f.Add("time_us,channel,id,dlc,data,source,injected\n1000,ms,FFFFFFFF,0,,ecu1,0\n")
+	const head = "time_us,channel,id,dlc,data,source,injected\r\n"
+	for _, seed := range []string{
+		head + "+1000,ms,0123,+2,dead,ecu1,1\r\n-0,ms,7FF,-0,,e,0\r\n",
+		head + "-1,ms,123,0,,e,0\n",
+		head + "0001,ms,000000001,0008,0102030405060708,e,0\n",
+		head + "1,ms,1FFFFFFF,0,,e,0\n1,ms,20000000,0,,e,0\n1,ms,100000000,0,,e,0\n",
+		head + "1,ms,123,5,R,e,0\n1,ms,123,9,R,e,0\n1,ms,123,1,r,e,0\n",
+		head + "1,ms,123,1,0G,e,0\n1,ms,123,1,ABC,e,0\n1,ms,,0,,e,0\n1,ms,123,x,,e,0\n",
+		head + "1,\"m s\u00a0\",123,0,,\"e,1\",1\n1,ms,123,0,,e\n",
+		head + "9223372036854775,ms,1,0,,e,0\n9223372036854776,ms,1,0,,e,0\n",
+		"1,a,1,0,,s,0\n2,a\x00b,1,0,,s,0\n",
+		head + "1," + strings.Repeat("c", 70_000) + ",1,0,,s,0\n",
+	} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
-		tr, err := ReadCSV(strings.NewReader(input))
+		d := NewCSVDecoder(strings.NewReader(input))
+		checkSameText(t, d, newRefCSVDecoder(strings.NewReader(input)))
+		d.Reset(strings.NewReader(input))
+		tr, err := checkSameText(t, d, newRefCSVDecoder(strings.NewReader(input)))
 		if err != nil {
 			return
 		}
@@ -69,6 +138,45 @@ func FuzzReadCSV(f *testing.F) {
 			t.Fatalf("round trip length %d != %d", len(back), len(tr))
 		}
 	})
+}
+
+// textSentinels are the errors a text decoder's failure is told apart
+// by under errors.Is.
+var textSentinels = []error{
+	ErrSyntax, can.ErrIDRange, can.ErrDataLen, bufio.ErrTooLong,
+	strconv.ErrSyntax, strconv.ErrRange, csv.ErrFieldCount, csv.ErrQuote, csv.ErrBareQuote,
+}
+
+// errPlace finds the line or row an error names.
+var errPlace = regexp.MustCompile(`(line|row) \d+`)
+
+// checkSameText fails t unless got and the reference decoder want yield
+// the same records and fail, if at all, at the same line or row with
+// the same sentinels. It returns got's records and error.
+func checkSameText(t *testing.T, got, want Decoder) (Trace, error) {
+	t.Helper()
+	wantTr, wantErr := decodeAll(want)
+	gotTr, gotErr := decodeAll(got)
+	if (gotErr == nil) != (wantErr == nil) || len(gotTr) != len(wantTr) {
+		t.Fatalf("decoded %d records (err %v), reference %d (err %v)", len(gotTr), gotErr, len(wantTr), wantErr)
+	}
+	for i := range wantTr {
+		if gotTr[i] != wantTr[i] {
+			t.Fatalf("record %d: %+v, reference %+v", i, gotTr[i], wantTr[i])
+		}
+	}
+	if gotErr == nil {
+		return gotTr, nil
+	}
+	for _, s := range textSentinels {
+		if errors.Is(gotErr, s) != errors.Is(wantErr, s) {
+			t.Fatalf("error %q, reference %q: differ on %v", gotErr, wantErr, s)
+		}
+	}
+	if g, w := errPlace.FindString(gotErr.Error()), errPlace.FindString(wantErr.Error()); g != w {
+		t.Fatalf("error %q at %q, reference %q at %q", gotErr, g, wantErr, w)
+	}
+	return gotTr, gotErr
 }
 
 // FuzzReadBinary holds BinaryDecoder to the reference decoder on

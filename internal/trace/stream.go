@@ -9,9 +9,9 @@ import (
 	"io"
 	"math"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"canids/internal/can"
 )
@@ -114,58 +114,67 @@ func ReadAll(d Decoder) (Trace, error) {
 	}
 }
 
-// CandumpDecoder streams a candump -l text log.
+// CandumpDecoder streams a candump -l text log. A warm decoder
+// allocates nothing per record: each line is parsed in the scanner's
+// buffer and channel names are interned. Reset points it at another
+// stream, keeping its buffer and names.
 type CandumpDecoder struct {
-	sc   *bufio.Scanner
-	line int
+	sc    bufio.Scanner
+	line  int
+	names interner
+	buf   [candumpBuf]byte
 }
+
+// A candump line is read into a 4 KiB buffer that grows to at most
+// 1 MiB; a longer line is an error.
+const (
+	candumpBuf     = 4 * 1024
+	candumpMaxLine = 1024 * 1024
+)
 
 // NewCandumpDecoder creates a streaming candump reader.
 func NewCandumpDecoder(r io.Reader) *CandumpDecoder {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	return &CandumpDecoder{sc: sc}
+	d := new(CandumpDecoder)
+	d.Reset(r)
+	return d
+}
+
+// Reset makes d read a new stream from r, numbering lines from 1.
+func (d *CandumpDecoder) Reset(r io.Reader) {
+	d.sc = *bufio.NewScanner(r)
+	d.sc.Buffer(d.buf[:], candumpMaxLine)
+	d.line = 0
 }
 
 // Next implements Decoder.
 func (d *CandumpDecoder) Next() (Record, error) {
 	for d.sc.Scan() {
 		d.line++
-		text := strings.TrimSpace(d.sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
+		line := d.sc.Bytes()
+		if rec, ok := d.plain(line); ok {
+			return rec, nil
 		}
-		fields := strings.Fields(text)
-		if len(fields) != 3 {
-			return Record{}, fmt.Errorf("%w: line %d: %q", ErrSyntax, d.line, text)
+		var f [3][]byte
+		n := fields(line, f[:])
+		if n == 0 || f[0][0] == '#' {
+			continue // blank or comment
 		}
-		ts := strings.Trim(fields[0], "()")
-		secStr, usecStr, ok := strings.Cut(ts, ".")
+		if n != len(f) {
+			return Record{}, fmt.Errorf("%w: line %d: %q", ErrSyntax, d.line, bytes.TrimSpace(line))
+		}
+		t, ok := candumpTime(f[0])
 		if !ok {
-			return Record{}, fmt.Errorf("%w: line %d: timestamp %q", ErrSyntax, d.line, ts)
+			return Record{}, fmt.Errorf("%w: line %d: timestamp %q", ErrSyntax, d.line, f[0])
 		}
-		sec, err := strconv.ParseInt(secStr, 10, 64)
-		if err != nil {
-			return Record{}, fmt.Errorf("%w: line %d: %v", ErrSyntax, d.line, err)
+		frame, ok := parseFrame(f[2])
+		if !ok {
+			// can.ParseFrame rejects it too and says why.
+			var err error
+			if frame, err = can.ParseFrame(string(f[2])); err != nil {
+				return Record{}, fmt.Errorf("trace: line %d: %w", d.line, err)
+			}
 		}
-		usec, err := strconv.ParseInt(usecStr, 10, 64)
-		if err != nil {
-			return Record{}, fmt.Errorf("%w: line %d: %v", ErrSyntax, d.line, err)
-		}
-		// Negative or overflowing timestamps cannot round-trip through
-		// time.Duration arithmetic; reject rather than wrap.
-		if sec < 0 || sec > maxLogSeconds || usec < 0 || usec > 999_999 {
-			return Record{}, fmt.Errorf("%w: line %d: timestamp %q out of range", ErrSyntax, d.line, ts)
-		}
-		frame, err := can.ParseFrame(fields[2])
-		if err != nil {
-			return Record{}, fmt.Errorf("trace: line %d: %w", d.line, err)
-		}
-		return Record{
-			Time:    time.Duration(sec)*time.Second + time.Duration(usec)*time.Microsecond,
-			Channel: fields[1],
-			Frame:   frame,
-		}, nil
+		return Record{Time: t, Channel: d.names.fromBytes(f[1]), Frame: frame}, nil
 	}
 	if err := d.sc.Err(); err != nil {
 		return Record{}, fmt.Errorf("trace: read candump: %w", err)
@@ -173,21 +182,76 @@ func (d *CandumpDecoder) Next() (Record, error) {
 	return Record{}, io.EOF
 }
 
-// CSVDecoder streams a trace written by WriteCSV.
+// plain decodes a line in the form candump writes — "(sec.usec)
+// channel frame", split by single spaces — in one pass, and reports
+// false for any other line, which Next then splits at white space in
+// general. What it accepts, the general path accepts with the same
+// result.
+func (d *CandumpDecoder) plain(line []byte) (Record, bool) {
+	i := 0
+	for i < len(line) && line[i] == '(' {
+		i++
+	}
+	sec, i, ok := decAt(line, i, maxLogSeconds)
+	if !ok || i == len(line) || line[i] != '.' {
+		return Record{}, false
+	}
+	usec, i, ok := decAt(line, i+1, 999_999)
+	if !ok {
+		return Record{}, false
+	}
+	for i < len(line) && line[i] == ')' {
+		i++
+	}
+	if i == len(line) || line[i] != ' ' {
+		return Record{}, false
+	}
+	start := i + 1
+	for i = start; i < len(line) && line[i] > ' ' && line[i] < utf8.RuneSelf; i++ {
+	}
+	if i == start || i == len(line) || line[i] != ' ' {
+		return Record{}, false
+	}
+	frame, ok := parseFrame(line[i+1:])
+	if !ok {
+		return Record{}, false
+	}
+	t := time.Duration(sec)*time.Second + time.Duration(usec)*time.Microsecond
+	return Record{Time: t, Channel: d.names.fromBytes(line[start:i]), Frame: frame}, true
+}
+
+// CSVDecoder streams a trace written by WriteCSV. It reuses the CSV
+// reader's row slice, parses fields in place and interns channel and
+// source names; Reset points it at another stream, keeping its read
+// buffer and names.
 type CSVDecoder struct {
-	cr  *csv.Reader
-	row int
+	br    *bufio.Reader
+	cr    *csv.Reader // over br, made by the first Next of a stream
+	row   int
+	names interner
 }
 
 // NewCSVDecoder creates a streaming CSV reader.
 func NewCSVDecoder(r io.Reader) *CSVDecoder {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-	return &CSVDecoder{cr: cr}
+	return &CSVDecoder{br: bufio.NewReader(r)}
+}
+
+// Reset makes d read a new stream from r, numbering rows from 1.
+func (d *CSVDecoder) Reset(r io.Reader) {
+	d.br.Reset(r)
+	d.cr = nil
+	d.row = 0
 }
 
 // Next implements Decoder.
 func (d *CSVDecoder) Next() (Record, error) {
+	if d.cr == nil {
+		// csv.NewReader reads through d.br as is: it is a large enough
+		// bufio.Reader. A fresh csv.Reader numbers lines from 1.
+		d.cr = csv.NewReader(d.br)
+		d.cr.FieldsPerRecord = len(csvHeader)
+		d.cr.ReuseRecord = true
+	}
 	for {
 		row, err := d.cr.Read()
 		if err == io.EOF {
@@ -200,62 +264,46 @@ func (d *CSVDecoder) Next() (Record, error) {
 		if d.row == 1 && row[0] == csvHeader[0] {
 			continue // header
 		}
-		return parseCSVRow(row, d.row)
+		return d.record(row)
 	}
 }
 
-// parseCSVRow decodes one data row; rowNum is 1-based for error messages.
-func parseCSVRow(row []string, rowNum int) (Record, error) {
-	us, err := strconv.ParseInt(row[0], 10, 64)
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: row %d: %v", ErrSyntax, rowNum, err)
+// record decodes one data row.
+func (d *CSVDecoder) record(row []string) (Record, error) {
+	us, ok := parseDec(row[0], maxLogMicros)
+	if !ok {
+		return Record{}, fmt.Errorf("%w: row %d: time_us %q", ErrSyntax, d.row, row[0])
 	}
-	if us < 0 || us > maxLogMicros {
-		return Record{}, fmt.Errorf("%w: row %d: time_us %d out of range", ErrSyntax, rowNum, us)
+	id, ok := parseHexID(row[2])
+	if !ok {
+		return Record{}, fmt.Errorf("%w: row %d: id %q", ErrSyntax, d.row, row[2])
 	}
-	idVal, err := strconv.ParseUint(row[2], 16, 32)
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: row %d: %v", ErrSyntax, rowNum, err)
+	dlc, ok := parseDec(row[3], can.MaxDataLen)
+	if !ok {
+		return Record{}, fmt.Errorf("%w: row %d: bad dlc %q", ErrSyntax, d.row, row[3])
 	}
-	dlc, err := strconv.Atoi(row[3])
-	if err != nil || dlc < 0 || dlc > can.MaxDataLen {
-		return Record{}, fmt.Errorf("%w: row %d: bad dlc %q", ErrSyntax, rowNum, row[3])
-	}
-	var frame can.Frame
-	frame.ID = can.ID(idVal)
 	// As in candump text, more than three identifier digits means an
 	// extended frame even when the value fits 11 bits.
-	frame.Extended = len(row[2]) > 3 || frame.ID > can.MaxStandardID
-	frame.Len = uint8(dlc)
-	dataHex := row[4]
-	if dataHex == "R" {
+	frame := can.Frame{ID: id, Extended: len(row[2]) > 3 || id > can.MaxStandardID, Len: uint8(dlc)}
+	if data := row[4]; data == "R" {
 		frame.Remote = true
-	} else {
-		if len(dataHex) != dlc*2 {
-			return Record{}, fmt.Errorf("%w: row %d: data length %d != dlc %d", ErrSyntax, rowNum, len(dataHex)/2, dlc)
-		}
-		for j := 0; j < dlc; j++ {
-			b, err := strconv.ParseUint(dataHex[2*j:2*j+2], 16, 8)
-			if err != nil {
-				return Record{}, fmt.Errorf("%w: row %d: %v", ErrSyntax, rowNum, err)
-			}
-			frame.Data[j] = byte(b)
-		}
+	} else if len(data) != 2*int(dlc) || !parseHexBytes(frame.Data[:dlc], data) {
+		return Record{}, fmt.Errorf("%w: row %d: data %q for dlc %d", ErrSyntax, d.row, data, dlc)
 	}
 	// Reject rows a binary capture could not carry: an identifier wider
 	// than 29 bits (candump and binary input reject it too), or a
 	// channel/source the binary format cannot encode.
 	if err := frame.Validate(); err != nil {
-		return Record{}, fmt.Errorf("%w: row %d: %v", ErrSyntax, rowNum, err)
+		return Record{}, fmt.Errorf("%w: row %d: %v", ErrSyntax, d.row, err)
 	}
 	if err := checkMeta(row[1], row[5]); err != nil {
-		return Record{}, fmt.Errorf("%w: row %d: %v", ErrSyntax, rowNum, err)
+		return Record{}, fmt.Errorf("%w: row %d: %v", ErrSyntax, d.row, err)
 	}
 	return Record{
 		Time:     time.Duration(us) * time.Microsecond,
-		Channel:  row[1],
+		Channel:  d.names.fromString(row[1]),
 		Frame:    frame,
-		Source:   row[5],
+		Source:   d.names.fromString(row[5]),
 		Injected: row[6] == "1",
 	}, nil
 }
@@ -273,20 +321,19 @@ type BinaryDecoder struct {
 	read    uint64
 	head    [recordHeadLen]byte
 	frame   [can.MaxWireSize]byte
-	names   map[string]string
+	names   interner
 }
-
-// Bounds of the per-decoder intern table, so a stream of ever-new names
-// cannot grow it without limit: past them, names still decode but cost
-// an allocation each.
-const (
-	maxInterned  = 256
-	maxInternLen = 64
-)
 
 // NewBinaryDecoder creates a streaming binary reader.
 func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
 	return &BinaryDecoder{br: bufio.NewReader(r)}
+}
+
+// Reset makes d read a new stream from r, keeping its read buffer and
+// interned names.
+func (d *BinaryDecoder) Reset(r io.Reader) {
+	d.br.Reset(r)
+	d.started, d.count, d.read = false, 0, 0
 }
 
 // Next implements Decoder.
@@ -347,27 +394,11 @@ func (d *BinaryDecoder) record() (Record, error) {
 		return Record{}, err
 	}
 	channel, source, _ := bytes.Cut(meta, []byte{0})
-	rec.Channel, rec.Source = d.intern(channel), d.intern(source)
+	rec.Channel, rec.Source = d.names.fromBytes(channel), d.names.fromBytes(source)
 	if peeked {
 		d.br.Discard(metaLen) //nolint:errcheck // the bytes were just peeked
 	}
 	return rec, nil
-}
-
-// intern returns b as a string, shared with every earlier record that
-// carried the same bytes while the table has room.
-func (d *BinaryDecoder) intern(b []byte) string {
-	if s, ok := d.names[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(s) <= maxInternLen && len(d.names) < maxInterned {
-		if d.names == nil {
-			d.names = make(map[string]string)
-		}
-		d.names[s] = s
-	}
-	return s
 }
 
 // noEOF reports a stream that ends before its record count as

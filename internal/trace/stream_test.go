@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -94,5 +96,105 @@ func TestDecoderRejectsOutOfRangeTimestamps(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("9223372036854775807,c,123,0,,x,0\n")); err == nil {
 		t.Error("csv accepted a µs-overflowing timestamp")
+	}
+}
+
+// TestTextDecoderSteadyStateAllocs pins the candump decoder at zero
+// allocations per record once it has interned the stream's channel
+// names, and at zero for a Reset onto another stream; the CSV decoder
+// costs one per record (the CSV reader's row string) and a bounded
+// handful per stream (a fresh csv.Reader numbering its lines).
+func TestTextDecoderSteadyStateAllocs(t *testing.T) {
+	tr := servedTrace(4000)
+	for _, c := range []struct {
+		format    Format
+		perRecord float64
+		perStream float64
+	}{{FormatCandump, 0, 0}, {FormatCSV, 1, 16}} {
+		var buf bytes.Buffer
+		if err := Write(&buf, c.format, tr); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		dec, _ := NewDecoder(c.format, bytes.NewReader(raw))
+		d := dec.(interface {
+			Decoder
+			Reset(io.Reader)
+		})
+		for i := 0; i < 100; i++ {
+			if _, err := d.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, err := d.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > c.perRecord {
+			t.Errorf("%v: Next costs %v allocs/record, want at most %v", c.format, n, c.perRecord)
+		}
+		var rd bytes.Reader
+		if n := testing.AllocsPerRun(5, func() {
+			rd.Reset(raw)
+			d.Reset(&rd)
+			for {
+				if _, err := d.Next(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); n > c.perStream+c.perRecord*float64(len(tr)+1) {
+			t.Errorf("%v: Reset and a %d-record stream cost %v allocs", c.format, len(tr), n)
+		}
+	}
+}
+
+// TestCandumpLineLimit: a line past the 1 MiB limit fails with
+// bufio.ErrTooLong after the records before it, as it always has; one
+// just under the limit decodes.
+func TestCandumpLineLimit(t *testing.T) {
+	for _, c := range []struct {
+		channel int
+		records int
+		tooLong bool
+	}{{candumpMaxLine - 20, 2, false}, {candumpMaxLine, 1, true}} {
+		in := "(1.0) c 1#00\n(2.0) " + strings.Repeat("c", c.channel) + " 123#00\n"
+		got, err := decodeAll(NewCandumpDecoder(strings.NewReader(in)))
+		if len(got) != c.records || errors.Is(err, bufio.ErrTooLong) != c.tooLong || (err == nil) == c.tooLong {
+			t.Errorf("%d-byte channel: %d records, %v; want %d, too long %v", c.channel, len(got), err, c.records, c.tooLong)
+		}
+		checkSameText(t, NewCandumpDecoder(strings.NewReader(in)), newRefCandumpDecoder(strings.NewReader(in)))
+	}
+}
+
+// BenchmarkDecode reports each format's warm decode cost per record
+// over a reused decoder.
+func BenchmarkDecode(b *testing.B) {
+	tr := servedTrace(4000)
+	for _, f := range []Format{FormatCandump, FormatCSV, FormatBinary} {
+		b.Run(f.String(), func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := Write(&buf, f, tr); err != nil {
+				b.Fatal(err)
+			}
+			var rd bytes.Reader
+			rd.Reset(buf.Bytes())
+			dec, _ := NewDecoder(f, &rd)
+			d := dec.(interface {
+				Decoder
+				Reset(io.Reader)
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Next(); err == io.EOF {
+					rd.Reset(buf.Bytes())
+					d.Reset(&rd)
+				} else if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -335,10 +335,10 @@ func TestBinaryDecoderInternBounded(t *testing.T) {
 			t.Fatalf("record %d: %+v, want %+v", i, got[i], tr[i])
 		}
 	}
-	if len(d.names) > maxInterned {
-		t.Errorf("intern table holds %d names, bound %d", len(d.names), maxInterned)
+	if len(d.names.m) > maxInterned {
+		t.Errorf("intern table holds %d names, bound %d", len(d.names.m), maxInterned)
 	}
-	for s := range d.names {
+	for s := range d.names.m {
 		if len(s) > maxInternLen {
 			t.Errorf("intern table kept a %d-byte name, bound %d", len(s), maxInternLen)
 		}
