@@ -456,35 +456,29 @@ func engineBenchFixture(b *testing.B) (core.Template, trace.Trace) {
 }
 
 // BenchmarkEngineThroughput measures the streaming engine's sustained
-// detection rate in frames per second over a recorded attack scenario,
-// per shard count. The "frames/s" metric is the headline number; ns/op
-// covers one full pass over the trace including pipeline setup and
-// teardown.
+// detection rate in frames per second over a recorded attack scenario.
+// The "frames/s" metric is the headline number; ns/op covers one full
+// pass over the trace including run setup.
 func BenchmarkEngineThroughput(b *testing.B) {
 	tmpl, tr := engineBenchFixture(b)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := engine.DefaultConfig()
-			cfg.Shards = shards
-			cfg.Core.Alpha = 4
-			eng, err := engine.NewTrained(cfg, tmpl)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				alerts, st, err := eng.Detect(ctx, tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(alerts) == 0 || st.Frames != uint64(len(tr)) {
-					b.Fatal("engine dropped frames or alerts")
-				}
-			}
-			b.ReportMetric(float64(b.N)*float64(len(tr))/b.Elapsed().Seconds(), "frames/s")
-		})
+	cfg := engine.DefaultConfig()
+	cfg.Core.Alpha = 4
+	eng, err := engine.NewTrained(cfg, tmpl)
+	if err != nil {
+		b.Fatal(err)
 	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		alerts, st, err := eng.Detect(ctx, tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(alerts) == 0 || st.Frames != uint64(len(tr)) {
+			b.Fatal("engine dropped frames or alerts")
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(len(tr))/b.Elapsed().Seconds(), "frames/s")
 }
 
 // BenchmarkEnginePrevention measures what the prevention stage costs:
@@ -504,7 +498,6 @@ func BenchmarkEnginePrevention(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cfg := engine.DefaultConfig()
-			cfg.Shards = 4
 			cfg.Core.Alpha = 4
 			if prevent {
 				gw, err := gateway.New(gateway.DefaultConfig(nil))
@@ -596,7 +589,7 @@ func BenchmarkServeIngest(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv, err := server.New(server.Config{Snapshot: snap, Shards: 4})
+		srv, err := server.New(server.Config{Snapshot: snap})
 		if err != nil {
 			b.Fatal(err)
 		}

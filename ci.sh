@@ -72,7 +72,7 @@ go run ./cmd/cangen -duration 8s -seed 1 -scenario idle -format csv -o "$smoke/c
 go run ./cmd/canattack -attack SI -ids 0B5 -freq 100 -duration 10s -seed 1 -o "$smoke/attacked.csv"
 "$smoke/canids" -train -alpha 4 -o "$smoke/template.json" -save "$smoke/model.snap" "$smoke/clean.csv" >/dev/null
 offline=$("$smoke/canids" -detect -load "$smoke/model.snap" "$smoke/attacked.csv" | grep -c 'ALERT \[bit-entropy\]' || true)
-"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$smoke/model.snap" -shards 2 >"$smoke/serve.log" &
+"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$smoke/model.snap" >"$smoke/serve.log" &
 serve_pid=$!
 base=""
 for _ in $(seq 1 100); do
@@ -110,7 +110,7 @@ echo "== adapt smoke"
 # traffic randomness: clean drift the idle-trained model never saw.
 go run ./cmd/cangen -duration 12s -seed 1 -traffic-seed 9 -scenario idle -format csv -o "$smoke/drift.csv"
 token=smoke-token
-"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$smoke/model.snap" -shards 2 \
+"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$smoke/model.snap" \
   -adapt -adapt-every 3 -checkpoint "$smoke/ck.snap" -admin-token "$token" >"$smoke/adapt.log" &
 serve_pid=$!
 base=""
@@ -145,7 +145,7 @@ wait "$serve_pid"
 serve_pid=""
 ck="$smoke/ck.ms-can.snap"
 if [[ ! -f "$ck" ]]; then echo "adapt smoke FAILED: checkpoint file missing"; ls "$smoke"; exit 1; fi
-"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$ck" -shards 2 >"$smoke/adapt2.log" &
+"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$ck" >"$smoke/adapt2.log" &
 serve_pid=$!
 base=""
 for _ in $(seq 1 100); do
@@ -186,7 +186,7 @@ echo "adapt smoke: promotion observed, checkpoint restarted, $second + $second_a
 echo "== chaos smoke"
 first_n=${first#*:}
 panic_at=$((first_n + 100))
-"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$smoke/model.snap" -shards 2 \
+"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$smoke/model.snap" \
   -adapt -adapt-every 3 -checkpoint "$smoke/ck2.snap" \
   -faults "engine.frame[ms-can]:panic@${panic_at};checkpoint.save:error@1" >"$smoke/chaos.log" &
 serve_pid=$!
@@ -281,7 +281,7 @@ echo "chaos smoke: checkpoint survived an injected write failure, crash restart 
 # bearer auth (and refused without it).
 echo "== observability smoke"
 obs_token="obs-secret"
-"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$smoke/model.snap" -shards 2 \
+"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$smoke/model.snap" \
   -record "$smoke/incident" -admin-token "$obs_token" >"$smoke/record.log" &
 serve_pid=$!
 base=""
@@ -413,7 +413,7 @@ fleet_total=$(($(wc -l < "$smoke/fleet.csv") - 1))
 half=$((fleet_total / 2))
 head -n $((half + 1)) "$smoke/fleet.csv" > "$smoke/fleet1.csv"
 { head -1 "$smoke/fleet.csv"; tail -n $((fleet_total - half)) "$smoke/fleet.csv"; } > "$smoke/fleet2.csv"
-"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$smoke/model.snap" -shards 2 -fleet 2 >"$smoke/fleet.log" &
+"$smoke/canids" -serve -addr 127.0.0.1:0 -load "$smoke/model.snap" -fleet 2 >"$smoke/fleet.log" &
 serve_pid=$!
 base=""
 for _ in $(seq 1 100); do
@@ -469,17 +469,16 @@ fi
 echo "fleet smoke: 10 vehicles over 2 engines, ${fleet_counts#ok } frames reconciled, one reload -> epoch 2 everywhere"
 
 # Dataset-eval smoke: the -eval harness over every committed dialect
-# fixture must produce a byte-identical transcript across two runs —
-# here at different shard counts, since the transcript is shard-
-# independent by construction — and its accounting line must reconcile
-# exactly: imported+skipped == rows and detected+missed == attacks.
+# fixture must produce a byte-identical transcript across two runs with
+# the same flags, and its accounting line must reconcile exactly:
+# imported+skipped == rows and detected+missed == attacks.
 echo "== dataset-eval smoke"
 for fx in internal/dataset/testdata/hcrl.csv internal/dataset/testdata/survival.csv internal/dataset/testdata/otids.log; do
   name=$(basename "$fx")
-  "$smoke/canids" -eval "$fx" -shards 2 > "$smoke/eval1.txt"
-  "$smoke/canids" -eval "$fx" -shards 8 > "$smoke/eval2.txt"
+  "$smoke/canids" -eval "$fx" > "$smoke/eval1.txt"
+  "$smoke/canids" -eval "$fx" > "$smoke/eval2.txt"
   if ! cmp -s "$smoke/eval1.txt" "$smoke/eval2.txt"; then
-    echo "dataset-eval smoke FAILED: $name transcript differs between runs/shard counts"
+    echo "dataset-eval smoke FAILED: $name transcript differs between runs"
     diff "$smoke/eval1.txt" "$smoke/eval2.txt" || true
     exit 1
   fi
@@ -499,17 +498,8 @@ for fx in internal/dataset/testdata/hcrl.csv internal/dataset/testdata/survival.
     echo "dataset-eval smoke FAILED: $name accounting does not reconcile ($recon)"
     echo "$acct"; exit 1
   fi
-  echo "dataset-eval smoke: $name deterministic across shard counts, ${recon#ok }"
+  echo "dataset-eval smoke: $name deterministic across runs, ${recon#ok }"
 done
-
-# Shard scaling: the engine's shards-vs-throughput curve at whatever
-# parallelism this box offers. GOMAXPROCS is pinned to the full core
-# count so a multi-core machine measures real scaling; on a 1-CPU CI
-# box the curve records the sharding overhead instead (flat to slightly
-# negative) — see EXPERIMENTS.md's shard-scaling table for the honest
-# reading of both cases.
-echo "== shard scaling (GOMAXPROCS=$(nproc))"
-GOMAXPROCS=$(nproc) go test -run '^$' -bench '^BenchmarkEngineThroughput$' -benchtime=3x .
 
 bench_raw=$(go test -run '^$' -bench . -benchtime=1x -benchmem .)
 echo "$bench_raw"

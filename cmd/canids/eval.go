@@ -27,13 +27,11 @@ type evalOptions struct {
 	dialect string        // dialect override; "" sniffs per file
 	window  time.Duration // detection window
 	alpha   float64       // threshold multiplier
-	shards  int           // engine worker shards
 	logger  *slog.Logger
 }
 
 // evalScan is the first streaming pass over one capture: row accounting
-// plus the attack-free-prefix geometry the training plan needs. Nothing
-// here depends on shard count.
+// plus the attack-free-prefix geometry the training plan needs.
 type evalScan struct {
 	path        string
 	name        string
@@ -58,11 +56,11 @@ type evalRow struct {
 }
 
 // runEval trains on the attack-free part of real-dialect captures and
-// streams the rest through the sharded engine, printing a deterministic
+// streams the rest through the engine, printing a deterministic
 // detection/FP/latency table next to Table1. Everything on stdout is a
-// pure function of the capture bytes and the flags — independent of
-// shard count, so the engine's bit-identical-alerts contract extends to
-// imported data (pinned by TestEvalShardDeterminism and the ci.sh leg).
+// pure function of the capture bytes and the flags, so the engine's
+// bit-identical-alerts contract extends to imported data (pinned by
+// TestEvalShardDeterminism and the ci.sh leg).
 func runEval(opts evalOptions, stdout io.Writer) error {
 	paths, err := evalTargets(opts.target)
 	if err != nil {
@@ -348,7 +346,7 @@ func readPrefix(sc *evalScan, n int) (trace.Trace, error) {
 
 // evalSource forwards the evaluated remainder of an importer to the
 // engine while tallying per-window ground truth on the way past. The
-// tallies depend only on the record stream, never on shard scheduling.
+// tallies depend only on the record stream.
 type evalSource struct {
 	im    *dataset.Importer
 	row   *evalRow
@@ -416,7 +414,6 @@ func evalCapture(sc *evalScan, skip int, cfg core.Config, tmpl core.Template, op
 	}
 
 	ecfg := engine.DefaultConfig()
-	ecfg.Shards = opts.shards
 	ecfg.Core = cfg
 	ecfg.Logger = opts.logger
 	eng, err := engine.NewTrained(ecfg, tmpl)

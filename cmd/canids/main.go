@@ -9,13 +9,13 @@
 //
 //	canids -detect -template template.json -alpha 5 -rank 10 attacked.csv
 //
-// Watch a stream through the sharded engine with live metrics — either
+// Watch a stream through the engine with live metrics — either
 // a named scenario from the built-in matrix (trains on the matrix's
 // clean traffic, then streams the scenario live) or captured log files:
 //
 //	canids -list-scenarios
-//	canids -watch -scenario fusion/idle/SI-100 -shards 4 -baselines
-//	canids -watch -template template.json -shards 4 attacked.csv
+//	canids -watch -scenario fusion/idle/SI-100 -baselines
+//	canids -watch -template template.json attacked.csv
 //
 // Close the paper's prevention loop while watching — a gateway
 // pre-filter ahead of the engine, alerts feeding inference, inferred IDs
@@ -41,7 +41,7 @@
 // Run the long-lived serving daemon — HTTP ingest per bus, live stats
 // and alerts, snapshot hot reload at window boundaries, graceful drain:
 //
-//	canids -serve -addr 127.0.0.1:8080 -load model.snap -shards 4
+//	canids -serve -addr 127.0.0.1:8080 -load model.snap
 //	curl --data-binary @attacked.csv 'http://127.0.0.1:8080/ingest/ms-can?format=csv'
 //	curl -X POST --data-binary @model2.snap http://127.0.0.1:8080/admin/reload
 //	curl -X POST http://127.0.0.1:8080/admin/shutdown
@@ -139,7 +139,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		train    = fs.Bool("train", false, "build a golden template from clean logs")
 		detect   = fs.Bool("detect", false, "run detection over logs")
-		watch    = fs.Bool("watch", false, "stream logs or a scenario through the sharded engine")
+		watch    = fs.Bool("watch", false, "stream logs or a scenario through the engine")
 		serve    = fs.Bool("serve", false, "run the HTTP serving daemon over a -load snapshot")
 		list     = fs.Bool("list-scenarios", false, "print the scenario-matrix catalogue")
 		tmplPath = fs.String("template", "template.json", "template file path")
@@ -154,7 +154,6 @@ func run(args []string, stdout io.Writer) error {
 		scenarioName = fs.String("scenario", "", "named scenario from the matrix (see -list-scenarios)")
 		seed         = fs.Int64("seed", 1, "scenario-matrix base seed")
 		duration     = fs.Duration("duration", 0, "override scenario duration")
-		shards       = fs.Int("shards", 1, "engine worker shards")
 		baselines    = fs.Bool("baselines", false, "run the Müter and Song baselines alongside (scenario mode)")
 		metricsEvery = fs.Duration("metrics", 2*time.Second, "live metrics interval for -watch (0 disables)")
 
@@ -261,7 +260,6 @@ func run(args []string, stdout io.Writer) error {
 			dialect: *evalDialect,
 			window:  *window,
 			alpha:   *alpha,
-			shards:  *shards,
 			logger:  logger,
 		}, stdout)
 	case *list:
@@ -317,7 +315,6 @@ func run(args []string, stdout io.Writer) error {
 		return runServe(serveOptions{
 			addr:          *addr,
 			loadPath:      *loadPath,
-			shards:        *shards,
 			adapt:         *adaptOn,
 			adaptEvery:    *adaptEvery,
 			checkpoint:    *checkpoint,
@@ -347,7 +344,6 @@ func run(args []string, stdout io.Writer) error {
 			scenarioName: *scenarioName,
 			seed:         *seed,
 			duration:     *duration,
-			shards:       *shards,
 			baselines:    *baselines,
 			metricsEvery: *metricsEvery,
 			prevent:      *prevent,
@@ -574,7 +570,6 @@ type watchOptions struct {
 	scenarioName string
 	seed         int64
 	duration     time.Duration
-	shards       int
 	baselines    bool
 	metricsEvery time.Duration
 	prevent      bool
@@ -715,7 +710,7 @@ func (p *engineParts) buildPolicy() (*gateway.Gateway, *response.Responder, erro
 	return gw, resp, nil
 }
 
-// runWatch streams a scenario or log files through the sharded engine,
+// runWatch streams a scenario or log files through the engine,
 // printing alerts as the engine releases them and a metrics line
 // on a fixed wall-clock cadence.
 func runWatch(opts watchOptions, stdout io.Writer) error {
@@ -723,7 +718,6 @@ func runWatch(opts watchOptions, stdout io.Writer) error {
 		return err
 	}
 	cfg := engine.DefaultConfig()
-	cfg.Shards = opts.shards
 	cfg.Core.Window = opts.window
 	cfg.Core.Alpha = opts.alpha
 	cfg.Logger = opts.logger
@@ -850,8 +844,8 @@ func watchScenario(opts watchOptions, cfg engine.Config, stdout io.Writer) error
 	if opts.prevent {
 		mode = ", prevention on"
 	}
-	fmt.Fprintf(stdout, "watching %s (%v, %d shards, %s%s)\n",
-		spec.Name, spec.Duration, cfg.Shards, origin, mode)
+	fmt.Fprintf(stdout, "watching %s (%v, %s%s)\n",
+		spec.Name, spec.Duration, origin, mode)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -903,7 +897,6 @@ func saveScenarioSnapshot(parts *engineParts, stdout io.Writer) (*store.Snapshot
 type serveOptions struct {
 	addr          string
 	loadPath      string
-	shards        int
 	adapt         bool
 	adaptEvery    int
 	checkpoint    string
@@ -970,7 +963,6 @@ func runServe(opts serveOptions, stdout io.Writer) error {
 	}
 	cfg := server.Config{
 		Snapshot:       snap,
-		Shards:         opts.shards,
 		CheckpointPath: opts.checkpoint,
 		AdminToken:     opts.adminToken,
 		MaxBody:        opts.maxBody,
@@ -1021,8 +1013,8 @@ func runServe(opts serveOptions, stdout io.Writer) error {
 	if opts.tlsCert != "" {
 		scheme = "https"
 	}
-	fmt.Fprintf(stdout, "serving on %s://%s (%s mode, window %v, alpha %g, %d training windows, %d pool IDs, %d shards)\n",
-		scheme, ln.Addr(), mode, snap.Core.Window, snap.Core.Alpha, snap.Template.Windows, len(snap.Pool), opts.shards)
+	fmt.Fprintf(stdout, "serving on %s://%s (%s mode, window %v, alpha %g, %d training windows, %d pool IDs)\n",
+		scheme, ln.Addr(), mode, snap.Core.Window, snap.Core.Alpha, snap.Template.Windows, len(snap.Pool))
 	if opts.quotaFrames > 0 {
 		fmt.Fprintf(stdout, "per-vehicle ingest quota: %d frames per %v\n", opts.quotaFrames, opts.quotaWindow)
 	}
@@ -1094,7 +1086,7 @@ func runServe(opts serveOptions, stdout io.Writer) error {
 
 // runReplay re-runs a -record capture as a local incident
 // reproduction: the same snapshot (checksum-verified against the
-// manifest), the same shards/batching/adaptation options, and the
+// manifest), the same batching/adaptation options, and the
 // captured per-bus record stream pushed through the same supervisor
 // path the daemon served it on. When the recorded run kept an alert
 // journal, the replayed journal must match it byte for byte — any
@@ -1116,7 +1108,6 @@ func runReplay(dir string, logger *slog.Logger, stdout io.Writer) error {
 	}
 	srv, err := server.New(server.Config{
 		Snapshot:   snap,
-		Shards:     m.Shards,
 		Buffer:     m.Buffer,
 		Batch:      m.Batch,
 		Adapt:      m.Adapt,
@@ -1129,8 +1120,8 @@ func runReplay(dir string, logger *slog.Logger, stdout io.Writer) error {
 	if err := srv.Start(context.Background()); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "replaying %s (window %v, alpha %g, %d shards)\n",
-		dir, snap.Core.Window, snap.Core.Alpha, m.Shards)
+	fmt.Fprintf(stdout, "replaying %s (window %v, alpha %g)\n",
+		dir, snap.Core.Window, snap.Core.Alpha)
 	records, replayErr := srv.ReplayCapture(dir)
 	drainErr := srv.Drain()
 	if replayErr != nil {
@@ -1384,9 +1375,9 @@ func watchStream(parts *engineParts, src engine.Source, injected *trace.Trace, s
 	}
 
 	elapsed := time.Since(start)
-	fmt.Fprintf(stdout, "done: %d frames in %v (%.0f frames/s), %d windows, %d alerts, shards %v\n",
+	fmt.Fprintf(stdout, "done: %d frames in %v (%.0f frames/s), %d windows, %d alerts\n",
 		st.Frames, elapsed.Truncate(time.Millisecond), float64(st.Frames)/elapsed.Seconds(),
-		st.Windows, st.Alerts, st.PerShard)
+		st.Windows, st.Alerts)
 	if opts.prevent {
 		reportPrevention(parts, st, injected, stdout)
 	}

@@ -182,7 +182,7 @@ func TestListScenarios(t *testing.T) {
 func TestWatchScenario(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-watch", "-scenario", "fusion/idle/SI-100",
-		"-shards", "4", "-alpha", "4", "-metrics", "0"}, &out)
+		"-alpha", "4", "-metrics", "0"}, &out)
 	if err != nil {
 		t.Fatalf("watch: %v\n%s", err, out.String())
 	}
@@ -197,7 +197,7 @@ func TestWatchScenario(t *testing.T) {
 func TestWatchScenarioWithBaselines(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-watch", "-scenario", "fusion/idle/FI-500",
-		"-shards", "2", "-alpha", "4", "-baselines", "-duration", "6s", "-metrics", "0"}, &out)
+		"-alpha", "4", "-baselines", "-duration", "6s", "-metrics", "0"}, &out)
 	if err != nil {
 		t.Fatalf("watch: %v\n%s", err, out.String())
 	}
@@ -226,7 +226,7 @@ func TestWatchFiles(t *testing.T) {
 	})
 	var out bytes.Buffer
 	if err := run([]string{"-watch", "-template", tmpl, "-alpha", "4",
-		"-shards", "2", "-metrics", "0", attacked}, &out); err != nil {
+		"-metrics", "0", attacked}, &out); err != nil {
 		t.Fatalf("watch files: %v\n%s", err, out.String())
 	}
 	text := out.String()
@@ -263,7 +263,7 @@ func TestWatchValidation(t *testing.T) {
 func TestWatchScenarioPrevent(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-watch", "-scenario", "fusion/idle/SI-100",
-		"-shards", "4", "-alpha", "4", "-prevent", "-metrics", "0"}, &out)
+		"-alpha", "4", "-prevent", "-metrics", "0"}, &out)
 	if err != nil {
 		t.Fatalf("watch -prevent: %v\n%s", err, out.String())
 	}
@@ -285,7 +285,7 @@ func TestWatchScenarioPrevent(t *testing.T) {
 func TestWatchScenarioPreventWhitelist(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-watch", "-scenario", "fusion/idle/FI-500",
-		"-shards", "2", "-alpha", "4", "-prevent", "-whitelist", "-duration", "6s", "-metrics", "0"}, &out)
+		"-alpha", "4", "-prevent", "-whitelist", "-duration", "6s", "-metrics", "0"}, &out)
 	if err != nil {
 		t.Fatalf("watch -prevent -whitelist: %v\n%s", err, out.String())
 	}
@@ -425,7 +425,7 @@ func TestTrainSaveDetectLoad(t *testing.T) {
 	}
 
 	var watched bytes.Buffer
-	if err := run([]string{"-watch", "-load", snap, "-shards", "2", "-metrics", "0", attacked}, &watched); err != nil {
+	if err := run([]string{"-watch", "-load", snap, "-metrics", "0", attacked}, &watched); err != nil {
 		t.Fatalf("watch -load: %v", err)
 	}
 	if got := alertLines(watched.String()); len(got) != len(want) {
@@ -440,7 +440,7 @@ func TestWatchScenarioSaveLoad(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "model.snap")
 	// The training run arms the full policy through flags...
 	saveArgs := []string{"-watch", "-scenario", "fusion/idle/SI-100", "-alpha", "4",
-		"-shards", "2", "-metrics", "0", "-prevent", "-rate-slack", "4",
+		"-metrics", "0", "-prevent", "-rate-slack", "4",
 		"-whitelist", "-quarantine", "20s", "-save", snap}
 	var trained bytes.Buffer
 	if err := run(saveArgs, &trained); err != nil {
@@ -454,7 +454,7 @@ func TestWatchScenarioSaveLoad(t *testing.T) {
 	// ...and the replay gives none of the model or policy flags: alpha,
 	// whitelist, budgets, quarantine all come back from the snapshot.
 	loadArgs := []string{"-watch", "-scenario", "fusion/idle/SI-100",
-		"-shards", "2", "-metrics", "0", "-prevent", "-load", snap}
+		"-metrics", "0", "-prevent", "-load", snap}
 	if err := run(loadArgs, &loaded); err != nil {
 		t.Fatalf("watch -load: %v\n%s", err, loaded.String())
 	}
@@ -521,7 +521,7 @@ func TestServeEndToEnd(t *testing.T) {
 	out := &syncBuffer{}
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- run([]string{"-serve", "-addr", "127.0.0.1:0", "-load", snap, "-shards", "2"}, out)
+		serveErr <- run([]string{"-serve", "-addr", "127.0.0.1:0", "-load", snap}, out)
 	}()
 	var base string
 	deadline := time.Now().Add(10 * time.Second)
@@ -764,7 +764,7 @@ func TestServeAdaptEndToEnd(t *testing.T) {
 
 	out := &syncBuffer{}
 	base, serveErr := startDaemon([]string{
-		"-serve", "-addr", "127.0.0.1:0", "-load", snap, "-shards", "2",
+		"-serve", "-addr", "127.0.0.1:0", "-load", snap,
 		"-adapt", "-adapt-every", "3", "-checkpoint", ck, "-admin-token", "tok",
 	}, out)
 	if !strings.Contains(out.String(), "+adapt mode") {
@@ -814,7 +814,7 @@ func TestServeAdaptEndToEnd(t *testing.T) {
 		t.Fatalf("checkpoint file missing: %v", err)
 	}
 	out2 := &syncBuffer{}
-	base2, serveErr2 := startDaemon([]string{"-serve", "-addr", "127.0.0.1:0", "-load", ckFile, "-shards", "2"}, out2)
+	base2, serveErr2 := startDaemon([]string{"-serve", "-addr", "127.0.0.1:0", "-load", ckFile}, out2)
 	if !strings.Contains(out2.String(), "adaptation provenance") {
 		t.Errorf("restart does not announce the snapshot's adaptation metadata:\n%s", out2.String())
 	}
@@ -920,7 +920,7 @@ func TestServeRecordReplayEndToEnd(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() {
 		serveErr <- run([]string{"-serve", "-addr", "127.0.0.1:0", "-load", snap,
-			"-shards", "2", "-record", capture}, out)
+			"-record", capture}, out)
 	}()
 	var base string
 	deadline := time.Now().Add(10 * time.Second)

@@ -25,7 +25,7 @@
 //	internal/trace       candump / CSV / binary log formats + streaming decoders, jitter-horizon reordering
 //	internal/dataset     real-world CAN capture dialects (HCRL, survival, OTIDS): sniffing, streaming importers, writers
 //	internal/sim         deterministic discrete-event scheduler, fast seeded RNG
-//	internal/engine      sharded streaming detection + prevention engine, multi-bus supervisor
+//	internal/engine      streaming detection + prevention engine (one lane per bus), multi-bus supervisor
 //	internal/engine/scenario  named scenario matrix (profiles × drives × attacks)
 //	internal/model       immutable epoch-numbered model value (config + template + policies), the single swap unit
 //	internal/store       versioned, checksummed model snapshots (atomic save, strict load, v1→v2 migration)
@@ -44,43 +44,40 @@
 //
 // internal/engine turns the one-shot detector into a serving subsystem:
 // a Source abstraction feeds records from trace files (all three log
-// formats decode incrementally), live channels, or generators; a
-// dispatcher shards the per-frame counting across N worker pipelines by
-// CAN ID over bounded channels; at each window close it merges the
-// per-shard bit counts losslessly (they are integers), scores the whole
+// formats decode incrementally), live channels, or generators; every
+// bus runs one lane, a sequential per-record pipeline that counts each
+// record's identifier bits into the open window, scores every closed
 // window through the exact sequential code path
 // (core.Detector.ScoreWindow), and releases the window's bit-entropy
 // alert together with the optional Müter/Song baselines' alerts
-// (observed on the dispatcher too) in one deterministic (WindowEnd,
-// detector rank) order. The engine's output is bit-identical
-// to a sequential core.Detector at any shard count — pinned by
-// TestEngineMatchesSequential for shards 1, 2 and 8 — and the whole
+// (observed in the lane too) in one deterministic (WindowEnd, detector
+// rank) order. The engine's output is bit-identical to a sequential
+// core.Detector — pinned by TestEngineMatchesSequential — and the whole
 // suite holds under go test -race and -shuffle=on (ci.sh runs both).
 //
 // internal/engine/scenario is the workload matrix behind it: vehicle
 // profiles × driving behaviours × attack campaigns composed into named,
 // seeded scenarios ("fusion/idle/SI-100") that replay bit-for-bit.
 // `canids -list-scenarios` prints the catalogue, `canids -watch
-// -scenario <name> -shards N [-baselines]` streams one live with
-// periodic metrics, and examples/streaming demonstrates the
-// sharding-is-invisible contract end to end.
+// -scenario <name> [-baselines]` streams one live with periodic
+// metrics, and examples/streaming demonstrates end to end that a live
+// run and a replay of the recorded trace emit the same stream.
 //
 // # Prevention
 //
 // The engine also closes the paper's prevention loop ("the malicious
 // messages containing those IDs would be discarded or blocked"): an
-// internal/gateway.Gateway runs as a pre-filter on the dispatch path
+// internal/gateway.Gateway runs as a pre-filter in the lane
 // (whitelist, learned rate limits, dynamic blocklist — all
-// goroutine-safe), the merged alert stream feeds an
+// goroutine-safe), each window's alert feeds an
 // internal/response.Responder whose inference quarantines the top
-// suspects, and the dispatcher synchronizes at window boundaries so
-// blocks land at a deterministic stream position. The result — alert
-// stream, dropped-frame set, response history — is bit-identical to a
-// sequential classify→observe→respond loop at any shard count
-// (TestEnginePreventionMatchesSequential, shards 1/2/8 under -race).
-// Records batch per channel send (Config.Batch) to amortize channel
-// ops, and engine.Supervisor serves multi-bus captures with one engine
-// (and per-bus policy state) per channel. `canids -watch -prevent
+// suspects, and the lane responds at the window boundary, before it
+// classifies the next record, so blocks land at a deterministic stream
+// position. The result — alert stream, dropped-frame set, response
+// history — is bit-identical to a sequential classify→observe→respond
+// loop (TestEnginePreventionMatchesSequential, under -race).
+// engine.Supervisor serves multi-bus captures with one engine (and
+// per-bus policy state) per channel. `canids -watch -prevent
 // [-whitelist] [-multibus]` scores prevention against scenario ground
 // truth — attack frames blocked vs legitimate collateral drops — and
 // examples/prevention shows the loop stopping a live injection
@@ -111,15 +108,14 @@
 // streaming bodies in all three trace formats), read endpoints
 // (/alerts, /stats, /healthz) and two admin verbs. POST /admin/reload
 // hot-swaps a snapshot: every live engine queues the new model.Model
-// (engine.Swap) that the dispatcher installs at its next window
-// boundary — the same point where prevention's blocks land — so each
-// window is scored wholly under one template, no frames are dropped,
-// and the resulting alert stream is bit-identical to a sequential
-// detector that switches templates at the same boundary, at any shard
-// count (TestEngineHotSwapMatchesSequential, shards 1/2/8 under
-// -race).
+// (engine.Swap) that the lane installs at its next window boundary —
+// the same point where prevention's blocks land — so each window is
+// scored wholly under one template, no frames are dropped, and the
+// resulting alert stream is bit-identical to a sequential detector that
+// switches templates at the same boundary
+// (TestEngineHotSwapMatchesSequential, under -race).
 // Template, gateway budgets/whitelist and responder policy all install
-// on the dispatcher at that boundary, so the whole policy set changes
+// in the lane at that boundary, so the whole policy set changes
 // at one deterministic stream position. POST /admin/shutdown
 // drains: ingest stops, final partial windows flush like the offline
 // detector's Flush, and the response carries the final counts — the
@@ -143,8 +139,7 @@
 // engine.Swap window-boundary mechanism a hot reload uses, so the
 // adapted run stays deterministic: the alert stream is bit-identical to
 // a sequential classify→observe→adapt loop swapping the same models at
-// the same boundaries, at shards 1/2/8 under -race
-// (TestEngineAdaptMatchesSequential).
+// the same boundaries, under -race (TestEngineAdaptMatchesSequential).
 //
 // `canids -serve -adapt` arms one adapter per bus; /admin/adapt serves
 // the counters and the pause/resume/force controls, and /stats carries
@@ -166,7 +161,7 @@
 // deployments. Live buses can also be retuned without a restart:
 // POST /admin/adapt?action=configure&every=N&min_windows=M[&channel=b]
 // adjusts a bus's promotion cadence and warm-up on the fly, applied
-// between windows on the dispatch goroutine so determinism holds.
+// between windows on the lane's goroutine so determinism holds.
 //
 // # Fault tolerance
 //
@@ -176,7 +171,7 @@
 // restarted from its last checkpoint (or the base snapshot) with capped
 // exponential backoff, while the other buses keep streaming — their
 // alert output stays bit-identical to an undisturbed run, pinned by the
-// chaos suite at shards 1/2/8 under -race. Frames that arrive while a
+// chaos suite under -race. Frames that arrive while a
 // bus is down are not silently dropped: the supervisor counts every one
 // in Stats.Lost, so accepted == served + lost reconciles exactly after
 // a drain. A bus that exhausts its restart budget is marked dead —
@@ -237,7 +232,7 @@
 // pushes the captured stream back through the same server path, and
 // verifies the replayed alert journal equals the recorded one byte for
 // byte — the engine's per-bus determinism guarantee made operational
-// (TestRecordReplayDeterminism at shards 1/2/8 under -race, and ci.sh's
+// (TestRecordReplayDeterminism under -race, and ci.sh's
 // observability smoke leg against the real daemon). The contract covers
 // clean-drain runs; a crash-restart loses frames the capture still
 // carries, so those replays run but may legitimately diverge.
@@ -259,20 +254,20 @@
 // agree with at quiescence: canids_ingest_request_seconds (one
 // observation per HTTP ingest call) and canids_ingest_decode_seconds
 // per wire format (request time minus feed backpressure);
-// canids_pipeline_latency_seconds{bus} — the dispatcher's wall time
-// from sending a window's flush tokens to the merged window being
-// scored, one observation per closed window, so _count equals
+// canids_pipeline_latency_seconds{bus} — the lane's wall time from
+// closing a window to that window being scored and its alert handled,
+// one observation per closed window, so _count equals
 // canids_bus_windows_total;
 // canids_detect_latency_seconds{bus} — end-to-end detection latency
 // from record ingest to alert emit, resolved through a bounded
 // per-bus watermark ring pairing stream time with arrival wall time at
 // the demux tap, one observation per alert, so _count equals
-// canids_bus_alerts_total (fleet mode included; the per-engine pipeline
-// histograms ride per-bus engine builds, which fleet lanes bypass); and
+// canids_bus_alerts_total (fleet mode included; the pipeline histograms
+// ride per-bus engine builds, and fleet lanes carry none); and
 // canids_checkpoint_save_seconds. The timing is side-band only: wall
 // stamps never branch the pipeline, so the deterministic alert stream
-// and record/replay bit-identity are untouched (the shards-1/2/8 -race
-// parity suites pin this).
+// and record/replay bit-identity are untouched (the -race parity suites
+// pin this).
 //
 // The daemon's own voice is structured: log/slog on stderr (stdout
 // stays reserved for the mode transcripts scripts parse), with
@@ -301,7 +296,7 @@
 // model. All four ways a model reaches an engine — initial build from
 // a snapshot, /admin/reload, an adapt promotion, a checkpoint restore
 // — construct the same type and funnel through the same install:
-// engine.Swap(*model.Model) queues it, and the dispatcher installs it
+// engine.Swap(*model.Model) queues it, and the lane installs it
 // whole at the next window boundary (template, gateway policy,
 // responder policy in one step), so every window is scored under
 // exactly one epoch. The serving epoch is observable end to end:
@@ -315,9 +310,9 @@
 // two table reads and a count. A gateway's mutable state — quarantine
 // deadlines, rate-window counters, verdict counts — belongs to the
 // goroutine that classifies, which also runs the responder and installs
-// models (an engine's dispatcher, a fleet host), so it takes no lock
-// either. response.Responder reads its policy through an atomic.Pointer
-// snapshot. The steady-state allocation guard (<0.25 allocs/frame)
+// models (the one running the bus's lane: Run's caller or a fleet
+// host), so it takes no lock either. response.Responder reads its
+// policy through an atomic.Pointer snapshot. The steady-state allocation guard (<0.25 allocs/frame)
 // covers the serve path, candump bodies and an armed fleet included.
 //
 // The shared model is what makes fleet serving cheap. `canids -serve
@@ -327,13 +322,20 @@
 // same host and per-vehicle detector state stays exact. Fleet hosts run
 // under the same supervision as classic buses: a crashed host restarts
 // with an empty lane table, its vehicles respin on their next frame,
-// and frames arriving while it is down are counted lost per vehicle. Lanes spin up lazily on a vehicle's
-// first frame and, with -fleet-idle, tear down after idle stream time
+// and frames arriving while it is down are counted lost per vehicle.
+// A fleet lane is the same lane an Engine runs, so -faults seams
+// target one vehicle the way they target one classic bus. Lanes spin
+// up lazily on a vehicle's first frame and, with -fleet-idle, tear
+// down after idle stream time
 // — a returning vehicle's lane skips ahead to its next frame exactly
 // like a dedicated engine crossing the same gap, so multiplexed alert
-// streams are bit-identical to one-engine-per-vehicle at shards 1/2/8
-// under -race (TestFleetMatchesDedicatedEngines,
+// streams are bit-identical to one-engine-per-vehicle under -race
+// (TestFleetMatchesDedicatedEngines,
 // TestFleetPreventionMatchesDedicated, TestFleetIdleTeardownLifecycle).
+// Idleness is judged against the newest record time of any vehicle, so
+// a vehicle whose clock lags the fleet by IdleAfter or more is torn
+// down after every input slab; that caveat is a tested contract
+// (TestFleetLaggingClockTeardown, see internal/engine's fleet.go).
 // Per-vehicle ingest quotas (-quota-frames per -quota-window) shed
 // floods deterministically at the demux — counted in Stats.Shed and
 // canids_bus_shed_total, answered 429 + Retry-After at HTTP once the
@@ -370,10 +372,10 @@
 // the core config + template + gateway budgets on the attack-free part
 // — a labeled clean capture trains wholly, otherwise each file's clean
 // prefix capped at the split fraction — streams the remainder through
-// the sharded engine, and prints a per-capture detection/FP/latency
-// table next to Table1 (shared renderer: experiments.RenderTable). The
-// whole transcript is a pure function of the capture bytes and flags:
-// bit-identical at shards 1, 2 and 8 (TestEvalShardDeterminism under
+// the engine, and prints a per-capture detection/FP/latency table next
+// to Table1 (shared renderer: experiments.RenderTable). The whole
+// transcript is a pure function of the capture bytes and flags:
+// bit-identical from run to run (TestEvalShardDeterminism under
 // -race, plus ci.sh's dataset-eval smoke leg, which also reconciles the
 // accounting lines exactly). The committed fixtures under
 // internal/dataset/testdata are generated by `cangen -dialect
@@ -409,15 +411,14 @@
 //     Mersenne fold; rngCooked recovered from public outputs at init) —
 //     the simulator seeds one source per scheduled message, 223 per
 //     vehicle attach;
-//   - the engine's per-frame shard path (receive, BitCounter.Add,
-//     atomic tick) allocates nothing; TestEngineSteadyStateAllocs
+//   - the lane's per-frame path (classify, window walk,
+//     BitCounter.Add) allocates nothing; TestEngineSteadyStateAllocs
 //     bounds a whole run at <0.25 allocs/frame;
 //   - serve ingest batches decoded records into recycled
 //     []trace.Record slabs (engine.RecordPool) through the feed channel
-//     and the supervisor demux, mirroring the engine's internal
-//     Config.Batch — one channel operation per batch instead of per
-//     record lifted BenchmarkServeIngest from ~1.9M to ~2.5M frames/s
-//     (BENCH_4 → BENCH_5);
+//     and the supervisor demux — one channel operation per batch
+//     instead of per record lifted BenchmarkServeIngest from ~1.9M to
+//     ~2.5M frames/s (BENCH_4 → BENCH_5);
 //   - the CTR1 binary record codec is allocation-free both ways once
 //     warm: trace.BinaryDecoder reads each record's fixed 13-byte
 //     header and frame bytes into arrays of the decoder, parses the

@@ -176,7 +176,6 @@ func serveDaemon(modelPath string, adapt *server.AdaptOptions, checkpoint string
 	}
 	srv, err := server.New(server.Config{
 		Snapshot:       snap,
-		Shards:         4,
 		Adapt:          adapt,
 		CheckpointPath: checkpoint,
 		AdminToken:     adminToken,

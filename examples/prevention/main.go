@@ -1,15 +1,14 @@
 // Prevention: the full defensive loop the paper's introduction promises
 // — detect the injection, infer the malicious identifier, and block it
 // at the gateway so "the malicious messages containing those IDs would
-// be discarded or blocked" — running on the sharded streaming engine.
+// be discarded or blocked" — running on the streaming engine.
 //
-// The engine wires the loop concurrently but deterministically: the
-// gateway classifies every record on the dispatch path, forwarded
-// frames shard across parallel bit-counting workers, the merged alert
-// stream feeds the responder, and each block propagates back to the
-// gateway before the next detection window's records are classified, so
-// the rest of the attack is dropped mid-stream — at any shard count,
-// with the exact same result.
+// The engine wires the loop deterministically: the gateway classifies
+// every record in stream order, forwarded frames are counted into the
+// detection window, each window's alert feeds the responder, and each
+// block propagates back to the gateway before the next detection
+// window's records are classified, so the rest of the attack is
+// dropped mid-stream — the same result on every run.
 //
 // Run with:
 //
@@ -49,7 +48,6 @@ func run() error {
 
 	// Train the golden template on the matrix's clean driving traffic.
 	cfg := engine.DefaultConfig()
-	cfg.Shards = 4
 	cfg.Core.Alpha = 4
 	tmpl, err := scenario.Train(specs, spec.Profile, cfg.Core)
 	if err != nil {
@@ -83,7 +81,7 @@ func run() error {
 	streamErr := make(chan error, 1)
 	go func() { streamErr <- spec.Stream(ctx, ch) }()
 
-	fmt.Printf("streaming %s through a %d-shard engine with prevention\n\n", name, cfg.Shards)
+	fmt.Printf("streaming %s through the engine with prevention\n\n", name)
 	injected := 0
 	src := countInjected{src: engine.NewChanSource(ctx, ch), injected: &injected}
 	st, err := eng.Run(ctx, src, func(a detect.Alert) {

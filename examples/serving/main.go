@@ -78,7 +78,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	srv, err := server.New(server.Config{Snapshot: loaded, Shards: 4})
+	srv, err := server.New(server.Config{Snapshot: loaded})
 	if err != nil {
 		return err
 	}

@@ -1,12 +1,12 @@
-// Streaming: run the sharded detection engine over a live scenario feed
-// and show that the sharded stream is bit-identical to the sequential
-// detector on the same frames.
+// Streaming: run the detection engine over a live scenario feed and
+// show that the live stream is bit-identical to a replay of the same
+// frames recorded to a trace.
 //
 // The example picks a multi-ID injection scenario from the matrix,
 // trains the golden template and both baselines on the matrix's clean
-// traffic, streams the scenario through a 4-shard engine with the
+// traffic, streams the scenario live through an engine with the
 // baselines running alongside, and finally re-runs the recorded trace
-// through a 1-shard engine to demonstrate the determinism contract.
+// through a fresh engine to demonstrate the determinism contract.
 //
 // Run with:
 //
@@ -43,7 +43,6 @@ func run() error {
 	// Train the paper's detector and the two Section V.E baselines on
 	// the matrix's clean traffic across all driving behaviours.
 	cfg := engine.DefaultConfig()
-	cfg.Shards = 4
 	cfg.Core.Alpha = 4 // the substrate's empirical operating point
 	windows, err := scenario.TrainingWindows(specs, spec.Profile, cfg.Core.Window)
 	if err != nil {
@@ -75,8 +74,8 @@ func run() error {
 
 	// Live path: the scenario simulates in its own goroutine and feeds
 	// the engine through a bounded channel, like a bus tap would.
-	fmt.Printf("streaming %s through %d shards + %d baselines...\n",
-		spec.Name, cfg.Shards, len(cfg.Baselines))
+	fmt.Printf("streaming %s through the engine + %d baselines...\n",
+		spec.Name, len(cfg.Baselines))
 	ctx := context.Background()
 	ch := make(chan trace.Record, engine.DefaultBuffer)
 	streamErr := make(chan error, 1)
@@ -93,20 +92,18 @@ func run() error {
 	if err := <-streamErr; err != nil {
 		return err
 	}
-	fmt.Printf("live run: %d frames, %d windows, %d alerts, per-shard %v\n\n",
-		st.Frames, st.Windows, st.Alerts, st.PerShard)
+	fmt.Printf("live run: %d frames, %d windows, %d alerts\n\n",
+		st.Frames, st.Windows, st.Alerts)
 
 	// Determinism check: the same scenario recorded to a trace and
-	// replayed through a single shard must yield the identical stream.
+	// replayed through a fresh engine must yield the identical stream.
 	recorded, err := spec.Run()
 	if err != nil {
 		return err
 	}
 	muter.Reset()
 	song.Reset()
-	single := cfg
-	single.Shards = 1
-	eng1, err := engine.NewTrained(single, tmpl)
+	eng1, err := engine.NewTrained(cfg, tmpl)
 	if err != nil {
 		return err
 	}
@@ -115,8 +112,8 @@ func run() error {
 		return err
 	}
 	if !reflect.DeepEqual(live, replayed) {
-		return fmt.Errorf("shard count changed the alert stream: %d live vs %d replayed", len(live), len(replayed))
+		return fmt.Errorf("replay changed the alert stream: %d live vs %d replayed", len(live), len(replayed))
 	}
-	fmt.Printf("1-shard replay produced the identical %d-alert stream — sharding is invisible to results\n", len(replayed))
+	fmt.Printf("recorded replay produced the identical %d-alert stream — the live path is invisible to results\n", len(replayed))
 	return nil
 }

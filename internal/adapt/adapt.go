@@ -24,15 +24,14 @@
 //
 // # Determinism
 //
-// Both hook methods run on the engine's dispatch goroutine at
+// Both hook methods run on the engine lane's goroutine at
 // stream-determined positions, and every decision — which windows are
 // clean, when the promotion cadence fires, what the promoted budgets
 // and template contain — is a pure function of the record stream and
 // the configuration. An adapted engine run is therefore bit-identical
 // to a sequential classify→observe→adapt loop that swaps the same
-// models at the same window boundaries, at any shard count
-// (TestEngineAdaptMatchesSequential pins shards 1, 2 and 8 under
-// -race). Pause, Resume, Force and Rebase are admin-surface mutations:
+// models at the same window boundaries (TestEngineAdaptMatchesSequential,
+// under -race). Pause, Resume, Force and Rebase are admin-surface mutations:
 // they are goroutine-safe, but their timing relative to the stream is
 // the caller's (nondeterministic) business.
 package adapt
@@ -107,7 +106,7 @@ type Config struct {
 	// DefaultEvery.
 	Every int
 	// OnPromote, when set, is called synchronously from the engine's
-	// dispatch goroutine after each promotion — the serving layer's
+	// lane goroutine after each promotion — the serving layer's
 	// checkpoint trigger. It must return quickly and must not call back
 	// into the engine.
 	OnPromote func(Promotion)
@@ -167,7 +166,7 @@ type Status struct {
 
 // Adapter accumulates clean-window statistics and proposes model
 // promotions. It implements engine.AdaptHook. The hook methods are
-// driven by the engine's dispatch goroutine; the admin surface (Pause,
+// driven by the engine lane's goroutine; the admin surface (Pause,
 // Resume, Force, Rebase, Status, Model) may be called concurrently from
 // anywhere.
 type Adapter struct {

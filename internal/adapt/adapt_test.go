@@ -425,7 +425,7 @@ func sequentialAdaptAlerts(t *testing.T, cfg core.Config, tmpl core.Template, tr
 			winStart = rec.Time
 			haveWindow = true
 		}
-		// Mirror the engine's dispatcher walk: detect the boundary before
+		// Mirror the engine lane's walk: detect the boundary before
 		// Observe (which closes the same window internally), so the
 		// adapter's verdict and promotion land at the identical position.
 		boundary := false
@@ -476,7 +476,7 @@ func sequentialAdaptAlerts(t *testing.T, cfg core.Config, tmpl core.Template, tr
 // criterion: with live budget/template promotions pinned to window
 // boundaries, the engine's alert stream is bit-identical to the
 // sequential reference that swaps the same models at the same
-// boundaries, at shard counts 1, 2 and 8.
+// boundaries.
 func TestEngineAdaptMatchesSequential(t *testing.T) {
 	cfg, tmpl, tr := loadFixture(t)
 	want, wantDropped := sequentialAdaptAlerts(t, cfg, tmpl, tr)
@@ -502,6 +502,8 @@ func TestEngineAdaptMatchesSequential(t *testing.T) {
 		t.Fatal("adaptation changes nothing on this trace; test is vacuous")
 	}
 
+	// The deprecated Shards field is still set by older callers; every
+	// value must leave the adapted stream unchanged.
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ad, err := adapt.New(adapterConfig(t, cfg, tmpl))
@@ -535,8 +537,7 @@ func TestEngineAdaptMatchesSequential(t *testing.T) {
 
 // TestEngineAdaptDeterministicAcrossRuns re-runs the same adapted
 // stream and demands identical output and identical promotion counters
-// every time: adaptation must be a function of the record stream, never
-// of goroutine timing.
+// every time: adaptation must be a function of the record stream.
 func TestEngineAdaptDeterministicAcrossRuns(t *testing.T) {
 	cfg, tmpl, tr := loadFixture(t)
 	var firstAlerts []detect.Alert
@@ -550,7 +551,7 @@ func TestEngineAdaptDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := engine.NewTrained(engine.Config{Shards: 4, Core: cfg, Gateway: gw, Adapt: ad}, tmpl)
+		eng, err := engine.NewTrained(engine.Config{Core: cfg, Gateway: gw, Adapt: ad}, tmpl)
 		if err != nil {
 			t.Fatal(err)
 		}

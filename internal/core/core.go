@@ -350,10 +350,10 @@ func (d *Detector) OnWindow(fn func(start time.Duration, m WindowMeasurement)) {
 }
 
 // SeedWindow opens the detection window at the given origin before any
-// record is observed — the resume path for a fleet lane respun after an
-// idle teardown: the tumbling phase must match the stream's original
-// first record, not the record that happened to wake the lane. The
-// caller advances the origin over the silent gap with
+// record is observed — the resume path for a stream whose tumbling
+// phase must match its original first record, not the record that
+// happened to resume it (the fleet teardown contract's reference loop
+// uses it). The caller advances the origin over the silent gap with
 // detect.NextWindowStart; the counter starts empty, exactly the state
 // an uninterrupted detector reaches once the gap expires its window.
 func (d *Detector) SeedWindow(start time.Duration) {
@@ -440,10 +440,11 @@ func (d *Detector) closeWindow() *detect.Alert {
 // deviates beyond threshold, and the alert otherwise — exactly the
 // verdict Observe reaches when it closes the same window itself.
 //
-// This is the streaming engine's merge point: shards count identifier
-// bits in parallel, their merged counts are measured once, and the
-// measurement is scored here through the same code path as the
-// sequential detector, keeping the engine's alert stream bit-identical.
+// This is the streaming engine's scoring point: an engine lane walks
+// windows and counts identifier bits itself, measures each closed
+// window once, and scores the measurement here through the same code
+// path as the sequential detector, keeping the engine's alert stream
+// bit-identical.
 func (d *Detector) ScoreWindow(start time.Duration, hs, ps []float64, frames int) *detect.Alert {
 	if !d.trained || frames < d.cfg.MinFrames {
 		return nil

@@ -10,7 +10,7 @@
 // epoch timestamps rebased to trace-relative time, bounded out-of-order
 // rows sorted within a jitter horizon, DLC/payload mismatches repaired
 // toward the bytes actually present — and satisfy trace.Decoder, so a
-// capture file plugs straight into the sharded engine without ever being
+// capture file plugs straight into the streaming engine without ever being
 // buffered whole.
 //
 // Every normalization decision is deterministic and accounted for:

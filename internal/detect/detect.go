@@ -87,10 +87,10 @@ func (a Alert) String() string {
 }
 
 // The tumbling-window boundary walk shared by every detector in this
-// repository and by the streaming engine's dispatcher. The engine's
-// sharded output is bit-identical to a sequential detector only because
-// both sides step windows through these exact functions — keep any
-// change to the arithmetic here, not at the call sites.
+// repository and by the streaming engine's lane. The engine's output is
+// bit-identical to a sequential detector only because both sides step
+// windows through these exact functions — keep any change to the
+// arithmetic here, not at the call sites.
 
 // WindowExpired reports whether a record at time t has moved past the
 // window starting at start. The first clause guards the sum against

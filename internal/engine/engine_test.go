@@ -98,8 +98,8 @@ func newSequentialCore(t *testing.T, tmpl core.Template) *core.Detector {
 
 // TestEngineMatchesSequential is the acceptance criterion: the engine's
 // alert stream on a recorded scenario trace is bit-identical to the
-// sequential core.Detector run on the same frames, for shard counts 1,
-// 2 and 8, across attack types (and a clean trace with no alerts).
+// sequential core.Detector run on the same frames, across attack types
+// (and a clean trace with no alerts).
 func TestEngineMatchesSequential(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	scenarios := []string{
@@ -115,40 +115,20 @@ func TestEngineMatchesSequential(t *testing.T) {
 		if !strings.HasSuffix(name, "/clean") && len(want) == 0 {
 			t.Fatalf("%s: sequential detector found no alerts; scenario too weak to test equality", name)
 		}
-		for _, shards := range []int{1, 2, 8} {
-			eng, err := engine.NewTrained(engine.Config{Shards: shards, Core: detectorConfig()}, tmpl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, st, err := eng.Detect(context.Background(), tr)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", name, shards, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s shards=%d: engine alerts differ from sequential detector\n got %d alerts\nwant %d alerts",
-					name, shards, len(got), len(want))
-			}
-			if st.Frames != uint64(len(tr)) {
-				t.Errorf("%s shards=%d: Stats.Frames = %d, want %d", name, shards, st.Frames, len(tr))
-			}
-			var routed uint64
-			for _, n := range st.PerShard {
-				routed += n
-			}
-			if routed != st.Frames {
-				t.Errorf("%s shards=%d: per-shard sum %d != frames %d", name, shards, routed, st.Frames)
-			}
-			if shards > 1 {
-				busy := 0
-				for _, n := range st.PerShard {
-					if n > 0 {
-						busy++
-					}
-				}
-				if busy < 2 {
-					t.Errorf("%s shards=%d: only %d shards saw traffic — sharding not exercised", name, shards, busy)
-				}
-			}
+		eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := eng.Detect(context.Background(), tr)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: engine alerts differ from sequential detector\n got %d alerts\nwant %d alerts",
+				name, len(got), len(want))
+		}
+		if st.Frames != uint64(len(tr)) {
+			t.Errorf("%s: Stats.Frames = %d, want %d", name, st.Frames, len(tr))
 		}
 	}
 }
@@ -158,7 +138,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 func TestEngineDeterministicAcrossRuns(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
-	eng, err := engine.NewTrained(engine.Config{Shards: 4, Core: detectorConfig()}, tmpl)
+	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +238,6 @@ func TestEngineWithBaselines(t *testing.T) {
 			sortAlertsByMergeOrder(want, ref)
 
 			eng, err := engine.NewTrained(engine.Config{
-				Shards:    3,
 				Core:      detectorConfig(),
 				Baselines: newBaselines(),
 			}, tmpl)
@@ -287,25 +266,6 @@ func TestEngineWithBaselines(t *testing.T) {
 	}
 }
 
-// TestEngineBackpressure forces every channel to capacity 1; results
-// must not change, only get slower.
-func TestEngineBackpressure(t *testing.T) {
-	_, tmpl, _ := loadFixture(t)
-	tr := scenarioTrace(t, "fusion/idle/SI-100")
-	want := sequentialAlerts(newSequentialCore(t, tmpl), tr)
-	eng, err := engine.NewTrained(engine.Config{Shards: 8, Buffer: 1, Core: detectorConfig()}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := eng.Detect(context.Background(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Buffer=1 changed the alert stream")
-	}
-}
-
 // TestEngineLiveStream runs a scenario as a live feed (simulation
 // goroutine → bounded channel → engine) and checks it matches the
 // recorded-trace run — the recorded and live paths must agree.
@@ -319,7 +279,7 @@ func TestEngineLiveStream(t *testing.T) {
 	streamErr := make(chan error, 1)
 	go func() { streamErr <- spec.Stream(ctx, ch) }()
 
-	eng, err := engine.NewTrained(engine.Config{Shards: 2, Core: detectorConfig()}, tmpl)
+	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +301,7 @@ func TestEngineCancel(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := make(chan trace.Record) // never closed, never fed after cancel
-	eng, err := engine.NewTrained(engine.Config{Shards: 4, Buffer: 2, Core: detectorConfig()}, tmpl)
+	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +325,7 @@ func TestEngineCancel(t *testing.T) {
 // alerts and no error.
 func TestEngineEmptySource(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
-	eng, err := engine.NewTrained(engine.Config{Shards: 2, Core: detectorConfig()}, tmpl)
+	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +347,7 @@ func TestEngineSourceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.NewTrained(engine.Config{Shards: 2, Core: detectorConfig()}, tmpl)
+	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,19 +358,18 @@ func TestEngineSourceError(t *testing.T) {
 }
 
 // TestEngineSteadyStateAllocs is the alloc-regression guard for the
-// per-frame shard path and the window close: a whole engine run over a
-// clean scenario trace must amortize to well under one allocation per
-// frame, and a warm run over the same trace cut to half length must
-// allocate no less — the fixed per-run setup (goroutines, channels,
-// counters) is all a run allocates, because shard counters are merged
-// and reset in place. A regression that allocates per record lands at
+// per-frame path and the window close: a whole engine run over a clean
+// scenario trace must amortize to well under one allocation per frame,
+// and a warm run over the same trace cut to half length must allocate
+// no less — the fixed per-run setup is all a run allocates, because the
+// lane's counter and measurement vectors are reset and reused in place. A regression that allocates per record lands at
 // ≥1 allocs/frame; one that allocates per window grows with the window
 // count.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	full := scenarioTrace(t, "fusion/idle/clean")
 	half := full[:len(full)/2]
-	eng, err := engine.NewTrained(engine.Config{Shards: 4, Core: detectorConfig()}, tmpl)
+	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +405,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 func TestEngineUntrained(t *testing.T) {
 	loadFixture(t)
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
-	eng, err := engine.New(engine.Config{Shards: 2, Core: detectorConfig()})
+	eng, err := engine.New(engine.Config{Core: detectorConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

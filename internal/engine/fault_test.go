@@ -25,7 +25,7 @@ func TestEngineRunRecoversPanic(t *testing.T) {
 	inj := fault.New()
 	inj.ArmPanic(fault.EngineFrame, "", 500, 1)
 	eng, err := engine.NewTrained(engine.Config{
-		Shards: 2, Core: detectorConfig(), Fault: inj,
+		Core: detectorConfig(), Fault: inj,
 	}, tmpl)
 	if err != nil {
 		t.Fatal(err)
@@ -47,15 +47,14 @@ func TestEngineRunRecoversPanic(t *testing.T) {
 }
 
 // TestEngineRunRecoversStagePanic: a panic at a window boundary (here
-// via the swap-install seam) also lands in Run's error, and does not
-// deadlock the shards waiting on the dispatcher.
+// via the swap-install seam) also lands in Run's error.
 func TestEngineRunRecoversStagePanic(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
 	inj := fault.New()
 	inj.ArmPanic(fault.EngineSwap, "", 1, 1)
 	eng, err := engine.NewTrained(engine.Config{
-		Shards: 2, Core: detectorConfig(), Fault: inj,
+		Core: detectorConfig(), Fault: inj,
 	}, tmpl)
 	if err != nil {
 		t.Fatal(err)
@@ -63,16 +62,7 @@ func TestEngineRunRecoversStagePanic(t *testing.T) {
 	if err := eng.Swap(templateModel(t, detectorConfig(), tmpl)); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := eng.Run(context.Background(), engine.NewSliceSource(tr), func(detect.Alert) {})
-		done <- err
-	}()
-	select {
-	case err = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run did not return after the install panic (deadlock)")
-	}
+	_, err = eng.Run(context.Background(), engine.NewSliceSource(tr), func(detect.Alert) {})
 	var perr *engine.PanicError
 	if !errors.As(err, &perr) {
 		t.Fatalf("Run error = %v (%T), want *engine.PanicError", err, err)
@@ -92,7 +82,7 @@ func TestEngineSwapInstallFailure(t *testing.T) {
 	inj := fault.New()
 	inj.ArmError(fault.EngineSwap, "", 1, 1)
 	eng, err := engine.NewTrained(engine.Config{
-		Shards: 2, Core: detectorConfig(), Fault: inj,
+		Core: detectorConfig(), Fault: inj,
 	}, tmpl)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +163,7 @@ func dedicatedAlerts(t *testing.T, name, channel string) []detect.Alert {
 	t.Helper()
 	_, tmpl, _ := loadFixture(t)
 	tr := retag(scenarioTrace(t, name), channel)
-	eng, err := engine.NewTrained(engine.Config{Shards: 2, Core: detectorConfig()}, tmpl)
+	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +191,7 @@ func TestSupervisorRestartsCrashedBus(t *testing.T) {
 	inj.ArmPanic(fault.EngineFrame, "can-a", 700, 1)
 	newEngine := func(channel string) (*engine.Engine, error) {
 		return engine.NewTrained(engine.Config{
-			Shards: 2, Core: detectorConfig(),
+			Core:  detectorConfig(),
 			Fault: inj, FaultScope: channel,
 		}, tmpl)
 	}
@@ -274,7 +264,7 @@ func TestSupervisorDeadBus(t *testing.T) {
 	got, stats, health, _, runErr := faultFleet(t, func(cfg *engine.SupervisorConfig) {
 		cfg.NewEngine = func(channel string) (*engine.Engine, error) {
 			return engine.NewTrained(engine.Config{
-				Shards: 2, Core: detectorConfig(),
+				Core:  detectorConfig(),
 				Fault: inj, FaultScope: channel,
 			}, tmpl)
 		}
@@ -325,7 +315,7 @@ func TestSupervisorRestartFactoryError(t *testing.T) {
 	_, _, health, _, runErr := faultFleet(t, func(cfg *engine.SupervisorConfig) {
 		cfg.NewEngine = func(channel string) (*engine.Engine, error) {
 			return engine.NewTrained(engine.Config{
-				Shards: 2, Core: detectorConfig(),
+				Core:  detectorConfig(),
 				Fault: inj, FaultScope: channel,
 			}, tmpl)
 		}
@@ -351,7 +341,7 @@ func TestSupervisorRestartFactoryError(t *testing.T) {
 func TestStatsLostDirectRun(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	tr := scenarioTrace(t, "fusion/idle/clean")
-	eng, err := engine.NewTrained(engine.Config{Shards: 2, Core: detectorConfig()}, tmpl)
+	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +359,7 @@ func fleetWant(t *testing.T, m *model.Model, buses map[string]trace.Trace) map[s
 	t.Helper()
 	want := make(map[string][]detect.Alert)
 	for ch, tr := range buses {
-		eng, err := engine.NewFromModel(engine.Config{Shards: 2}, m)
+		eng, err := engine.NewFromModel(engine.Config{}, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +409,7 @@ func TestSupervisorSinkPanic(t *testing.T) {
 				cfg.Fleet = &engine.FleetConfig{Engines: 2, Model: m}
 			} else {
 				cfg.NewEngine = func(string) (*engine.Engine, error) {
-					return engine.NewFromModel(engine.Config{Shards: 2}, m)
+					return engine.NewFromModel(engine.Config{}, m)
 				}
 			}
 			sup, err := engine.NewSupervisor(cfg)

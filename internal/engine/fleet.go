@@ -1,23 +1,24 @@
 // Fleet mode: many vehicles multiplexed over a few engine hosts.
 //
-// Classic supervision gives every bus its own full Engine — dispatcher,
-// shard workers, buffered channels. That is the right shape for
-// a handful of high-rate buses, but it makes the per-vehicle marginal
-// cost a whole pipeline, which is what caps how many vehicles one
-// serving node can hold. Fleet mode inverts the layout: K hosts serve
-// N vehicles (N >> K), each vehicle as a *lane* — a sequential
-// core.Detector, a gateway sharing the fleet's immutable policy
-// snapshot, and a responder. A lane's marginal state is the detector's
-// bit counters plus its quarantine list; everything big (the template,
-// the whitelist, the budget table) lives once in the shared
-// model.Model.
+// Classic supervision gives every bus its own Engine and host
+// goroutine. That is the right shape for a handful of high-rate buses,
+// but it makes the per-vehicle marginal cost a goroutine, a feed and a
+// whole set of policy state, which caps how many vehicles one serving
+// node can hold. Fleet mode inverts the layout: K hosts serve N vehicles
+// (N >> K), each vehicle as a lane — the same per-record pipeline an
+// Engine runs (see lane.go), over a core.Detector, a gateway sharing the
+// fleet's immutable policy snapshot, and a responder. A lane's marginal
+// state is its bit counters plus its quarantine list; everything big
+// (the template, the whitelist, the budget table) lives once in the
+// shared model.Model.
 //
-// Determinism is preserved lane by lane: a lane walks windows through
-// the same detect arithmetic as the engine's dispatcher and scores them
-// through the same core.Detector the dispatcher uses, so a vehicle's
-// alert stream is bit-identical to a dedicated engine fed the same
-// records (TestFleetMatchesDedicatedEngines) — the engine's own
-// equivalence to the sequential detector closes the triangle.
+// Because a fleet lane and an Engine run the same lane code, a
+// vehicle's alert stream is bit-identical to a dedicated engine fed the
+// same records (TestFleetMatchesDedicatedEngines) — the engine's own
+// equivalence to the sequential detector closes the triangle. Only the
+// boundary swap rule differs: a lane installs the fleet's current model
+// when it differs from its own, where an Engine consumes its queued
+// Swap.
 //
 // Vehicles are assigned to hosts by rendezvous hashing (hostOf), so the
 // channel→host mapping is a pure function of the channel name and the
@@ -34,29 +35,41 @@
 // restarts it (with the same budget and backoff) with an empty lane
 // table, and its vehicles respin on their next record, much as a
 // classic bus restarts from its base model; records arriving while it
-// is down are counted lost per vehicle. Fleet v1 still trades
+// is down are counted lost per vehicle. FleetConfig.Fault arms the same
+// fault seams an Engine has, scoped by vehicle. Fleet v1 still trades
 // generality for density: no per-lane adaptation, no baselines, and one
-// model for the whole fleet. The clocks across vehicles are assumed
-// comparable: idle teardown is judged against the newest timestamp seen
-// anywhere, so a vehicle whose clock lags far behind the fleet can have
-// its open window flushed early — deterministically, but not
-// identically to a never-torn-down lane.
+// model for the whole fleet.
+//
+// Clock skew between vehicles is tolerated up to IdleAfter. The demux
+// judges idleness against the newest record time seen on any vehicle:
+// after every input slab it tears down each vehicle whose newest record
+// is IdleAfter or more behind it. A vehicle whose clock lags the fleet
+// by less than IdleAfter minus its own longest silence keeps its lane,
+// and its alert stream is that of a dedicated engine. A vehicle lagging
+// by IdleAfter or more is torn down after every input slab it appears
+// in. Each teardown flushes its open window, and the respun lane resumes
+// the stored window and rate phases and quarantines, so a window that
+// spans a slab edge is scored in pieces and the rate counts restart at
+// the edge. The result is deterministic for a given slab structure, but
+// it is not the dedicated engine's stream (pinned by
+// TestFleetLaggingClockTeardown).
 package engine
 
 import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"log/slog"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"canids/internal/core"
 	"canids/internal/detect"
+	"canids/internal/fault"
 	"canids/internal/gateway"
 	"canids/internal/model"
 	"canids/internal/response"
-	"canids/internal/trace"
 )
 
 // BusIdle is the Health state of a fleet lane torn down for idleness;
@@ -77,6 +90,10 @@ type FleetConfig struct {
 	// rate window, or a teardown would lose in-window state a dedicated
 	// engine keeps.
 	IdleAfter time.Duration
+	// Fault, when set, arms deterministic fault injection in every lane:
+	// the same fault.EngineFrame and fault.EngineSwap seams an Engine
+	// consults, scoped by the vehicle's channel.
+	Fault *fault.Injector
 }
 
 // mix64 is the splitmix64 finalizer.
@@ -142,34 +159,25 @@ func (q *quotaState) admit(t time.Duration, frames int, window time.Duration) bo
 // fleetRun is the supervisor's fleet-mode state.
 type fleetRun struct {
 	cfg      FleetConfig
+	log      *slog.Logger
 	curModel atomic.Pointer[model.Model]
 }
 
-// lane is one live vehicle pipeline: the sequential counterpart of a
-// dedicated engine, hosted K-to-N. All methods run on the owning host's
-// goroutine.
-type lane struct {
-	c    *chanState
-	m    *model.Model
-	det  *core.Detector
-	gw   *gateway.Gateway
-	resp *response.Responder
-	W    time.Duration
-
-	// Mirror of the detector's window walk (same arithmetic), so the
-	// lane knows when a boundary was crossed — the only point a model
-	// swap may land, exactly like the engine dispatcher's window close.
-	winStart   time.Duration
-	haveWindow bool
-
-	sink func(string, detect.Alert)
+// boundaryModel implements swapSource with the fleet's rule: a lane
+// installs the fleet's current model at its next boundary when it
+// differs from the one the lane serves.
+func (f *fleetRun) boundaryModel(cur *model.Model) *model.Model {
+	if m := f.curModel.Load(); m != cur {
+		return m
+	}
+	return nil
 }
 
-// spinUp builds a lane serving the fleet's current model, resuming any
-// residue a previous incarnation left: quarantines re-arm, and the
-// detection and rate windows keep their original tumbling phase,
-// advanced over the silent gap with the same skip-ahead a dedicated
-// engine applies when the vehicle's next frame arrives.
+// spinUp builds a vehicle's lane serving the fleet's current model,
+// resuming any residue a previous incarnation left: quarantines re-arm,
+// and the detection and rate windows keep their original tumbling
+// phase, advanced over the silent gap with the same skip-ahead a
+// dedicated engine applies when the vehicle's next frame arrives.
 func (f *fleetRun) spinUp(c *chanState, t time.Duration, sink func(string, detect.Alert)) (*lane, error) {
 	m := f.curModel.Load()
 	det, err := core.New(m.Core())
@@ -179,11 +187,12 @@ func (f *fleetRun) spinUp(c *chanState, t time.Duration, sink func(string, detec
 	if err := det.SetTemplate(m.Template()); err != nil {
 		return nil, fmt.Errorf("engine: fleet: lane %q: %w", c.name, err)
 	}
-	l := &lane{c: c, m: m, det: det, W: m.Core().Window, sink: sink}
+	var gw *gateway.Gateway
+	var resp *response.Responder
 	if gp := m.Gateway(); gp != nil {
-		l.gw = gateway.NewWithPolicy(gp)
+		gw = gateway.NewWithPolicy(gp)
 		if c.quar != nil {
-			l.gw.RestoreQuarantines(c.quar)
+			gw.RestoreQuarantines(c.quar)
 			c.quar = nil
 		}
 		if c.haveRate {
@@ -191,120 +200,36 @@ func (f *fleetRun) spinUp(c *chanState, t time.Duration, sink func(string, detec
 			if rw := gp.RateWindow(); rw > 0 && detect.WindowExpired(start, t, rw) {
 				start = detect.NextWindowStart(start, t, rw)
 			}
-			l.gw.SeedRateWindow(start)
+			gw.SeedRateWindow(start)
 			c.haveRate = false
 		}
 		if rc := m.Response(); rc != nil {
-			l.resp, err = response.New(l.gw, *rc)
-			if err != nil {
+			if resp, err = response.New(gw, *rc); err != nil {
 				return nil, fmt.Errorf("engine: fleet: lane %q: %w", c.name, err)
 			}
 		}
 	}
+	l := newLane(c.name, det, gw, resp, &c.counters, f, f.cfg.Fault, f.log)
+	l.sink = func(a detect.Alert) { sink(c.name, a) }
 	if c.haveWindow {
 		start := c.winStart
 		if detect.WindowExpired(start, t, l.W) {
 			start = detect.NextWindowStart(start, t, l.W)
 		}
-		det.SeedWindow(start)
 		l.winStart, l.haveWindow = start, true
 		c.haveWindow = false
 	}
-	c.epoch.Store(m.Epoch())
+	c.serving.Store(m)
 	c.idle.Store(false)
 	return l, nil
 }
 
-// feed processes one record: classify under the current policy, walk
-// the window, score through the sequential detector, respond — and at
-// a window boundary, pick up a fleet-wide model swap. The ordering
-// matches the engine dispatcher exactly: the boundary-crossing record
-// is classified under the old policy, windows closing at the boundary
-// score under the old template, and the new model applies from the
-// first window starting at or after it.
-func (l *lane) feed(f *fleetRun, rec trace.Record) error {
-	c := l.c
-	c.frames.Add(1)
-	c.lastTime.Store(int64(rec.Time))
-	if l.gw != nil {
-		if v := l.gw.Classify(rec); v != gateway.Forward {
-			c.dropped.Add(1)
-			if rec.Injected {
-				c.droppedInjected.Add(1)
-			}
-			return nil
-		}
-	}
-	if !l.haveWindow {
-		l.winStart, l.haveWindow = rec.Time, true
-	}
-	crossed := false
-	for detect.WindowExpired(l.winStart, rec.Time, l.W) {
-		l.winStart = detect.NextWindowStart(l.winStart, rec.Time, l.W)
-		c.windows.Add(1)
-		crossed = true
-	}
-	for _, a := range l.det.Observe(rec) {
-		if err := l.emit(a); err != nil {
-			return err
-		}
-	}
-	if crossed {
-		if m := f.curModel.Load(); m != l.m {
-			if err := l.install(m); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// emit closes the response loop for one alert, then hands it to the
-// sink — the same order the engine's dispatcher uses (blocks are on the
-// gateway before the alert is visible downstream).
-func (l *lane) emit(a detect.Alert) error {
-	if l.resp != nil {
-		if _, err := l.resp.HandleAlert(a); err != nil {
-			return fmt.Errorf("engine: fleet: lane %q response: %w", l.c.name, err)
-		}
-	}
-	l.c.alerts.Add(1)
-	l.sink(l.c.name, a)
-	return nil
-}
-
-// install applies a checked fleet model at a window boundary —
-// template, gateway policy snapshot, response policy, epoch.
-func (l *lane) install(m *model.Model) error {
-	if err := installModel(m, l.det, l.gw, l.resp); err != nil {
-		return fmt.Errorf("engine: fleet: lane %q swap: %w", l.c.name, err)
-	}
-	l.m = m
-	l.c.epoch.Store(m.Epoch())
-	return nil
-}
-
-// flush closes the lane's open window, like the engine's EOF flush: the
-// partial window is scored and its alerts responded to and emitted.
-func (l *lane) flush() error {
-	if l.haveWindow {
-		l.c.windows.Add(1)
-	}
-	for _, a := range l.det.Flush() {
-		if err := l.emit(a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // teardown flushes the lane and stores its residue, so the next frame
 // respins an equivalent lane: same window phases, same quarantines.
-func (l *lane) teardown() error {
+func (l *lane) teardown(c *chanState) error {
 	if err := l.flush(); err != nil {
 		return err
 	}
-	c := l.c
 	c.winStart, c.haveWindow = l.winStart, l.haveWindow
 	if l.gw != nil {
 		c.rateStart, c.haveRate = l.gw.RateWindowStart()
@@ -331,7 +256,7 @@ func (f *fleetRun) serveLanes(in *hostFeed, sink func(string, detect.Alert)) err
 			for _, l := range lanes {
 				live = append(live, l)
 			}
-			sort.Slice(live, func(i, j int) bool { return live[i].c.name < live[j].c.name })
+			sort.Slice(live, func(i, j int) bool { return live[i].scope < live[j].scope })
 			for _, l := range live {
 				if err := l.flush(); err != nil {
 					return err
@@ -345,7 +270,7 @@ func (f *fleetRun) serveLanes(in *hostFeed, sink func(string, detect.Alert)) err
 		l := lanes[m.c]
 		if m.recs == nil {
 			if l != nil {
-				if err := l.teardown(); err != nil {
+				if err := l.teardown(m.c); err != nil {
 					return err
 				}
 				delete(lanes, m.c)
@@ -361,7 +286,7 @@ func (f *fleetRun) serveLanes(in *hostFeed, sink func(string, detect.Alert)) err
 		for in.next < len(m.recs) {
 			rec := m.recs[in.next]
 			in.next++
-			if err := l.feed(f, rec); err != nil {
+			if err := l.feed(rec); err != nil {
 				return err
 			}
 		}

@@ -3,12 +3,14 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"canids/internal/can"
+	"canids/internal/core"
 	"canids/internal/detect"
 	"canids/internal/engine"
 	"canids/internal/gateway"
@@ -70,8 +72,9 @@ func fleetBuses(t *testing.T) (map[string]trace.Trace, trace.Trace) {
 // TestFleetMatchesDedicatedEngines is the fleet acceptance criterion:
 // five vehicles multiplexed over two host engines produce, per vehicle,
 // the exact alert stream a dedicated engine produces on that vehicle
-// alone — at dedicated shard counts 1, 2 and 8 (the fleet lane is
-// sequential; the engine's own shard equivalence closes the triangle).
+// alone (the engine's own equivalence to the sequential detector closes
+// the triangle). The comparison runs once per value of the deprecated,
+// ignored Config.Shards (1, 2, 8), which must not change the result.
 func TestFleetMatchesDedicatedEngines(t *testing.T) {
 	m := fleetModel(t)
 	buses, mixed := fleetBuses(t)
@@ -90,6 +93,8 @@ func TestFleetMatchesDedicatedEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The deprecated Shards field is still set by older callers; every
+	// value must leave the dedicated engine's stream unchanged.
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			for ch, tr := range buses {
@@ -150,7 +155,7 @@ func TestFleetPreventionMatchesDedicated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := engine.NewFromModel(engine.Config{Shards: 2, Gateway: gw, Responder: resp}, m)
+		eng, err := engine.NewFromModel(engine.Config{Gateway: gw, Responder: resp}, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +292,7 @@ func TestFleetIdleTeardownLifecycle(t *testing.T) {
 		t.Errorf("veh-gappy state %q after respin, want %q", st, engine.BusOK)
 	}
 
-	eng, err := engine.NewFromModel(engine.Config{Shards: 2}, m)
+	eng, err := engine.NewFromModel(engine.Config{}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,5 +357,206 @@ func TestFleetQuotaShedsDeterministically(t *testing.T) {
 	}
 	if shed == 0 {
 		t.Error("quota shed nothing; the cap is above every vehicle's rate")
+	}
+}
+
+// laggingReference is the fleet's lagging-clock teardown rule for one
+// vehicle, written as a sequential loop: records arrive in slabs of the
+// given size, and after each slab the vehicle is torn down when its
+// newest record is idleAfter or more behind the newest record of any
+// vehicle. A teardown flushes the open window and keeps the window
+// phase, the rate phase and the quarantines; the next record respins a
+// fresh detector, gateway and responder that resume them.
+func laggingReference(t *testing.T, m *model.Model, mixed trace.Trace, slab int, ch string,
+	idleAfter time.Duration) (alerts []detect.Alert, dropped, teardowns int) {
+	t.Helper()
+	w, rw := m.Core().Window, m.Gateway().RateWindow()
+	var (
+		det        *core.Detector
+		gw         *gateway.Gateway
+		resp       *response.Responder
+		origin     time.Duration // the window grid: first forwarded record
+		haveOrigin bool
+		rateStart  time.Duration
+		haveRate   bool
+		quar       map[can.ID]time.Duration
+		lastSeen   time.Duration
+		down       bool
+	)
+	emit := func(as []detect.Alert) {
+		for _, a := range as {
+			if _, err := resp.HandleAlert(a); err != nil {
+				t.Fatal(err)
+			}
+			alerts = append(alerts, a)
+		}
+	}
+	newest := time.Duration(math.MinInt64)
+	for len(mixed) > 0 {
+		n := min(slab, len(mixed))
+		for _, r := range mixed[:n] {
+			newest = max(newest, r.Time)
+			if r.Channel != ch {
+				continue
+			}
+			lastSeen, down = r.Time, false
+			if det == nil {
+				det = core.MustNew(m.Core())
+				if err := det.SetTemplate(m.Template()); err != nil {
+					t.Fatal(err)
+				}
+				gw = gateway.NewWithPolicy(m.Gateway())
+				gw.RestoreQuarantines(quar)
+				if haveRate {
+					if detect.WindowExpired(rateStart, r.Time, rw) {
+						rateStart = detect.NextWindowStart(rateStart, r.Time, rw)
+					}
+					gw.SeedRateWindow(rateStart)
+				}
+				var err error
+				if resp, err = response.New(gw, *m.Response()); err != nil {
+					t.Fatal(err)
+				}
+				if haveOrigin {
+					det.SeedWindow(origin + (r.Time-origin)/w*w)
+				}
+			}
+			if gw.Classify(r) != gateway.Forward {
+				dropped++
+				continue
+			}
+			if !haveOrigin {
+				origin, haveOrigin = r.Time, true
+			}
+			emit(det.Observe(r))
+		}
+		mixed = mixed[n:]
+		if det != nil && !down && detect.WindowExpired(lastSeen, newest, idleAfter) {
+			emit(det.Flush())
+			rateStart, haveRate = gw.RateWindowStart()
+			quar = gw.Quarantines()
+			det, down = nil, true
+			teardowns++
+		}
+	}
+	if det != nil {
+		emit(det.Flush())
+	}
+	return alerts, dropped, teardowns
+}
+
+// TestFleetLaggingClockTeardown pins the documented clock-skew caveat
+// as a contract. veh-lag stamps its records 3s behind the shared clock
+// the other vehicle keeps; with IdleAfter 2s the demux tears its lane
+// down after every input slab it appears in. The teardown lands at the
+// same stream position on every run, the respun lane resumes the stored
+// window and rate phases and its quarantines (its alerts and drops
+// equal laggingReference's, and every alert sits on the vehicle's own
+// window grid), the accounting reconciles, and the leading vehicle is
+// undisturbed. The lagging vehicle's stream is not a dedicated
+// engine's: windows that span a slab edge are scored in pieces.
+func TestFleetLaggingClockTeardown(t *testing.T) {
+	const lag, idleAfter, slab = 3 * time.Second, 2 * time.Second, 700
+	// A budget well below 0x08D's 100 frames per window keeps rate drops
+	// coming within each slab's piece of the stream (a respun lane's
+	// rate counts start from zero), so the rate phase shows in the
+	// drops.
+	_, tmpl, _ := loadFixture(t)
+	pool := scenarioLegalPool(t, "fusion/idle/SI-100")
+	gp, err := gateway.NewPolicy(gateway.Config{RateWindow: detectorConfig().Window, Budgets: map[can.ID]int{0x08D: 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := response.DefaultConfig(pool)
+	m, err := model.New(model.Spec{Epoch: 1, Core: detectorConfig(), Template: tmpl, Pool: pool, Gateway: gp, Response: &rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead := retag(scenarioTrace(t, "fusion/idle/clean"), "veh-lead")
+	lagging := retag(scenarioTrace(t, "fusion/idle/SI-100"), "veh-lag")
+	// Records arrive in the order of the shared clock; veh-lag's own
+	// stamps run lag behind it.
+	mixed := interleave(lead, lagging)
+	for i := range mixed {
+		if mixed[i].Channel == "veh-lag" {
+			mixed[i].Time -= lag
+		}
+	}
+	for i := range lagging {
+		lagging[i].Time -= lag
+	}
+
+	run := func() (map[string][]detect.Alert, map[string]engine.Stats, map[string]engine.BusHealth) {
+		sup, err := engine.NewSupervisor(engine.SupervisorConfig{
+			Fleet: &engine.FleetConfig{Engines: 1, Model: m, IdleAfter: idleAfter},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string][]detect.Alert)
+		stats, err := runWithin(t, sup, &slabSource{tr: mixed, size: slab}, func(ch string, a detect.Alert) {
+			got[ch] = append(got[ch], a)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, stats, sup.Health()
+	}
+	got, stats, health := run()
+	got2, stats2, _ := run()
+	if !reflect.DeepEqual(got, got2) || !reflect.DeepEqual(stats, stats2) {
+		t.Error("lagging-clock teardowns are not deterministic: alerts or stats differ across runs")
+	}
+
+	want, wantDropped, teardowns := laggingReference(t, m, mixed, slab, "veh-lag", idleAfter)
+	if teardowns < 2 {
+		t.Fatalf("reference tore veh-lag down %d times; the lag does not exercise the caveat", teardowns)
+	}
+	if len(want) == 0 || wantDropped == 0 {
+		t.Fatalf("reference run has %d alerts and %d drops; the contract is vacuous", len(want), wantDropped)
+	}
+	t.Logf("veh-lag: %d teardowns, %d windows, %d alerts, %d drops", teardowns, stats["veh-lag"].Windows, len(want), wantDropped)
+	if !reflect.DeepEqual(got["veh-lag"], want) {
+		t.Errorf("veh-lag alerts differ from the teardown reference (got %d, want %d)", len(got["veh-lag"]), len(want))
+	}
+	if st := stats["veh-lag"]; st.Dropped != uint64(wantDropped) {
+		t.Errorf("veh-lag dropped %d, reference dropped %d", st.Dropped, wantDropped)
+	}
+	origin, w := lagging[0].Time, m.Core().Window
+	for _, a := range got["veh-lag"] {
+		if (a.WindowStart-origin)%w != 0 {
+			t.Errorf("alert window %v is off veh-lag's window grid from %v", a.WindowStart, origin)
+		}
+	}
+
+	dedicated := func(tr trace.Trace) ([]detect.Alert, engine.Stats) {
+		gw := gateway.NewWithPolicy(m.Gateway())
+		resp, err := response.New(gw, *m.Response())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := engine.NewFromModel(engine.Config{Gateway: gw, Responder: resp}, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alerts, st, err := eng.Detect(context.Background(), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return alerts, st
+	}
+	if alone, st := dedicated(lagging); reflect.DeepEqual(got["veh-lag"], alone) || stats["veh-lag"].Windows <= st.Windows {
+		t.Errorf("veh-lag closed %d windows (dedicated %d) with %s alert stream; the teardowns left no trace",
+			stats["veh-lag"].Windows, st.Windows, map[bool]string{true: "the dedicated", false: "a different"}[reflect.DeepEqual(got["veh-lag"], alone)])
+	}
+	if alone, _ := dedicated(lead); !reflect.DeepEqual(got["veh-lead"], alone) {
+		t.Errorf("veh-lead alerts disturbed by the lagging vehicle (got %d, want %d)", len(got["veh-lead"]), len(alone))
+	}
+
+	for ch, n := range map[string]int{"veh-lead": len(lead), "veh-lag": len(lagging)} {
+		h, st := health[ch], stats[ch]
+		if h.Accepted != st.Frames+st.Lost || uint64(n) != st.Frames+st.Lost+st.Shed {
+			t.Errorf("%s: accepted %d, frames %d + lost %d + shed %d, input %d", ch, h.Accepted, st.Frames, st.Lost, st.Shed, n)
+		}
 	}
 }

@@ -31,9 +31,9 @@ func (t *teeSource) Next() (trace.Record, error) {
 
 // FuzzTraceRoundTrip drives arbitrary bytes through the engine's reader
 // path — NewLogSource decoding one of the three trace formats, feeding a
-// live sharded engine — and, when the input decodes fully, demands that
+// live engine — and, when the input decodes fully, demands that
 // write→decode reproduces the records exactly. The engine run guards
-// the streaming pipeline (window walk, sharding, merge, shutdown)
+// the streaming pipeline (window walk, scoring, shutdown)
 // against pathological timestamps and frame shapes; the round trip
 // guards the codecs.
 func FuzzTraceRoundTrip(f *testing.F) {
@@ -69,14 +69,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatalf("NewLogSource(%v): %v", ft, err)
 		}
 
-		// Vary the pipeline shape with the input so the fuzzer also
-		// explores shard/buffer combinations.
-		cfg := engine.Config{
-			Shards: 1 + int(format)%4,
-			Buffer: 1 + len(data)%8,
-			Core:   core.DefaultConfig(),
-		}
-		eng, err := engine.New(cfg)
+		eng, err := engine.New(engine.Config{Core: core.DefaultConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,8 +42,8 @@ func loadAltTemplate(t *testing.T) core.Template {
 
 // swapAtSource wraps an in-memory trace and queues the swap on the
 // engine the moment record index n is requested — i.e. before the
-// dispatcher processes it — so the swap lands at the first window
-// boundary the dispatcher crosses from record n on, a position that
+// lane processes it — so the swap lands at the first window
+// boundary the lane crosses from record n on, a position that
 // depends only on the record stream.
 type swapAtSource struct {
 	tr  trace.Trace
@@ -79,7 +79,7 @@ func (s *swapAtSource) Next() (trace.Record, error) {
 	return r, nil
 }
 
-// swapBoundary replays the dispatcher's window walk over the record
+// swapBoundary replays the lane's window walk over the record
 // stream and returns the start of the first window that begins at or
 // after the first boundary crossed from record index n on — the exact
 // stream position a swap queued at record n lands at.
@@ -124,7 +124,7 @@ func sequentialSwapAlerts(t *testing.T, oldTmpl, newTmpl core.Template, from tim
 // TestEngineHotSwapMatchesSequential is the hot-reload acceptance
 // criterion: swapping the golden template mid-stream produces an alert
 // stream bit-identical to a sequential run that switches templates at
-// the same window boundary, at shard counts 1, 2 and 8.
+// the same window boundary.
 func TestEngineHotSwapMatchesSequential(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	alt := loadAltTemplate(t)
@@ -141,34 +141,32 @@ func TestEngineHotSwapMatchesSequential(t *testing.T) {
 		if reflect.DeepEqual(want, unswapped) {
 			t.Fatalf("%s: swap to the fusion-b template changes nothing; test is vacuous", name)
 		}
-		for _, shards := range []int{1, 2, 8} {
-			eng, err := engine.NewTrained(engine.Config{Shards: shards, Core: detectorConfig()}, tmpl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := &swapAtSource{tr: tr, n: n, eng: eng, sw: templateModel(t, detectorConfig(), alt), t: t}
-			var got []detect.Alert
-			if _, err := eng.Run(context.Background(), src, func(a detect.Alert) { got = append(got, a) }); err != nil {
-				t.Fatalf("%s shards=%d: %v", name, shards, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s shards=%d: swapped alert stream differs from sequential reference (got %d, want %d)",
-					name, shards, len(got), len(want))
-			}
+		eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &swapAtSource{tr: tr, n: n, eng: eng, sw: templateModel(t, detectorConfig(), alt), t: t}
+		var got []detect.Alert
+		if _, err := eng.Run(context.Background(), src, func(a detect.Alert) { got = append(got, a) }); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: swapped alert stream differs from sequential reference (got %d, want %d)",
+				name, len(got), len(want))
 		}
 	}
 }
 
 // TestEngineHotSwapDeterministicAcrossRuns re-runs the same mid-stream
 // swap and demands identical output every time: the landing boundary
-// must be a function of the record stream, not of goroutine timing.
+// must be a function of the record stream alone.
 func TestEngineHotSwapDeterministicAcrossRuns(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	alt := loadAltTemplate(t)
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
 	var first []detect.Alert
 	for i := 0; i < 4; i++ {
-		eng, err := engine.NewTrained(engine.Config{Shards: 4, Core: detectorConfig()}, tmpl)
+		eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +223,6 @@ func TestEngineHotSwapPolicy(t *testing.T) {
 	}
 	var dropped []droppedRec
 	cfg := engine.Config{
-		Shards:    4,
 		Core:      detectorConfig(),
 		Gateway:   gw,
 		Responder: resp,

@@ -99,15 +99,13 @@ func sequentialPrevention(t *testing.T, tmpl core.Template, legal, pool []can.ID
 // enginePrevention runs the engine with the full loop installed and
 // collects the alert stream plus the dropped-record set.
 func enginePrevention(t *testing.T, tmpl core.Template, legal, pool []can.ID,
-	quarantine time.Duration, shards, batch int, baselines []detect.Detector,
+	quarantine time.Duration, baselines []detect.Detector,
 	tr trace.Trace) ([]detect.Alert, []droppedRec, []response.Action, engine.Stats) {
 
 	t.Helper()
 	gw, resp := preventionSetup(t, legal, pool, quarantine)
 	var dropped []droppedRec
 	cfg := engine.Config{
-		Shards:    shards,
-		Batch:     batch,
 		Core:      detectorConfig(),
 		Baselines: baselines,
 		Gateway:   gw,
@@ -128,9 +126,8 @@ func enginePrevention(t *testing.T, tmpl core.Template, legal, pool []can.ID,
 // TestEnginePreventionMatchesSequential is the PR's acceptance
 // criterion: with blocking enabled, the engine's alert stream, its
 // dropped-frame set and the responder's action history are bit-identical
-// to the sequential reference loop at shard counts 1, 2 and 8 — the
-// dispatcher responds at every window close, so blocks land at the same
-// stream position regardless of parallelism.
+// to the sequential reference loop — the lane responds at every window
+// close, so blocks land at the same stream position.
 func TestEnginePreventionMatchesSequential(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	cases := []struct {
@@ -154,50 +151,22 @@ func TestEnginePreventionMatchesSequential(t *testing.T) {
 		if len(wantDropped) == 0 {
 			t.Fatalf("%s: reference loop dropped nothing; scenario too weak to test prevention", tc.scenario)
 		}
-		for _, shards := range []int{1, 2, 8} {
-			gotAlerts, gotDropped, gotActions, st := enginePrevention(
-				t, tmpl, legal, pool, tc.quarantine, shards, 0, nil, tr)
-			if !reflect.DeepEqual(gotAlerts, wantAlerts) {
-				t.Errorf("%s shards=%d: alert stream differs from sequential loop (got %d, want %d)",
-					tc.scenario, shards, len(gotAlerts), len(wantAlerts))
-			}
-			if !reflect.DeepEqual(gotDropped, wantDropped) {
-				t.Errorf("%s shards=%d: dropped-frame set differs (got %d, want %d)",
-					tc.scenario, shards, len(gotDropped), len(wantDropped))
-			}
-			if !reflect.DeepEqual(gotActions, wantActions) {
-				t.Errorf("%s shards=%d: responder actions differ (got %d, want %d)",
-					tc.scenario, shards, len(gotActions), len(wantActions))
-			}
-			if st.Frames != uint64(len(tr)) || st.Dropped != uint64(len(wantDropped)) {
-				t.Errorf("%s shards=%d: stats frames=%d dropped=%d, want %d/%d",
-					tc.scenario, shards, st.Frames, st.Dropped, len(tr), len(wantDropped))
-			}
-			var routed uint64
-			for _, n := range st.PerShard {
-				routed += n
-			}
-			if routed != st.Forwarded() {
-				t.Errorf("%s shards=%d: per-shard sum %d != forwarded %d",
-					tc.scenario, shards, routed, st.Forwarded())
-			}
+		gotAlerts, gotDropped, gotActions, st := enginePrevention(t, tmpl, legal, pool, tc.quarantine, nil, tr)
+		if !reflect.DeepEqual(gotAlerts, wantAlerts) {
+			t.Errorf("%s: alert stream differs from sequential loop (got %d, want %d)",
+				tc.scenario, len(gotAlerts), len(wantAlerts))
 		}
-	}
-}
-
-// TestEnginePreventionBatchInvisible pins that batching is a pure
-// amortization: batch sizes 1, 3 and the default produce the same
-// alerts and drops.
-func TestEnginePreventionBatchInvisible(t *testing.T) {
-	_, tmpl, _ := loadFixture(t)
-	tr := scenarioTrace(t, "fusion/idle/SI-100")
-	pool := scenarioLegalPool(t, "fusion/idle/SI-100")
-	wantAlerts, wantDropped, _, _ := sequentialPrevention(t, tmpl, nil, pool, 30*time.Second, tr)
-	for _, batch := range []int{1, 3, engine.DefaultBatch} {
-		gotAlerts, gotDropped, _, _ := enginePrevention(t, tmpl, nil, pool, 30*time.Second, 4, batch, nil, tr)
-		if !reflect.DeepEqual(gotAlerts, wantAlerts) || !reflect.DeepEqual(gotDropped, wantDropped) {
-			t.Errorf("batch=%d changed results: %d/%d alerts, %d/%d drops",
-				batch, len(gotAlerts), len(wantAlerts), len(gotDropped), len(wantDropped))
+		if !reflect.DeepEqual(gotDropped, wantDropped) {
+			t.Errorf("%s: dropped-frame set differs (got %d, want %d)",
+				tc.scenario, len(gotDropped), len(wantDropped))
+		}
+		if !reflect.DeepEqual(gotActions, wantActions) {
+			t.Errorf("%s: responder actions differ (got %d, want %d)",
+				tc.scenario, len(gotActions), len(wantActions))
+		}
+		if st.Frames != uint64(len(tr)) || st.Dropped != uint64(len(wantDropped)) {
+			t.Errorf("%s: stats frames=%d dropped=%d, want %d/%d",
+				tc.scenario, st.Frames, st.Dropped, len(tr), len(wantDropped))
 		}
 	}
 }
@@ -212,7 +181,7 @@ func TestEnginePreventionDeterministicAcrossRuns(t *testing.T) {
 	var firstAlerts []detect.Alert
 	var firstDropped []droppedRec
 	for i := 0; i < 4; i++ {
-		alerts, dropped, _, _ := enginePrevention(t, tmpl, nil, pool, 30*time.Second, 4, 0, nil, tr)
+		alerts, dropped, _, _ := enginePrevention(t, tmpl, nil, pool, 30*time.Second, nil, tr)
 		if i == 0 {
 			firstAlerts, firstDropped = alerts, dropped
 			if len(firstAlerts) == 0 || len(firstDropped) == 0 {
@@ -233,7 +202,7 @@ func TestEnginePreventionStopsAttack(t *testing.T) {
 	specs, tmpl, _ := loadFixture(t)
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
 	pool := scenarioLegalPool(t, "fusion/idle/SI-100")
-	_, dropped, actions, st := enginePrevention(t, tmpl, nil, pool, 30*time.Second, 4, 0, nil, tr)
+	_, dropped, actions, st := enginePrevention(t, tmpl, nil, pool, 30*time.Second, nil, tr)
 	if len(actions) == 0 {
 		t.Fatal("responder never acted")
 	}
@@ -316,7 +285,7 @@ func TestEnginePreventionWithBaselines(t *testing.T) {
 	}
 	sortAlertsByMergeOrder(want, ref)
 
-	gotAlerts, gotDropped, _, _ := enginePrevention(t, tmpl, nil, pool, 30*time.Second, 3, 0, newBaselines(), tr)
+	gotAlerts, gotDropped, _, _ := enginePrevention(t, tmpl, nil, pool, 30*time.Second, newBaselines(), tr)
 	if len(want) == 0 {
 		t.Fatal("expected alerts")
 	}
@@ -350,7 +319,7 @@ func TestEngineGatewayOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.NewTrained(engine.Config{Shards: 4, Core: detectorConfig(), Gateway: gw}, tmpl)
+	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig(), Gateway: gw}, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +369,7 @@ func TestEnginePreventionSteadyStateAllocs(t *testing.T) {
 	run := func() {
 		gw, resp := preventionSetup(t, nil, pool, 30*time.Second)
 		eng, err := engine.NewTrained(engine.Config{
-			Shards: 4, Core: detectorConfig(), Gateway: gw, Responder: resp,
+			Core: detectorConfig(), Gateway: gw, Responder: resp,
 		}, tmpl)
 		if err != nil {
 			t.Fatal(err)

@@ -133,7 +133,7 @@ func (s *ChanBatchSource) NextBatch() ([]trace.Record, error) {
 }
 
 // Next implements Source by iterating the slabs record by record — the
-// engine's dispatcher consumes the feed this way, so channel operations
+// engine's lane consumes the feed this way, so channel operations
 // amortize across the slab while the per-record contract stays intact.
 func (s *ChanBatchSource) Next() (trace.Record, error) {
 	if s.next >= len(s.cur) {

@@ -28,6 +28,10 @@ const (
 	// DefaultStallAfter is how long a bus may refuse frames (demux
 	// blocked on a full feed) before Health reports it stalled.
 	DefaultStallAfter = 10 * time.Second
+	// DefaultBuffer is the default capacity of a host feed, in slabs.
+	DefaultBuffer = 128
+	// DefaultBatch is the default number of records per slab.
+	DefaultBatch = 64
 )
 
 // Bus health states reported by Supervisor.Health: the state of the
@@ -198,7 +202,7 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 				return nil, fmt.Errorf("engine: fleet IdleAfter %v shorter than the gateway rate window %v — teardown would lose rate state", fc.IdleAfter, gp.RateWindow())
 			}
 		}
-		s.fleet = &fleetRun{cfg: *fc}
+		s.fleet = &fleetRun{cfg: *fc, log: cfg.Logger}
 		s.fleet.curModel.Store(fc.Model)
 	}
 	return s, nil
@@ -217,59 +221,32 @@ func (s *Supervisor) Channels() []string {
 	return out
 }
 
-// Engine returns the engine serving one bus, or nil before its first
-// record. After a restart it is the newest incarnation. Fleet lanes are
-// not Engines; in fleet mode this always returns nil.
-func (s *Supervisor) Engine(channel string) *Engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engines[channel]
-}
-
 // Stats returns the per-bus statistics, keyed by channel name. Safe to
 // call live: every counter is an atomic snapshot. Counters accumulate
 // across a host's restarts within a Run — a restarted bus reports its
-// whole history, not just the newest incarnation (PerShard excepted: it
-// covers the newest engine) — and Lost carries the frames that arrived
-// while the bus's host was down.
+// whole history, not just the newest incarnation — and Lost carries the
+// frames that arrived while the bus's host was down.
 func (s *Supervisor) Stats() map[string]Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]Stats, len(s.chans))
 	for ch, c := range s.chans {
-		var st Stats
+		st := c.stats()
 		if e := s.engines[ch]; e != nil {
-			st = e.Stats()
+			st.add(e.Stats())
 		}
-		st.Frames += c.frames.Load()
-		st.Dropped += c.dropped.Load()
-		st.DroppedInjected += c.droppedInjected.Load()
-		st.Windows += c.windows.Load()
-		st.Alerts += c.alerts.Load()
-		st.LastTime = max(st.LastTime, time.Duration(c.lastTime.Load()))
-		st.Lost = c.lost.Load()
-		st.Shed = c.quota.shed.Load()
+		st.Lost, st.Shed = c.lost.Load(), c.quota.shed.Load()
 		out[ch] = st
 	}
 	return out
 }
 
 // TotalStats aggregates the per-bus statistics into one fleet-wide
-// snapshot. PerShard is omitted (shard layouts differ per engine);
-// LastTime is the newest timestamp across buses.
+// snapshot. LastTime is the newest timestamp across buses.
 func (s *Supervisor) TotalStats() Stats {
 	var total Stats
 	for _, st := range s.Stats() {
-		total.Frames += st.Frames
-		total.Dropped += st.Dropped
-		total.DroppedInjected += st.DroppedInjected
-		total.Windows += st.Windows
-		total.Alerts += st.Alerts
-		total.Lost += st.Lost
-		total.Shed += st.Shed
-		if st.LastTime > total.LastTime {
-			total.LastTime = st.LastTime
-		}
+		total.add(st)
 	}
 	return total
 }
@@ -318,12 +295,13 @@ func (s *Supervisor) Health() map[string]BusHealth {
 			Accepted: c.accepted.Load(),
 			Lost:     c.lost.Load(),
 			Shed:     c.quota.shed.Load(),
-			Epoch:    c.epoch.Load(),
 		}
+		m := c.serving.Load()
 		if e := s.engines[ch]; e != nil {
-			if m := e.Model(); m != nil {
-				bh.Epoch = m.Epoch()
-			}
+			m = e.Model()
+		}
+		if m != nil {
+			bh.Epoch = m.Epoch()
 		}
 		switch h.state.Load() {
 		case stateDead:
@@ -349,6 +327,59 @@ func (s *Supervisor) Health() map[string]BusHealth {
 	return out
 }
 
+// RecordPool recycles record-batch slices so a steady-state batched
+// fan-out allocates nothing: the multi-bus supervisor recycles its
+// demux slabs through one, and the serving layer's ingest path feeds
+// slabs from its own. Its bound is the number of slabs its consumers
+// can hold in flight (channel capacity plus the slab in hand), raised
+// with Reserve as consumers start, so a steady stream misses only
+// while the pool warms up. A miss (an empty free list) falls back to the allocator;
+// a Put past the bound drops the slice, so the pool never pins more
+// memory than its consumers' peak. Safe for concurrent use.
+type RecordPool struct {
+	mu   sync.Mutex
+	free [][]trace.Record
+	max  int
+	size int
+}
+
+// NewRecordPool creates a pool holding up to slots free slices of the
+// given capacity. It allocates no slices up front.
+func NewRecordPool(slots, size int) *RecordPool {
+	return &RecordPool{max: slots, size: size}
+}
+
+// Reserve raises the pool's bound by n slots, for a consumer that can
+// hold n more slabs in flight.
+func (p *RecordPool) Reserve(n int) {
+	p.mu.Lock()
+	p.max += n
+	p.mu.Unlock()
+}
+
+// Get returns an empty slice, recycled when one is free.
+func (p *RecordPool) Get() []trace.Record {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		b := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return b[:0]
+	}
+	p.mu.Unlock()
+	return make([]trace.Record, 0, p.size)
+}
+
+// Put returns a slice to the pool (dropped when the free list is full).
+func (p *RecordPool) Put(b []trace.Record) {
+	p.mu.Lock()
+	if len(p.free) < p.max {
+		p.free = append(p.free, b)
+	}
+	p.mu.Unlock()
+}
+
 // chanState is one channel's record — the only place its fate is
 // counted. The demux owns the routing fields; accepted, lost and the
 // quota's shed count are read live by Stats and Health. The counters
@@ -371,14 +402,8 @@ type chanState struct {
 	accepted atomic.Uint64
 	lost     atomic.Uint64
 
-	frames          atomic.Uint64
-	dropped         atomic.Uint64
-	droppedInjected atomic.Uint64
-	windows         atomic.Uint64
-	alerts          atomic.Uint64
-	lastTime        atomic.Int64
-	epoch           atomic.Uint64
-	idle            atomic.Bool
+	counters
+	idle atomic.Bool
 
 	// Teardown residue: the tumbling phases and quarantine list a respun
 	// lane resumes from. Host-goroutine owned; never read while live.
@@ -729,7 +754,9 @@ func (s *Supervisor) sendFeed(ctx context.Context, c *chanState, slab []trace.Re
 	default:
 	}
 	h.stallSince.CompareAndSwap(0, time.Now().UnixNano())
-	if !send(ctx, h.feed, m) {
+	select {
+	case h.feed <- m:
+	case <-ctx.Done():
 		return false
 	}
 	h.stallSince.Store(0)

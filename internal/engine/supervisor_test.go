@@ -49,7 +49,7 @@ func TestSupervisorMatchesPerBusEngines(t *testing.T) {
 
 	want := make(map[string][]detect.Alert)
 	for ch, tr := range map[string]trace.Trace{"can-a": busA, "can-b": busB} {
-		eng, err := engine.NewTrained(engine.Config{Shards: 2, Core: detectorConfig()}, tmpl)
+		eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestSupervisorMatchesPerBusEngines(t *testing.T) {
 
 	sup, err := engine.NewSupervisor(engine.SupervisorConfig{
 		NewEngine: func(channel string) (*engine.Engine, error) {
-			return engine.NewTrained(engine.Config{Shards: 2, Core: detectorConfig()}, tmpl)
+			return engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 		},
 	})
 	if err != nil {
@@ -131,7 +131,7 @@ func TestSupervisorPrevention(t *testing.T) {
 				return nil, err
 			}
 			return engine.NewTrained(engine.Config{
-				Shards: 2, Core: detectorConfig(), Gateway: gw, Responder: resp,
+				Core: detectorConfig(), Gateway: gw, Responder: resp,
 				OnDrop: func(r trace.Record, v gateway.Verdict) {
 					dropMu.Lock()
 					droppedBy[channel] = append(droppedBy[channel], droppedRec{rec: r, v: v})
@@ -185,7 +185,7 @@ func TestSupervisorCancel(t *testing.T) {
 	sup, err := engine.NewSupervisor(engine.SupervisorConfig{
 		Buffer: 2,
 		NewEngine: func(string) (*engine.Engine, error) {
-			return engine.NewTrained(engine.Config{Shards: 2, Buffer: 2, Core: detectorConfig()}, tmpl)
+			return engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 		},
 	})
 	if err != nil {
@@ -241,7 +241,7 @@ func TestSupervisorBatchedMatchesPerRecord(t *testing.T) {
 					cfg.Fleet = &engine.FleetConfig{Engines: 2, Model: fleetModel(t)}
 				} else {
 					cfg.NewEngine = func(string) (*engine.Engine, error) {
-						return engine.NewTrained(engine.Config{Shards: 2, Core: detectorConfig()}, tmpl)
+						return engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
 					}
 				}
 				sup, err := engine.NewSupervisor(cfg)

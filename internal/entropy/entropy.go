@@ -231,9 +231,8 @@ func (c *BitCounter) MeasureInto(h, p []float64) {
 // Merge folds another counter's observations into c, as if every
 // identifier added to o had been added to c instead. Widths must match.
 // Because the counts are integers, a counter assembled by merging
-// per-shard counters measures bit-for-bit the same probabilities and
-// entropies as one counter fed the union stream — the property the
-// streaming engine's sharded windows rely on.
+// partial counters measures bit-for-bit the same probabilities and
+// entropies as one counter fed the union stream.
 func (c *BitCounter) Merge(o *BitCounter) {
 	if c.width != o.width {
 		panic(fmt.Sprintf("entropy: Merge width %d into %d", o.width, c.width))

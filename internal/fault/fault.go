@@ -45,11 +45,11 @@ import (
 type Point string
 
 const (
-	// EngineFrame fires once per record on the engine's dispatch
-	// goroutine, scoped by the engine's Config.FaultScope (the serving
-	// layer sets it to the bus channel).
+	// EngineFrame fires once per record in an engine lane, scoped by
+	// the engine's Config.FaultScope (the serving layer sets it to the
+	// bus channel; fleet lanes use the vehicle channel).
 	EngineFrame Point = "engine.frame"
-	// EngineSwap fires when the dispatcher installs a model at a window
+	// EngineSwap fires when a lane installs a model at a window
 	// boundary — the only way to reach the install-failure path, since
 	// validation makes a real rejection unreachable.
 	EngineSwap Point = "engine.swap"

@@ -30,10 +30,9 @@
 // counts.
 //
 // A Gateway is not safe for concurrent use. It belongs to the
-// goroutine that classifies: in the streaming engine that is the
-// dispatcher, which also runs the responder that blocks identifiers and
-// installs models at window boundaries; in a fleet it is the lane's
-// host. Read Quarantines, Blocked and Stats on that goroutine, or after
+// goroutine that classifies: the one running the engine lane, which
+// also runs the responder that blocks identifiers and installs models
+// at window boundaries — Run's caller, or in a fleet the lane's host. Read Quarantines, Blocked and Stats on that goroutine, or after
 // it has stopped (the CLI's -watch report reads them after the run).
 // Classify must be called in timestamp order for rate limiting to be
 // meaningful.

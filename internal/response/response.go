@@ -6,7 +6,7 @@
 //
 // HandleAlert blocks on the Responder's gateway, so it runs on the
 // goroutine that classifies with that gateway: the streaming engine
-// hands it alerts from its dispatch goroutine. Actions may be read from
+// hands it alerts from its lane's goroutine. Actions may be read from
 // another goroutine meanwhile. The policy itself is an immutable
 // snapshot behind an atomic pointer — HandleAlert reads it without
 // taking a lock; only the per-responder action history is

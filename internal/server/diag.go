@@ -54,7 +54,6 @@ func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
 // (it is megabytes of model, already in the checkpoint/record
 // artifacts) and the admin token redacted.
 type diagConfig struct {
-	Shards            int           `json:"shards"`
 	Buffer            int           `json:"buffer"`
 	Batch             int           `json:"batch"`
 	MaxAlerts         int           `json:"max_alerts"`
@@ -104,7 +103,7 @@ func (s *Server) handleDiag(w http.ResponseWriter, r *http.Request) {
 	alerts, _ := json.MarshalIndent(s.Alerts(diagAlerts), "", "  ")
 	cfg := s.cfg
 	dc := diagConfig{
-		Shards: cfg.Shards, Buffer: cfg.Buffer, Batch: cfg.Batch,
+		Buffer: cfg.Buffer, Batch: cfg.Batch,
 		MaxAlerts: cfg.MaxAlerts, Adapt: cfg.Adapt,
 		CheckpointPath: cfg.CheckpointPath, Fleet: cfg.Fleet,
 		QuotaFrames: cfg.QuotaFrames, QuotaWindow: cfg.QuotaWindow,

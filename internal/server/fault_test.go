@@ -61,10 +61,9 @@ func truncateMidRecord(t *testing.T, csv []byte) []byte {
 	return csv[:idx+4]
 }
 
-// TestServeIsolatesTruncatedIngest is the ingest-isolation contract at
-// shard counts 1, 2 and 8: malformed and truncated uploads on one bus
-// answer 400 and leave the other bus's alert stream bit-identical to
-// the offline sequential run.
+// TestServeIsolatesTruncatedIngest is the ingest-isolation contract:
+// malformed and truncated uploads on one bus answer 400 and leave the
+// other bus's alert stream bit-identical to the offline sequential run.
 func TestServeIsolatesTruncatedIngest(t *testing.T) {
 	snap, _, attacked := loadFixture(t)
 	want := offlineAlerts(t, snap, attacked)
@@ -72,31 +71,28 @@ func TestServeIsolatesTruncatedIngest(t *testing.T) {
 		t.Fatal("offline run found no alerts; fixture too weak")
 	}
 	csv := encodeCSV(t, attacked)
-	for _, shards := range []int{1, 2, 8} {
-		s, url := startServer(t, server.Config{Snapshot: snap, Shards: shards, MaxAlerts: 1 << 20})
-		if code := post(t, url+"/ingest/steady?format=csv", csv, nil); code != http.StatusOK {
-			t.Fatalf("shards %d: steady ingest status %d", shards, code)
-		}
-		var ing struct {
-			Records int    `json:"records"`
-			Error   string `json:"error"`
-		}
-		if code := post(t, url+"/ingest/victim?format=csv", truncateMidRecord(t, csv), &ing); code != http.StatusBadRequest {
-			t.Fatalf("shards %d: truncated ingest status %d", shards, code)
-		}
-		if ing.Error == "" {
-			t.Errorf("shards %d: truncated ingest reported no error", shards)
-		}
-		if code := post(t, url+"/ingest/victim?format=csv", []byte("not a can frame\n"), nil); code != http.StatusBadRequest {
-			t.Fatalf("shards %d: garbage ingest accepted", shards)
-		}
-		if code := post(t, url+"/admin/shutdown", nil, nil); code != http.StatusOK {
-			t.Fatalf("shards %d: shutdown status %d", shards, code)
-		}
-		if got := busAlerts(s, "steady"); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards %d: steady bus alerts disturbed by victim ingest (got %d, want %d)",
-				shards, len(got), len(want))
-		}
+	s, url := startServer(t, server.Config{Snapshot: snap, MaxAlerts: 1 << 20})
+	if code := post(t, url+"/ingest/steady?format=csv", csv, nil); code != http.StatusOK {
+		t.Fatalf("steady ingest status %d", code)
+	}
+	var ing struct {
+		Records int    `json:"records"`
+		Error   string `json:"error"`
+	}
+	if code := post(t, url+"/ingest/victim?format=csv", truncateMidRecord(t, csv), &ing); code != http.StatusBadRequest {
+		t.Fatalf("truncated ingest status %d", code)
+	}
+	if ing.Error == "" {
+		t.Error("truncated ingest reported no error")
+	}
+	if code := post(t, url+"/ingest/victim?format=csv", []byte("not a can frame\n"), nil); code != http.StatusBadRequest {
+		t.Fatal("garbage ingest accepted")
+	}
+	if code := post(t, url+"/admin/shutdown", nil, nil); code != http.StatusOK {
+		t.Fatalf("shutdown status %d", code)
+	}
+	if got := busAlerts(s, "steady"); !reflect.DeepEqual(got, want) {
+		t.Errorf("steady bus alerts disturbed by victim ingest (got %d, want %d)", len(got), len(want))
 	}
 }
 
@@ -104,64 +100,120 @@ func TestServeIsolatesTruncatedIngest(t *testing.T) {
 // engine panics at an exact frame, the supervisor restarts it (from the
 // base snapshot — no checkpoint configured), the daemon keeps running,
 // the steady bus's alerts are bit-identical to an undisturbed run, and
-// the victim's lost frames are accounted exactly.
+// the victim's lost frames are accounted exactly. The fleet leg arms
+// the same seam on one vehicle's lane: only that vehicle's host
+// restarts, every vehicle's accounting reconciles, and the vehicles on
+// the other host keep their undisturbed alert streams.
 func TestServeEnginePanicRestart(t *testing.T) {
 	snap, _, attacked := loadFixture(t)
 	want := offlineAlerts(t, snap, attacked)
-	inj := fault.New()
-	inj.ArmPanic(fault.EngineFrame, "victim", 500, 1)
-	s, url := startServer(t, server.Config{
-		Snapshot: snap, Shards: 2, MaxAlerts: 1 << 20,
-		Fault: inj, RestartBackoff: time.Millisecond,
-	})
 	csv := encodeCSV(t, attacked)
-	if code := post(t, url+"/ingest/steady?format=csv", csv, nil); code != http.StatusOK {
-		t.Fatalf("steady ingest status %d", code)
+	// restarted polls /stats until ch's host has restarted and is back:
+	// a drain that races the backoff window ends the stream with the
+	// host still down, which is (correctly) reported as an error.
+	restarted := func(t *testing.T, url, ch string) {
+		t.Helper()
+		var st faultStats
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if code := get(t, url+"/stats", &st); code != http.StatusOK {
+				t.Fatalf("stats status %d", code)
+			}
+			if h := st.Health[ch]; h.Restarts >= 1 && h.State == engine.BusOK {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never restarted: %+v", ch, st.Health)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
-	if code := post(t, url+"/ingest/victim?format=csv", csv, nil); code != http.StatusOK {
-		t.Fatalf("victim ingest status %d", code)
-	}
-	// Wait for the restart to land before draining: a drain that races
-	// the backoff window ends the stream with the bus still down, which
-	// is (correctly) reported as an error.
-	var st faultStats
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	t.Run("classic", func(t *testing.T) {
+		inj := fault.New()
+		inj.ArmPanic(fault.EngineFrame, "victim", 500, 1)
+		s, url := startServer(t, server.Config{
+			Snapshot: snap, MaxAlerts: 1 << 20,
+			Fault: inj, RestartBackoff: time.Millisecond,
+		})
+		if code := post(t, url+"/ingest/steady?format=csv", csv, nil); code != http.StatusOK {
+			t.Fatalf("steady ingest status %d", code)
+		}
+		if code := post(t, url+"/ingest/victim?format=csv", csv, nil); code != http.StatusOK {
+			t.Fatalf("victim ingest status %d", code)
+		}
+		restarted(t, url, "victim")
+		if code := post(t, url+"/admin/shutdown", nil, nil); code != http.StatusOK {
+			t.Fatalf("shutdown status %d: the restart should absorb the crash", code)
+		}
+		var st faultStats
 		if code := get(t, url+"/stats", &st); code != http.StatusOK {
 			t.Fatalf("stats status %d", code)
 		}
-		if h := st.Health["victim"]; h.Restarts >= 1 && h.State == engine.BusOK {
-			break
+		hv := st.Health["victim"]
+		if hv.State != engine.BusOK || hv.Restarts != 1 {
+			t.Errorf("victim health = %+v, want ok with 1 restart", hv)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("victim never restarted: %+v", st.Health)
+		if st.Buses["victim"].Lost == 0 {
+			t.Error("victim lost no frames across the crash — accounting missing")
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if code := post(t, url+"/admin/shutdown", nil, nil); code != http.StatusOK {
-		t.Fatalf("shutdown status %d: the restart should absorb the crash", code)
-	}
-	if code := get(t, url+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	hv := st.Health["victim"]
-	if hv.State != engine.BusOK || hv.Restarts != 1 {
-		t.Errorf("victim health = %+v, want ok with 1 restart", hv)
-	}
-	if st.Buses["victim"].Lost == 0 {
-		t.Error("victim lost no frames across the crash — accounting missing")
-	}
-	if hs := st.Health["steady"]; hs.Restarts != 0 || hs.Lost != 0 {
-		t.Errorf("steady health = %+v, want undisturbed", hs)
-	}
-	reconcile(t, st, "victim")
-	reconcile(t, st, "steady")
-	if st.Health["steady"].Accepted != uint64(len(attacked)) {
-		t.Errorf("steady accepted %d, want %d", st.Health["steady"].Accepted, len(attacked))
-	}
-	if got := busAlerts(s, "steady"); !reflect.DeepEqual(got, want) {
-		t.Errorf("steady bus alerts disturbed by victim crash (got %d, want %d)", len(got), len(want))
-	}
+		if hs := st.Health["steady"]; hs.Restarts != 0 || hs.Lost != 0 {
+			t.Errorf("steady health = %+v, want undisturbed", hs)
+		}
+		reconcile(t, st, "victim")
+		reconcile(t, st, "steady")
+		if st.Health["steady"].Accepted != uint64(len(attacked)) {
+			t.Errorf("steady accepted %d, want %d", st.Health["steady"].Accepted, len(attacked))
+		}
+		if got := busAlerts(s, "steady"); !reflect.DeepEqual(got, want) {
+			t.Errorf("steady bus alerts disturbed by victim crash (got %d, want %d)", len(got), len(want))
+		}
+	})
+	t.Run("fleet", func(t *testing.T) {
+		inj := fault.New()
+		inj.ArmPanic(fault.EngineFrame, "veh-03", 500, 1)
+		s, url := startServer(t, server.Config{
+			Snapshot: snap, MaxAlerts: 1 << 20,
+			Fleet: &server.FleetOptions{Engines: 2},
+			Fault: inj, RestartBackoff: time.Millisecond,
+		})
+		vehicles := []string{"veh-00", "veh-01", "veh-02", "veh-03", "veh-04", "veh-05"}
+		for _, v := range vehicles {
+			if code := post(t, url+"/ingest/"+v+"?format=csv", csv, nil); code != http.StatusOK {
+				t.Fatalf("%s ingest status %d", v, code)
+			}
+		}
+		restarted(t, url, "veh-03")
+		if code := post(t, url+"/admin/shutdown", nil, nil); code != http.StatusOK {
+			t.Fatalf("shutdown status %d: the restart should absorb the crash", code)
+		}
+		var st faultStats
+		if code := get(t, url+"/stats", &st); code != http.StatusOK {
+			t.Fatalf("stats status %d", code)
+		}
+		if hv := st.Health["veh-03"]; hv.State != engine.BusOK || hv.Restarts != 1 {
+			t.Errorf("veh-03 health = %+v, want ok with 1 restart", hv)
+		}
+		if st.Buses["veh-03"].Lost == 0 {
+			t.Error("veh-03 lost no frames across the crash — accounting missing")
+		}
+		undisturbed := 0
+		for _, v := range vehicles {
+			reconcile(t, st, v)
+			if st.Health[v].Accepted != uint64(len(attacked)) {
+				t.Errorf("%s accepted %d, want %d", v, st.Health[v].Accepted, len(attacked))
+			}
+			if st.Health[v].Restarts > 0 {
+				continue
+			}
+			undisturbed++
+			if got := busAlerts(s, v); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s alerts disturbed by veh-03's crash (got %d, want %d)", v, len(got), len(want))
+			}
+		}
+		if undisturbed == 0 {
+			t.Error("every vehicle shares veh-03's host; isolation is untested")
+		}
+	})
 }
 
 // TestServeRestartFallbackLadder drives the full restore ladder: the
@@ -173,7 +225,7 @@ func TestServeRestartFallbackLadder(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "model.snap")
 	inj := fault.New()
 	s, url := startServer(t, server.Config{
-		Snapshot: snap, Shards: 2,
+		Snapshot:       snap,
 		Adapt:          &server.AdaptOptions{Every: 2, MinWindows: 2, RateSlack: 1.5},
 		CheckpointPath: base,
 		Fault:          inj, RestartBackoff: time.Millisecond,
@@ -274,7 +326,7 @@ func TestServeCheckpointRetry(t *testing.T) {
 	inj := fault.New()
 	inj.ArmError(fault.CheckpointSave, "", 1, 2)
 	_, url := startServer(t, server.Config{
-		Snapshot: snap, Shards: 2,
+		Snapshot:          snap,
 		Adapt:             &server.AdaptOptions{Every: 2, MinWindows: 2, RateSlack: 1.5},
 		CheckpointPath:    base,
 		CheckpointBackoff: 5 * time.Millisecond,
@@ -390,7 +442,7 @@ func TestServeDeadBusHealthz(t *testing.T) {
 	inj := fault.New()
 	inj.ArmPanic(fault.EngineFrame, "victim", 200, 0)
 	s, url := startServer(t, server.Config{
-		Snapshot: snap, Shards: 2, MaxAlerts: 1 << 20,
+		Snapshot: snap, MaxAlerts: 1 << 20,
 		Fault: inj, MaxRestarts: -1, RestartBackoff: time.Millisecond,
 	})
 	csv := encodeCSV(t, attacked)

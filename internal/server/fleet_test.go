@@ -99,7 +99,9 @@ func TestServeFleetMode(t *testing.T) {
 }
 
 // TestServeFleetRejectsAdaptAndFault pins the fleet v1 gates: a fleet
-// server cannot also adapt or inject faults.
+// server cannot also adapt, and a quota needs a window. Fault injection
+// is allowed: fleet lanes carry the engine's fault seams
+// (TestServeEnginePanicRestart's fleet leg).
 func TestServeFleetRejectsAdaptAndFault(t *testing.T) {
 	snap, _, _ := loadFixture(t)
 	if _, err := server.New(server.Config{

@@ -125,7 +125,7 @@ func checkHistogramWellFormed(t *testing.T, body string) map[string]float64 {
 // per HTTP ingest call, decode observations per wire format.
 func TestMetricsLatencyReconcile(t *testing.T) {
 	snap, _, attacked := loadFixture(t)
-	s, url := startServer(t, server.Config{Snapshot: snap, Shards: 2, MaxAlerts: 1 << 20})
+	s, url := startServer(t, server.Config{Snapshot: snap, MaxAlerts: 1 << 20})
 	csv := encodeCSV(t, attacked)
 	if code := post(t, url+"/ingest/can-a?format=csv", csv, nil); code != http.StatusOK {
 		t.Fatalf("can-a ingest status %d", code)
@@ -242,7 +242,7 @@ func TestMetricsLatencyReconcileFleet(t *testing.T) {
 // between scrapes; the histogram state does not.)
 func TestMetricsHistogramByteStable(t *testing.T) {
 	snap, _, attacked := loadFixture(t)
-	s, url := startServer(t, server.Config{Snapshot: snap, Shards: 2, MaxAlerts: 1 << 20})
+	s, url := startServer(t, server.Config{Snapshot: snap, MaxAlerts: 1 << 20})
 	if code := post(t, url+"/ingest/bus-1?format=csv", encodeCSV(t, attacked), nil); code != http.StatusOK {
 		t.Fatalf("ingest status %d", code)
 	}
@@ -317,7 +317,7 @@ func TestDiagBundle(t *testing.T) {
 	const token = "diag-secret"
 	dir := t.TempDir()
 	s, url := startServer(t, server.Config{
-		Snapshot: snap, Shards: 2, MaxAlerts: 1 << 20,
+		Snapshot: snap, MaxAlerts: 1 << 20,
 		AdminToken: token, JournalDir: filepath.Join(dir, "journal"),
 	})
 	if code := post(t, url+"/ingest/ms-can?format=csv", encodeCSV(t, attacked), nil); code != http.StatusOK {
@@ -389,7 +389,6 @@ func TestDiagBundle(t *testing.T) {
 	}
 	var cfg struct {
 		AdminToken string `json:"admin_token"`
-		Shards     int    `json:"shards"`
 	}
 	if err := json.Unmarshal(files["config.json"], &cfg); err != nil {
 		t.Fatalf("config.json does not parse: %v", err)
@@ -427,7 +426,7 @@ func TestJournalGauges(t *testing.T) {
 	snap, _, attacked := loadFixture(t)
 	dir := t.TempDir()
 	s, url := startServer(t, server.Config{
-		Snapshot: snap, Shards: 2, MaxAlerts: 1 << 20,
+		Snapshot: snap, MaxAlerts: 1 << 20,
 		JournalDir: filepath.Join(dir, "journal"),
 	})
 	if code := post(t, url+"/ingest/obd?format=csv", encodeCSV(t, attacked), nil); code != http.StatusOK {

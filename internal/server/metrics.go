@@ -155,7 +155,7 @@ func (s *Server) metricsText() []byte {
 		s.obs.decode[f].WriteProm(&b, "canids_ingest_decode_seconds", `format="`+f.String()+`"`)
 	}
 	obsNames, obsBuses := s.obs.snapshotBuses()
-	m.family("canids_pipeline_latency_seconds", "histogram", "Flush broadcast to window scored, per bus (engine pipeline latency).")
+	m.family("canids_pipeline_latency_seconds", "histogram", "Window close to window scored, per bus (engine pipeline latency).")
 	for i, ch := range obsNames {
 		obsBuses[i].pipeline.WriteProm(&b, "canids_pipeline_latency_seconds", histBus(ch))
 	}

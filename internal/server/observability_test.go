@@ -80,7 +80,7 @@ func TestMetricsReconcileAfterChaos(t *testing.T) {
 	inj := fault.New()
 	inj.ArmPanic(fault.EngineFrame, "victim", 500, 1)
 	_, url := startServer(t, server.Config{
-		Snapshot: snap, Shards: 2, MaxAlerts: 1 << 20,
+		Snapshot: snap, MaxAlerts: 1 << 20,
 		Fault: inj, RestartBackoff: time.Millisecond,
 	})
 	csv := encodeCSV(t, attacked)
@@ -187,99 +187,93 @@ func journalDirBytes(t *testing.T, dir string) map[string][]byte {
 
 // TestRecordReplayDeterminism is the tentpole's closing assertion: a
 // recorded run's capture, replayed through a rebuilt pipeline at the
-// same configuration, reproduces the alert journal bit for bit — at
-// shard counts 1, 2 and 8.
+// same configuration, reproduces the alert journal bit for bit.
 func TestRecordReplayDeterminism(t *testing.T) {
 	snap, _, attacked := loadFixture(t)
 	csv := encodeCSV(t, attacked)
-	for _, shards := range []int{1, 2, 8} {
-		dir := t.TempDir()
-		recorded, url := startServer(t, server.Config{
-			Snapshot: snap, Shards: shards, MaxAlerts: 1 << 20,
-			RecordDir:  dir,
-			JournalDir: filepath.Join(dir, "journal"),
-		})
-		if code := post(t, url+"/ingest/can-a?format=csv", csv, nil); code != http.StatusOK {
-			t.Fatalf("shards %d: can-a ingest status %d", shards, code)
-		}
-		if code := post(t, url+"/ingest/can-b?format=csv", csv, nil); code != http.StatusOK {
-			t.Fatalf("shards %d: can-b ingest status %d", shards, code)
-		}
-		if err := recorded.Drain(); err != nil {
-			t.Fatalf("shards %d: drain: %v", shards, err)
-		}
-		if recorded.AlertsTotal() == 0 {
-			t.Fatalf("shards %d: recorded run produced no alerts; nothing to verify", shards)
-		}
-		if notes := recorded.DegradedNotes(); len(notes) != 0 {
-			t.Fatalf("shards %d: recording degraded: %v", shards, notes)
-		}
+	dir := t.TempDir()
+	recorded, url := startServer(t, server.Config{
+		Snapshot: snap, MaxAlerts: 1 << 20,
+		RecordDir:  dir,
+		JournalDir: filepath.Join(dir, "journal"),
+	})
+	if code := post(t, url+"/ingest/can-a?format=csv", csv, nil); code != http.StatusOK {
+		t.Fatalf("can-a ingest status %d", code)
+	}
+	if code := post(t, url+"/ingest/can-b?format=csv", csv, nil); code != http.StatusOK {
+		t.Fatalf("can-b ingest status %d", code)
+	}
+	if err := recorded.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if recorded.AlertsTotal() == 0 {
+		t.Fatal("recorded run produced no alerts; nothing to verify")
+	}
+	if notes := recorded.DegradedNotes(); len(notes) != 0 {
+		t.Fatalf("recording degraded: %v", notes)
+	}
 
-		m, err := server.LoadManifest(dir)
-		if err != nil {
-			t.Fatalf("shards %d: manifest: %v", shards, err)
-		}
-		if m.Shards != shards {
-			t.Errorf("shards %d: manifest records %d shards", shards, m.Shards)
-		}
-		if got := m.JournalDir(dir); got != filepath.Join(dir, "journal") {
-			t.Errorf("shards %d: manifest journal dir %q", shards, got)
-		}
-		rsnap, err := m.LoadSnapshot(dir)
-		if err != nil {
-			t.Fatalf("shards %d: snapshot: %v", shards, err)
-		}
-		replay, _ := startServer(t, server.Config{
-			Snapshot: rsnap, Shards: m.Shards, Buffer: m.Buffer, Batch: m.Batch,
-			Adapt: m.Adapt, MaxAlerts: 1 << 20,
-			JournalDir: filepath.Join(dir, "replay"),
-		})
-		n, err := replay.ReplayCapture(dir)
-		if err != nil {
-			t.Fatalf("shards %d: replay: %v", shards, err)
-		}
-		if n != 2*len(attacked) {
-			t.Errorf("shards %d: replayed %d records, capture had %d", shards, n, 2*len(attacked))
-		}
-		if err := replay.Drain(); err != nil {
-			t.Fatalf("shards %d: replay drain: %v", shards, err)
-		}
-		if got, want := replay.AlertsTotal(), recorded.AlertsTotal(); got != want {
-			t.Errorf("shards %d: replay produced %d alerts, recorded run had %d", shards, got, want)
-		}
+	m, err := server.LoadManifest(dir)
+	if err != nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	if got := m.JournalDir(dir); got != filepath.Join(dir, "journal") {
+		t.Errorf("manifest journal dir %q", got)
+	}
+	rsnap, err := m.LoadSnapshot(dir)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	replay, _ := startServer(t, server.Config{
+		Snapshot: rsnap, Buffer: m.Buffer, Batch: m.Batch,
+		Adapt: m.Adapt, MaxAlerts: 1 << 20,
+		JournalDir: filepath.Join(dir, "replay"),
+	})
+	n, err := replay.ReplayCapture(dir)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if n != 2*len(attacked) {
+		t.Errorf("replayed %d records, capture had %d", n, 2*len(attacked))
+	}
+	if err := replay.Drain(); err != nil {
+		t.Fatalf("replay drain: %v", err)
+	}
+	if got, want := replay.AlertsTotal(), recorded.AlertsTotal(); got != want {
+		t.Errorf("replay produced %d alerts, recorded run had %d", got, want)
+	}
 
-		want := journalDirBytes(t, filepath.Join(dir, "journal"))
-		got := journalDirBytes(t, filepath.Join(dir, "replay"))
-		if len(want) == 0 {
-			t.Fatalf("shards %d: recorded journal directory is empty", shards)
+	want := journalDirBytes(t, filepath.Join(dir, "journal"))
+	got := journalDirBytes(t, filepath.Join(dir, "replay"))
+	if len(want) == 0 {
+		t.Fatal("recorded journal directory is empty")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("replay journal has %d files, recorded has %d", len(got), len(want))
+	}
+	for name, w := range want {
+		g, ok := got[name]
+		if !ok {
+			t.Fatalf("replay journal missing %s", name)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("shards %d: replay journal has %d files, recorded has %d", shards, len(got), len(want))
+		if !bytes.Equal(g, w) {
+			t.Fatalf("replay journal %s differs from the recorded run (%d vs %d bytes)",
+				name, len(g), len(w))
 		}
-		for name, w := range want {
-			g, ok := got[name]
-			if !ok {
-				t.Fatalf("shards %d: replay journal missing %s", shards, name)
-			}
-			if !bytes.Equal(g, w) {
-				t.Fatalf("shards %d: replay journal %s differs from the recorded run (%d vs %d bytes)",
-					shards, name, len(g), len(w))
-			}
-		}
+	}
 
-		// The journals are well-formed, not just equal: every entry reads
-		// back and the per-bus counts cover the recorded alert total.
-		var entries int
-		for name := range want {
-			es, torn, err := journal.Read(filepath.Join(dir, "journal", name))
-			if err != nil || torn {
-				t.Fatalf("shards %d: journal %s unreadable (torn=%v): %v", shards, name, torn, err)
-			}
-			entries += len(es)
+	// The journals are well-formed, not just equal: every entry reads
+	// back and the per-bus counts cover the recorded alert total.
+	var entries int
+	for name := range want {
+		es, torn, err := journal.Read(filepath.Join(dir, "journal", name))
+		if err != nil || torn {
+			t.Fatalf("journal %s unreadable (torn=%v): %v", name, torn, err)
 		}
-		if entries != int(recorded.AlertsTotal()) {
-			t.Errorf("shards %d: journals hold %d entries, recorded run emitted %d alerts",
-				shards, entries, recorded.AlertsTotal())
-		}
+		entries += len(es)
+	}
+	if entries != int(recorded.AlertsTotal()) {
+		t.Errorf("journals hold %d entries, recorded run emitted %d alerts",
+			entries, recorded.AlertsTotal())
 	}
 }

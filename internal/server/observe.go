@@ -28,7 +28,7 @@ type mark struct {
 // its engine as side-band timing hooks, the end-to-end detection
 // histogram, and the ingest-watermark ring connecting the two clocks.
 type busObs struct {
-	pipeline *hist.Histogram // flush → window scored (engine Timing)
+	pipeline *hist.Histogram // window close → window scored (engine Timing)
 	detect   *hist.Histogram // record ingest → alert emit
 
 	mu       sync.Mutex

@@ -1,7 +1,7 @@
 // Record/replay: Config.RecordDir captures everything a later run
 // needs to reproduce this one's alert journal bit for bit, leaning on
 // the engine's determinism guarantee (the alert stream is bit-identical
-// to the sequential detector at any shard count, per bus).
+// to the sequential detector, per bus).
 //
 // A capture directory looks like:
 //
@@ -16,9 +16,9 @@
 // The capture taps the supervisor's demux seam, so what is recorded is
 // exactly what the engines consumed: per-bus record content, order and
 // batch boundaries. Replay pushes the captured slabs back through an
-// identical pipeline (same snapshot, shards, batching, adaptation
-// options) bus by bus; per-bus determinism then forces the replayed
-// alert journal to equal the recorded one byte for byte.
+// identical pipeline (same snapshot, batching, adaptation options) bus
+// by bus; per-bus determinism then forces the replayed alert journal
+// to equal the recorded one byte for byte.
 //
 // The contract holds for runs that ended in a clean drain and had no
 // mid-run reloads, crash-restarts or fault injection: a restart loses
@@ -63,13 +63,15 @@ type Manifest struct {
 	Version        int    `json:"version"`
 	SnapshotFile   string `json:"snapshot_file"`
 	SnapshotSHA256 string `json:"snapshot_sha256"`
-	// Shards, Buffer and Batch mirror Config. Determinism does not
-	// depend on them (the engine guarantee), but replaying with the
-	// recorded values keeps the replayed run's performance envelope —
-	// and any engine bug being hunted — faithful to the incident.
-	Shards int `json:"shards,omitempty"`
+	// Buffer and Batch mirror Config. Determinism does not depend on
+	// them, but replaying with the recorded values keeps the replayed
+	// run's performance envelope — and any bug being hunted — faithful
+	// to the incident.
 	Buffer int `json:"buffer,omitempty"`
 	Batch  int `json:"batch,omitempty"`
+	// Shards is read from captures recorded before every bus ran one
+	// lane, and no longer written.
+	Shards int `json:"shards,omitempty"`
 	// Adapt reproduces online adaptation: promotions are driven purely
 	// by the record stream at window boundaries, so the same options
 	// over the same capture promote identically.
@@ -99,7 +101,6 @@ func (s *Server) setupRecord() error {
 		Version:        manifestVersion,
 		SnapshotFile:   SnapshotFile,
 		SnapshotSHA256: sum,
-		Shards:         s.cfg.Shards,
 		Buffer:         s.cfg.Buffer,
 		Batch:          s.cfg.Batch,
 		Adapt:          s.cfg.Adapt,

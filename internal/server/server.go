@@ -197,9 +197,9 @@ type AdaptOptions struct {
 // immutable model.Model (the per-vehicle marginal state shrinks to
 // detector counters and the quarantine list). A crashed host restarts
 // under the same policy as a classic bus (MaxRestarts, RestartBackoff),
-// with an empty lane table. Fleet mode gates off online adaptation,
-// checkpointing and fault injection — one model serves the whole fleet,
-// swapped atomically by /admin/reload.
+// with an empty lane table. Fleet mode gates off online adaptation and
+// checkpointing — one model serves the whole fleet, swapped atomically
+// by /admin/reload.
 type FleetOptions struct {
 	// Engines is the host-goroutine pool size (K in "N vehicles over K
 	// engines"). At least 1.
@@ -215,12 +215,14 @@ type FleetOptions struct {
 type Config struct {
 	// Snapshot is the model to serve. Required and validated at New.
 	Snapshot *store.Snapshot
-	// Shards, Buffer and Batch configure each per-bus engine (zero
-	// means the engine defaults). Batch also sizes the ingest feed
-	// slabs: decoded records travel to the supervisor in recycled
-	// []trace.Record batches, so per-record channel sends never
-	// dominate ingest (BenchmarkServeIngest).
+	// Deprecated: ignored; every bus runs one lane.
 	Shards int
+	// Buffer is the capacity, in slabs, of the ingest feed and of every
+	// host feed behind the demux; zero means engine.DefaultBuffer.
+	// Batch sizes the ingest feed slabs (zero means
+	// engine.DefaultBatch): decoded records travel to the supervisor in
+	// recycled []trace.Record batches, so per-record channel sends
+	// never dominate ingest (BenchmarkServeIngest).
 	Buffer int
 	Batch  int
 	// MaxAlerts bounds the in-memory alert ring served by /alerts; the
@@ -243,7 +245,7 @@ type Config struct {
 	// cleartext (see doc.go).
 	AdminToken string
 	// Fleet, when non-nil, serves in fleet mode (see FleetOptions).
-	// Incompatible with Adapt and Fault.
+	// Incompatible with Adapt.
 	Fleet *FleetOptions
 	// QuotaFrames and QuotaWindow arm the per-channel ingest quota: at
 	// most QuotaFrames records per QuotaWindow of stream time per
@@ -298,9 +300,9 @@ type Config struct {
 	RecordDir string
 
 	// Fault, when non-nil, arms the deterministic fault-injection
-	// harness: the injector is handed to every bus engine (scoped by
-	// bus channel) and consulted at the checkpoint-write seam. Chaos
-	// drills only; leave nil in production.
+	// harness: the injector is handed to every bus engine or fleet lane
+	// (scoped by bus channel) and consulted at the checkpoint-write
+	// seam. Chaos drills only; leave nil in production.
 	Fault *fault.Injector
 	// Logger receives the server's structured log stream (degradation
 	// notes, reloads, checkpoint failures) and is threaded, with
@@ -429,9 +431,6 @@ func New(cfg Config) (*Server, error) {
 		if cfg.Adapt != nil {
 			return nil, errors.New("server: fleet serving does not adapt; drop one of the two")
 		}
-		if cfg.Fault != nil {
-			return nil, errors.New("server: fleet serving does not inject faults")
-		}
 	}
 	if cfg.QuotaFrames > 0 && cfg.QuotaWindow <= 0 {
 		return nil, errors.New("server: an ingest quota needs a positive quota window")
@@ -533,6 +532,7 @@ func New(cfg Config) (*Server, error) {
 			Engines:   cfg.Fleet.Engines,
 			Model:     base,
 			IdleAfter: cfg.Fleet.IdleAfter,
+			Fault:     cfg.Fault,
 		}
 	}
 	sup, err := engine.NewSupervisor(scfg)
@@ -574,8 +574,7 @@ func (s *Server) DegradedNotes() []string {
 // hooks (zero/nil for the New-time probe build).
 func buildEngine(m *model.Model, cfg Config, hook engine.AdaptHook, channel string,
 	timing engine.Timing, logger *slog.Logger) (*engine.Engine, error) {
-	ecfg := engine.Config{Shards: cfg.Shards, Buffer: cfg.Buffer, Batch: cfg.Batch, Adapt: hook,
-		Fault: cfg.Fault, FaultScope: channel, Timing: timing, Logger: logger}
+	ecfg := engine.Config{Adapt: hook, Fault: cfg.Fault, FaultScope: channel, Timing: timing, Logger: logger}
 	if gp := m.Gateway(); gp != nil {
 		gw := gateway.NewWithPolicy(gp)
 		ecfg.Gateway = gw

@@ -214,7 +214,7 @@ func TestServeMatchesOffline(t *testing.T) {
 		t.Fatal("offline run found no alerts; fixture too weak")
 	}
 
-	s, url := startServer(t, server.Config{Snapshot: snap, Shards: 4})
+	s, url := startServer(t, server.Config{Snapshot: snap})
 	var ing struct {
 		Records int `json:"records"`
 	}
@@ -266,7 +266,7 @@ func TestServeMultiBus(t *testing.T) {
 			mixed[i].Channel = "can-b"
 		}
 	}
-	_, url := startServer(t, server.Config{Snapshot: snap, Shards: 2})
+	_, url := startServer(t, server.Config{Snapshot: snap})
 	if code := post(t, url+"/ingest?format=csv", encodeCSV(t, mixed), nil); code != http.StatusOK {
 		t.Fatalf("ingest status %d", code)
 	}
@@ -313,14 +313,14 @@ func TestServeHotReload(t *testing.T) {
 	}
 	foreign.Template = foreignTmpl
 
-	s, url := startServer(t, server.Config{Snapshot: snap, Shards: 2})
+	s, url := startServer(t, server.Config{Snapshot: snap})
 	half := len(clean) / 2
 	if code := post(t, url+"/ingest/ms-can?format=csv", encodeCSV(t, clean[:half]), nil); code != http.StatusOK {
 		t.Fatalf("first ingest status %d", code)
 	}
 	// The ingest returns once the first half is in the bus feed, but a
-	// swap lands at the dispatcher's next window boundary: reloading
-	// while the dispatcher is still inside the first half would move the
+	// swap lands at the lane's next window boundary: reloading
+	// while the lane is still inside the first half would move the
 	// swap point before the split. Wait until it has consumed all of it.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -328,7 +328,7 @@ func TestServeHotReload(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("dispatcher did not consume the first half within 10s")
+			t.Fatal("engine did not consume the first half within 10s")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -429,7 +429,7 @@ func TestServePrevention(t *testing.T) {
 	armed.Gateway = &store.GatewayPolicy{}
 	armed.Response = &store.ResponsePolicy{Rank: 10, BlockTop: 1, Quarantine: 30 * time.Second}
 
-	_, url := startServer(t, server.Config{Snapshot: &armed, Shards: 2})
+	_, url := startServer(t, server.Config{Snapshot: &armed})
 	if code := post(t, url+"/ingest/ms-can?format=csv", encodeCSV(t, attacked), nil); code != http.StatusOK {
 		t.Fatalf("ingest status %d", code)
 	}
@@ -452,7 +452,7 @@ func TestServePrevention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.NewTrained(engine.Config{Shards: 2, Core: armed.Core, Gateway: gw, Responder: resp}, armed.Template)
+	eng, err := engine.NewTrained(engine.Config{Core: armed.Core, Gateway: gw, Responder: resp}, armed.Template)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +676,6 @@ func TestServeAdaptLifecycle(t *testing.T) {
 	const token = "s3cret"
 	srv, url := startServer(t, server.Config{
 		Snapshot:       snap,
-		Shards:         2,
 		Adapt:          &server.AdaptOptions{Every: 2, MinWindows: 2, RateSlack: 1.5},
 		CheckpointPath: base,
 		AdminToken:     token,
@@ -778,7 +777,7 @@ func TestServeAdaptLifecycle(t *testing.T) {
 
 	// Restart: a fresh server built from the checkpoint serves the
 	// learned budgets without adaptation.
-	srv2, url2 := startServer(t, server.Config{Snapshot: loaded, Shards: 2})
+	srv2, url2 := startServer(t, server.Config{Snapshot: loaded})
 	if code := post(t, url2+"/ingest/ms-can?format=csv", encodeCSV(t, clean), nil); code != http.StatusOK {
 		t.Fatalf("restart ingest status %d", code)
 	}
@@ -793,7 +792,7 @@ func TestServeAdaptLifecycle(t *testing.T) {
 
 // TestIngestSteadyStateAllocs extends the engine's allocation guard to
 // the serve path: a warm server ingesting binary or candump bodies —
-// decode, feed slabs, demux and the sharded engine together — and a
+// decode, feed slabs, demux and the engine lanes together — and a
 // fleet with the gateway and responder armed stay below 0.25
 // allocations per frame. Each body is the capture shifted past the
 // previous one, so stream time keeps advancing.
