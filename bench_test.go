@@ -29,6 +29,7 @@ import (
 	"canids/internal/gateway"
 	"canids/internal/infer"
 	"canids/internal/metrics"
+	"canids/internal/model"
 	"canids/internal/response"
 	"canids/internal/server"
 	"canids/internal/sim"
@@ -455,15 +456,35 @@ func engineBenchFixture(b *testing.B) (core.Template, trace.Trace) {
 	return engineBench.tmpl, engineBench.tr
 }
 
+// engineBenchModel freezes the fixture template, at α = 4, into a
+// model; with pool set it also carries a blocklist-driven gateway policy
+// (no whitelist) and the default response policy over the pool.
+func engineBenchModel(b *testing.B, tmpl core.Template, pool []can.ID) *model.Model {
+	b.Helper()
+	spec := model.Spec{Epoch: 1, Core: core.DefaultConfig(), Template: tmpl, Pool: pool}
+	spec.Core.Alpha = 4
+	if pool != nil {
+		gp, err := gateway.NewPolicy(gateway.DefaultConfig(nil))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rc := response.DefaultConfig(pool)
+		spec.Gateway, spec.Response = gp, &rc
+	}
+	m, err := model.New(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
 // BenchmarkEngineThroughput measures the streaming engine's sustained
 // detection rate in frames per second over a recorded attack scenario.
 // The "frames/s" metric is the headline number; ns/op covers one full
 // pass over the trace including run setup.
 func BenchmarkEngineThroughput(b *testing.B) {
 	tmpl, tr := engineBenchFixture(b)
-	cfg := engine.DefaultConfig()
-	cfg.Core.Alpha = 4
-	eng, err := engine.NewTrained(cfg, tmpl)
+	eng, err := engine.NewFromModel(engine.Config{}, engineBenchModel(b, tmpl, nil))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -493,24 +514,15 @@ func BenchmarkEnginePrevention(b *testing.B) {
 	tmpl, tr := engineBenchFixture(b)
 	pool := vehicle.NewFusionProfile(scenario.Matrix(1)[0].ProfileSeed).IDSet()
 	run := func(b *testing.B, prevent bool) {
+		m := engineBenchModel(b, tmpl, nil)
+		if prevent {
+			m = engineBenchModel(b, tmpl, pool)
+		}
 		ctx := context.Background()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cfg := engine.DefaultConfig()
-			cfg.Core.Alpha = 4
-			if prevent {
-				gw, err := gateway.New(gateway.DefaultConfig(nil))
-				if err != nil {
-					b.Fatal(err)
-				}
-				resp, err := response.New(gw, response.DefaultConfig(pool))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg.Gateway, cfg.Responder = gw, resp
-			}
-			eng, err := engine.NewTrained(cfg, tmpl)
+			eng, err := engine.NewFromModel(engine.Config{}, m)
 			if err != nil {
 				b.Fatal(err)
 			}

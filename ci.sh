@@ -49,6 +49,20 @@ for target in trace:FuzzReadCandump trace:FuzzReadCSV trace:FuzzReadBinary gatew
   go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
 done
 
+# Examples: the runnable examples that build engines must still run to
+# a zero exit, and the prevention example's outcome is deterministic —
+# the same scenario, model and seed stop the same injected frames.
+echo "== examples"
+for ex in prevention streaming serving adaptation; do
+  if ! ex_out=$(go run "./examples/$ex" 2>&1); then
+    echo "examples FAILED: $ex exited non-zero"; echo "$ex_out"; exit 1
+  fi
+  if [[ "$ex" == prevention ]] && ! grep -q "699/800 injected frames stopped at the gateway" <<<"$ex_out"; then
+    echo "examples FAILED: prevention outcome changed"; echo "$ex_out"; exit 1
+  fi
+  echo "examples: $ex ok"
+done
+
 # Serve smoke: train once (-save), run the real `canids -serve` daemon
 # on a random port, ingest a ground-truth capture over HTTP, drain via
 # the admin endpoint, and require the served alert count to equal the

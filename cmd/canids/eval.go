@@ -17,6 +17,7 @@ import (
 	"canids/internal/engine"
 	"canids/internal/experiments"
 	"canids/internal/gateway"
+	"canids/internal/model"
 	"canids/internal/trace"
 )
 
@@ -413,10 +414,11 @@ func evalCapture(sc *evalScan, skip int, cfg core.Config, tmpl core.Template, op
 		}
 	}
 
-	ecfg := engine.DefaultConfig()
-	ecfg.Core = cfg
-	ecfg.Logger = opts.logger
-	eng, err := engine.NewTrained(ecfg, tmpl)
+	m, err := model.New(model.Spec{Epoch: 1, Core: cfg, Template: tmpl})
+	if err != nil {
+		return nil, err
+	}
+	eng, err := engine.NewFromModel(engine.Config{Logger: opts.logger}, m)
 	if err != nil {
 		return nil, err
 	}

@@ -113,7 +113,7 @@ import (
 	"canids/internal/gateway"
 	"canids/internal/infer"
 	"canids/internal/metrics"
-	"canids/internal/response"
+	"canids/internal/model"
 	"canids/internal/server"
 	"canids/internal/store"
 	"canids/internal/trace"
@@ -607,28 +607,23 @@ func (o watchOptions) validate() error {
 }
 
 // engineParts is everything needed to build one engine — one per run,
-// or one per bus channel under -multibus. Each build gets private
-// baseline detectors and, with -prevent, a private gateway + responder
-// (per-bus policy state: each bus has its own rate windows and
-// blocklist).
+// or one per bus channel under -multibus: the model every bus serves
+// (each engine builds its own gateway and responder from it — per-bus
+// policy state: each bus has its own rate windows and blocklist), the
+// clean training windows the baselines learn from, and the flags.
 type engineParts struct {
-	cfg     engine.Config
-	tmpl    core.Template
-	pool    []can.ID              // legal / inference pool; may be empty for bare captures
-	windows []trace.Trace         // clean training windows (scenario mode only)
-	gwPol   *store.GatewayPolicy  // persisted gateway policy (-load): budgets injected, whitelist restored
-	respPol *store.ResponsePolicy // persisted response policy (-load): replaces the policy flags
+	model   *model.Model
+	windows []trace.Trace // clean training windows (scenario mode only)
 	opts    watchOptions
 
-	// responders collects what build created, keyed by channel, for the
+	// engines collects what build created, keyed by channel, for the
 	// end-of-run prevention report. Only the goroutine driving the
 	// supervisor demux (or the single-engine caller) writes it.
-	responders map[string]*response.Responder
-	gateways   map[string]*gateway.Gateway
+	engines map[string]*engine.Engine
 }
 
 func (p *engineParts) build(channel string) (*engine.Engine, error) {
-	cfg := p.cfg // value copy; Baselines/Gateway/Responder set per build
+	cfg := engine.Config{Logger: p.opts.logger}
 	if p.opts.baselines {
 		m, err := baseline.NewMuter(baseline.DefaultMuterConfig())
 		if err != nil {
@@ -645,69 +640,74 @@ func (p *engineParts) build(channel string) (*engine.Engine, error) {
 		}
 		cfg.Baselines = []detect.Detector{m, s}
 	}
-	if p.opts.prevent {
-		gw, resp, err := p.buildPolicy()
+	eng, err := engine.NewFromModel(cfg, p.model)
+	if err != nil {
+		return nil, err
+	}
+	p.engines[channel] = eng
+	return eng, nil
+}
+
+// watchSnapshot merges the flags and a -load snapshot (nil when the run
+// trains) into the one snapshot a -watch run serves — and, with -save,
+// persists, so the saved and the served model cannot differ. It always
+// carries the core config, template and pool; with -prevent also the
+// gateway and response policy. Persisted policy wins over the flags (the
+// snapshot is the model): restored budgets are enforced as-is and a
+// restored whitelist or response policy is kept; otherwise -whitelist
+// arms the legal pool and -rate-slack learns budgets from the clean
+// windows. Without -prevent nothing is enforced, so no policy is served.
+func watchSnapshot(cfg core.Config, tmpl core.Template, pool []can.ID, loaded *store.Snapshot,
+	windows []trace.Trace, opts watchOptions) (*store.Snapshot, error) {
+	snap := &store.Snapshot{Core: cfg, Template: tmpl, Pool: pool}
+	if !opts.prevent {
+		return snap, nil
+	}
+	if len(pool) == 0 {
+		return nil, fmt.Errorf("-prevent needs a legal ID pool (train with a pool, or use -scenario)")
+	}
+	var persisted store.GatewayPolicy
+	if loaded != nil {
+		if loaded.Gateway != nil {
+			persisted = *loaded.Gateway
+		}
+		snap.Response = loaded.Response
+	}
+	gp := &store.GatewayPolicy{Legal: persisted.Legal, RateWindow: cfg.Window, RateSlack: opts.rateSlack}
+	if len(gp.Legal) == 0 && opts.whitelist {
+		gp.Legal = pool
+	}
+	switch {
+	case len(persisted.Budgets) > 0:
+		gp.Budgets, gp.RateWindow, gp.RateSlack = persisted.Budgets, persisted.RateWindow, persisted.RateSlack
+	case opts.rateSlack > 0:
+		learner, err := gateway.NewRateLearner(opts.rateSlack)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Gateway, cfg.Responder = gw, resp
-		p.responders[channel] = resp
-		p.gateways[channel] = gw
-	}
-	return engine.NewTrained(cfg, p.tmpl)
-}
-
-// buildPolicy constructs one gateway + responder pair — the single
-// source of truth for how flags and persisted snapshot policy combine,
-// shared by every engine build and by the -save snapshot export (so
-// what is persisted is exactly what the run enforces).
-func (p *engineParts) buildPolicy() (*gateway.Gateway, *response.Responder, error) {
-	if len(p.pool) == 0 {
-		return nil, nil, fmt.Errorf("-prevent needs a legal ID pool (train with a pool, or use -scenario)")
-	}
-	gwCfg := gateway.Config{RateWindow: p.cfg.Core.Window, RateSlack: p.opts.rateSlack}
-	if p.gwPol != nil && len(p.gwPol.Budgets) > 0 {
-		// Budgets restored from a snapshot: enforce them as-is; no
-		// clean traffic needed.
-		gwCfg.Budgets = p.gwPol.Budgets
-		gwCfg.RateWindow = p.gwPol.RateWindow
-		gwCfg.RateSlack = p.gwPol.RateSlack
-	}
-	if p.gwPol != nil && len(p.gwPol.Legal) > 0 {
-		// The snapshot was trained with a whitelist; restore it, so a
-		// -load replay enforces the model it persisted.
-		gwCfg.Legal = p.gwPol.Legal
-	} else if p.opts.whitelist {
-		gwCfg.Legal = p.pool
-	}
-	gw, err := gateway.New(gwCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if p.opts.rateSlack > 0 && gwCfg.Budgets == nil {
-		if err := gw.LearnRates(p.windows); err != nil {
-			return nil, nil, err
+		for _, w := range windows {
+			learner.ObserveWindow(w)
+		}
+		if gp.Budgets, err = learner.Budgets(); err != nil {
+			return nil, err
 		}
 	}
-	respCfg := response.DefaultConfig(p.pool)
-	if p.respPol != nil {
-		// Persisted response policy wins over the flags, like the
-		// serve daemon: the snapshot is the model.
-		respCfg.Rank = p.respPol.Rank
-		respCfg.BlockTop = p.respPol.BlockTop
-		respCfg.Quarantine = p.respPol.Quarantine
-		respCfg.MinScore = p.respPol.MinScore
-	} else {
-		respCfg.Rank = p.opts.rank
-		respCfg.BlockTop = p.opts.blockTop
-		respCfg.Quarantine = p.opts.quarantine
-		respCfg.MinScore = p.opts.minScore
+	snap.Gateway = gp
+	if snap.Response == nil {
+		snap.Response = &store.ResponsePolicy{Rank: opts.rank, BlockTop: opts.blockTop,
+			Quarantine: opts.quarantine, MinScore: opts.minScore}
 	}
-	resp, err := response.New(gw, respCfg)
+	return snap, nil
+}
+
+// newEngineParts freezes the run's snapshot into the model every engine
+// of the run is built from.
+func newEngineParts(snap *store.Snapshot, windows []trace.Trace, opts watchOptions) (*engineParts, error) {
+	m, err := snap.BuildModel(1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return gw, resp, nil
+	return &engineParts{model: m, windows: windows, opts: opts}, nil
 }
 
 // runWatch streams a scenario or log files through the engine,
@@ -717,13 +717,8 @@ func runWatch(opts watchOptions, stdout io.Writer) error {
 	if err := opts.validate(); err != nil {
 		return err
 	}
-	cfg := engine.DefaultConfig()
-	cfg.Core.Window = opts.window
-	cfg.Core.Alpha = opts.alpha
-	cfg.Logger = opts.logger
-
 	if opts.scenarioName != "" {
-		return watchScenario(opts, cfg, stdout)
+		return watchScenario(opts, stdout)
 	}
 	if len(opts.files) == 0 {
 		return fmt.Errorf("-watch needs log files or -scenario")
@@ -731,15 +726,17 @@ func runWatch(opts watchOptions, stdout io.Writer) error {
 	if opts.baselines {
 		return fmt.Errorf("-baselines needs -scenario (baselines train on the matrix's clean traffic)")
 	}
-	coreCfg, tmpl, pool, snap, err := loadModel(opts.tmplPath, opts.loadPath, opts.window, opts.alpha)
+	cfg, tmpl, pool, loaded, err := loadModel(opts.tmplPath, opts.loadPath, opts.window, opts.alpha)
 	if err != nil {
 		return err
 	}
-	cfg.Core = coreCfg
-	parts := newEngineParts(cfg, tmpl, pool, nil, opts)
-	if snap != nil {
-		parts.gwPol = snap.Gateway
-		parts.respPol = snap.Response
+	snap, err := watchSnapshot(cfg, tmpl, pool, loaded, nil, opts)
+	if err != nil {
+		return err
+	}
+	parts, err := newEngineParts(snap, nil, opts)
+	if err != nil {
+		return err
 	}
 	for _, path := range opts.files {
 		f, err := os.Open(path)
@@ -764,19 +761,10 @@ func runWatch(opts watchOptions, stdout io.Writer) error {
 	return nil
 }
 
-func newEngineParts(cfg engine.Config, tmpl core.Template, pool []can.ID,
-	windows []trace.Trace, opts watchOptions) *engineParts {
-	return &engineParts{
-		cfg: cfg, tmpl: tmpl, pool: pool, windows: windows, opts: opts,
-		responders: make(map[string]*response.Responder),
-		gateways:   make(map[string]*gateway.Gateway),
-	}
-}
-
 // watchScenario trains on the matrix's clean traffic for the scenario's
 // profile, then streams the scenario live (simulation goroutine →
 // bounded channel → engine).
-func watchScenario(opts watchOptions, cfg engine.Config, stdout io.Writer) error {
+func watchScenario(opts watchOptions, stdout io.Writer) error {
 	specs := scenario.Matrix(opts.seed)
 	spec, ok := scenario.Find(specs, opts.scenarioName)
 	if !ok {
@@ -787,58 +775,59 @@ func watchScenario(opts watchOptions, cfg engine.Config, stdout io.Writer) error
 	}
 
 	var (
+		cfg     = core.DefaultConfig()
 		tmpl    core.Template
 		pool    []can.ID
 		windows []trace.Trace
-		gwPol   *store.GatewayPolicy
-		respPol *store.ResponsePolicy
+		loaded  *store.Snapshot
 		origin  string
 	)
+	cfg.Window, cfg.Alpha = opts.window, opts.alpha
 	if opts.loadPath != "" {
 		// Persisted model: no retraining. The baselines are not part of
 		// a snapshot, so they still train on the matrix's clean traffic.
-		snap, err := store.Load(opts.loadPath)
-		if err != nil {
+		var err error
+		if loaded, err = store.Load(opts.loadPath); err != nil {
 			return err
 		}
-		cfg.Core = snap.Core
-		tmpl = snap.Template
-		gwPol = snap.Gateway
-		respPol = snap.Response
-		if pool = snap.Pool; len(pool) == 0 {
+		cfg, tmpl = loaded.Core, loaded.Template
+		if pool = loaded.Pool; len(pool) == 0 {
 			pool = scenarioPool(spec)
 		}
 		if opts.baselines {
-			if windows, err = scenario.TrainingWindows(specs, spec.Profile, cfg.Core.Window); err != nil {
+			if windows, err = scenario.TrainingWindows(specs, spec.Profile, cfg.Window); err != nil {
 				return err
 			}
 		}
 		origin = fmt.Sprintf("model from %s (%d training windows)", opts.loadPath, tmpl.Windows)
 	} else {
 		var err error
-		windows, err = scenario.TrainingWindows(specs, spec.Profile, cfg.Core.Window)
+		windows, err = scenario.TrainingWindows(specs, spec.Profile, cfg.Window)
 		if err != nil {
 			return err
 		}
-		tmpl, err = core.BuildTemplate(windows, cfg.Core.Width, cfg.Core.MinFrames)
+		tmpl, err = core.BuildTemplate(windows, cfg.Width, cfg.MinFrames)
 		if err != nil {
 			return err
 		}
 		pool = scenarioPool(spec)
 		origin = fmt.Sprintf("template from %d clean windows", tmpl.Windows)
 	}
-	parts := newEngineParts(cfg, tmpl, pool, windows, opts)
-	parts.gwPol = gwPol
-	parts.respPol = respPol
-	if opts.loadPath == "" && opts.savePath != "" {
-		snap, err := saveScenarioSnapshot(parts, stdout)
-		if err != nil {
+	snap, err := watchSnapshot(cfg, tmpl, pool, loaded, windows, opts)
+	if err != nil {
+		return err
+	}
+	parts, err := newEngineParts(snap, windows, opts)
+	if err != nil {
+		return err
+	}
+	if opts.savePath != "" {
+		// What a later -load or -serve replays without the matrix: the
+		// very snapshot this run serves.
+		if err := store.Save(opts.savePath, snap); err != nil {
 			return err
 		}
-		// Run on exactly what was persisted (budgets injected, not
-		// relearned), so the -save run and a later -load replay enforce
-		// the same model.
-		parts.gwPol, parts.respPol = snap.Gateway, snap.Response
+		fmt.Fprintf(stdout, "snapshot written to %s\n", opts.savePath)
 	}
 	mode := ""
 	if opts.prevent {
@@ -862,35 +851,6 @@ func watchScenario(opts watchOptions, cfg engine.Config, stdout io.Writer) error
 		return err
 	}
 	return <-streamErr
-}
-
-// saveScenarioSnapshot persists what the scenario run just trained: the
-// template and pool always, and — with -prevent — the gateway policy
-// (whitelist, budgets learned from the clean windows) and the response
-// policy the flags describe, so a later -load or -serve replays the
-// same model without the matrix.
-func saveScenarioSnapshot(parts *engineParts, stdout io.Writer) (*store.Snapshot, error) {
-	opts := parts.opts
-	snap, err := store.New(parts.cfg.Core, parts.tmpl, parts.pool)
-	if err != nil {
-		return nil, err
-	}
-	if opts.prevent {
-		// The same constructor every engine build uses, exported through
-		// store's capture helpers — what is persisted is exactly what
-		// the run enforces.
-		gw, resp, err := parts.buildPolicy()
-		if err != nil {
-			return nil, err
-		}
-		snap.Gateway = store.CaptureGateway(gw)
-		snap.Response = store.CaptureResponse(resp)
-	}
-	if err := store.Save(opts.savePath, snap); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(stdout, "snapshot written to %s\n", opts.savePath)
-	return snap, nil
 }
 
 // serveOptions collects the -serve flags.
@@ -1289,10 +1249,10 @@ type liveStats func() engine.Stats
 // prevention — is scored against it.
 func watchStream(parts *engineParts, src engine.Source, injected *trace.Trace, stdout io.Writer) error {
 	opts := parts.opts
-	// Per-call prevention state: a multi-file run must not replay the
-	// previous file's blocks in this file's report.
-	parts.responders = make(map[string]*response.Responder)
-	parts.gateways = make(map[string]*gateway.Gateway)
+	// Per-call engines: a multi-file run must not replay the previous
+	// file's blocks in this file's report.
+	parts.engines = make(map[string]*engine.Engine)
+	pool := parts.model.Pool()
 	start := time.Now()
 	var mu sync.Mutex // stdout interleaving: sink vs metrics ticker
 	var alerts []detect.Alert
@@ -1309,8 +1269,8 @@ func watchStream(parts *engineParts, src engine.Source, injected *trace.Trace, s
 		// BLOCK report names the verdict); re-ranking here would double
 		// the inference cost on the engine's dispatch goroutine, which
 		// scores every window.
-		if !opts.prevent && len(parts.pool) > 0 && len(a.Bits) > 0 {
-			if res, err := infer.Rank(a, parts.pool, can.StandardIDBits, opts.rank); err == nil {
+		if !opts.prevent && len(pool) > 0 && len(a.Bits) > 0 {
+			if res, err := infer.Rank(a, pool, can.StandardIDBits, opts.rank); err == nil {
 				fmt.Fprintf(stdout, "        suspected IDs: %s\n", formatIDs(res.Candidates))
 			}
 		}
@@ -1389,17 +1349,19 @@ func watchStream(parts *engineParts, src engine.Source, injected *trace.Trace, s
 	return nil
 }
 
-// reportPrevention prints the response history and scores the
-// pre-filter against ground truth: how many attack frames the gateway
-// stopped, and how many legitimate frames it dropped as collateral.
+// reportPrevention prints each bus's response history and live
+// quarantines, read from its engine's responder and gateway after the
+// run, and scores the pre-filter against ground truth: how many attack
+// frames the gateway stopped, and how many legitimate frames it dropped
+// as collateral.
 func reportPrevention(parts *engineParts, st engine.Stats, injected *trace.Trace, stdout io.Writer) {
-	for _, channel := range sortedKeys(parts.responders) {
-		resp := parts.responders[channel]
+	for _, channel := range sortedKeys(parts.engines) {
+		eng := parts.engines[channel]
 		tag := ""
 		if channel != "" {
 			tag = fmt.Sprintf(" [%s]", channel)
 		}
-		for _, act := range resp.Actions() {
+		for _, act := range eng.Responder().Actions() {
 			until := "forever"
 			if act.Until != 0 {
 				until = fmt.Sprint(act.Until)
@@ -1410,7 +1372,7 @@ func reportPrevention(parts *engineParts, st engine.Stats, injected *trace.Trace
 		// Expiry is lazy on the gateway; report only quarantines still
 		// live at the end of the stream.
 		var live []can.ID
-		for id, until := range parts.gateways[channel].Quarantines() {
+		for id, until := range eng.Gateway().Quarantines() {
 			if until == 0 || until > st.LastTime {
 				live = append(live, id)
 			}

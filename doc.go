@@ -44,11 +44,13 @@
 //
 // internal/engine turns the one-shot detector into a serving subsystem:
 // a Source abstraction feeds records from trace files (all three log
-// formats decode incrementally), live channels, or generators; every
-// bus runs one lane, a sequential per-record pipeline that counts each
-// record's identifier bits into the open window, scores every closed
-// window through the exact sequential code path
-// (core.Detector.ScoreWindow), and releases the window's bit-entropy
+// formats decode incrementally), live channels, or generators. A bus is
+// built one way, engine.NewFromModel, from an immutable model.Model;
+// every bus runs one lane, a sequential per-record pipeline that counts
+// each record's identifier bits into the open window, scores every
+// closed window with the model's configuration and template through the
+// scoring function the sequential detector's own window close calls
+// (core.ScoreWindow), and releases the window's bit-entropy
 // alert together with the optional Müter/Song baselines' alerts
 // (observed in the lane too) in one deterministic (WindowEnd, detector
 // rank) order. The engine's output is bit-identical to a sequential
@@ -66,11 +68,12 @@
 // # Prevention
 //
 // The engine also closes the paper's prevention loop ("the malicious
-// messages containing those IDs would be discarded or blocked"): an
-// internal/gateway.Gateway runs as a pre-filter in the lane
-// (whitelist, learned rate limits, dynamic blocklist — all
-// goroutine-safe), each window's alert feeds an
-// internal/response.Responder whose inference quarantines the top
+// messages containing those IDs would be discarded or blocked"): when
+// the model carries gateway and response policy, the lane builds an
+// internal/gateway.Gateway from it as a pre-filter (whitelist, learned
+// rate limits, dynamic blocklist — all goroutine-safe) and an
+// internal/response.Responder bound to that gateway; each window's
+// alert feeds the responder, whose inference quarantines the top
 // suspects, and the lane responds at the window boundary, before it
 // classifies the next record, so blocks land at a deterministic stream
 // position. The result — alert stream, dropped-frame set, response
@@ -78,10 +81,13 @@
 // loop (TestEnginePreventionMatchesSequential, under -race).
 // engine.Supervisor serves multi-bus captures with one engine (and
 // per-bus policy state) per channel. `canids -watch -prevent
-// [-whitelist] [-multibus]` scores prevention against scenario ground
-// truth — attack frames blocked vs legitimate collateral drops — and
-// examples/prevention shows the loop stopping a live injection
-// mid-stream.
+// [-whitelist] [-multibus]` merges its flags (and a -load snapshot's
+// policy) into one snapshot, serves the model built from it — the very
+// snapshot -save writes — and scores prevention against scenario ground
+// truth (attack frames blocked vs legitimate collateral drops), reading
+// each bus's blocks and quarantines through Engine.Responder and
+// Engine.Gateway; examples/prevention shows the loop stopping a live
+// injection mid-stream.
 //
 // # Serving
 //
@@ -116,7 +122,12 @@
 // (TestEngineHotSwapMatchesSequential, under -race).
 // Template, gateway budgets/whitelist and responder policy all install
 // in the lane at that boundary, so the whole policy set changes
-// at one deterministic stream position. POST /admin/shutdown
+// at one deterministic stream position. A reload must keep the served
+// model's structure — model.Compatible: same core configuration,
+// gateway and response policy present in both or neither, same gateway
+// rate window — the one rule Engine.Swap, Supervisor.SwapModel,
+// adaptation promotions and the checkpoint-restore ladder also apply.
+// POST /admin/shutdown
 // drains: ingest stops, final partial windows flush like the offline
 // detector's Flush, and the response carries the final counts — the
 // invariant ci.sh's serve smoke leg scripts against (served alert count

@@ -21,10 +21,12 @@ import (
 	"log"
 	"time"
 
+	"canids/internal/core"
 	"canids/internal/detect"
 	"canids/internal/engine"
 	"canids/internal/engine/scenario"
 	"canids/internal/gateway"
+	"canids/internal/model"
 	"canids/internal/response"
 	"canids/internal/trace"
 	"canids/internal/vehicle"
@@ -47,29 +49,28 @@ func run() error {
 	}
 
 	// Train the golden template on the matrix's clean driving traffic.
-	cfg := engine.DefaultConfig()
-	cfg.Core.Alpha = 4
-	tmpl, err := scenario.Train(specs, spec.Profile, cfg.Core)
+	cfg := core.DefaultConfig()
+	cfg.Alpha = 4
+	tmpl, err := scenario.Train(specs, spec.Profile, cfg)
 	if err != nil {
 		return err
 	}
 
-	// Defensive stack: gateway pre-filter + responder closing the loop.
+	// Defensive stack: a gateway pre-filter policy plus a response
+	// policy closing the loop. The model carries both; the engine builds
+	// its gateway and responder from them.
 	pool := vehicle.NewFusionProfile(spec.ProfileSeed).IDSet()
-	gw, err := gateway.New(gateway.DefaultConfig(nil)) // blocklist-driven; no whitelist
+	gp, err := gateway.NewPolicy(gateway.DefaultConfig(nil)) // blocklist-driven; no whitelist
 	if err != nil {
 		return err
 	}
 	respCfg := response.DefaultConfig(pool)
 	respCfg.Quarantine = 60 * time.Second
-	responder, err := response.New(gw, respCfg)
+	m, err := model.New(model.Spec{Epoch: 1, Core: cfg, Template: tmpl, Pool: pool, Gateway: gp, Response: &respCfg})
 	if err != nil {
 		return err
 	}
-	cfg.Gateway = gw
-	cfg.Responder = responder
-
-	eng, err := engine.NewTrained(cfg, tmpl)
+	eng, err := engine.NewFromModel(engine.Config{}, m)
 	if err != nil {
 		return err
 	}
@@ -94,14 +95,14 @@ func run() error {
 		return err
 	}
 
-	for _, act := range responder.Actions() {
+	for _, act := range eng.Responder().Actions() {
 		fmt.Printf("  -> blocked %v until %v\n", act.Blocked, act.Until)
 	}
 	stopped := st.DroppedInjected
 	leaked := uint64(injected) - stopped
 	fmt.Printf("\noutcome: %d frames, %d windows; %d/%d injected frames stopped at the gateway, %d leaked through\n",
 		st.Frames, st.Windows, stopped, injected, leaked)
-	fmt.Printf("gateway stats: %+v\n", gw.Stats())
+	fmt.Printf("gateway stats: %+v\n", eng.Gateway().Stats())
 	if stopped == 0 {
 		return fmt.Errorf("prevention failed: nothing was stopped")
 	}

@@ -24,6 +24,7 @@ import (
 	"canids/internal/detect"
 	"canids/internal/engine"
 	"canids/internal/engine/scenario"
+	"canids/internal/model"
 	"canids/internal/trace"
 )
 
@@ -42,13 +43,17 @@ func run() error {
 
 	// Train the paper's detector and the two Section V.E baselines on
 	// the matrix's clean traffic across all driving behaviours.
-	cfg := engine.DefaultConfig()
-	cfg.Core.Alpha = 4 // the substrate's empirical operating point
-	windows, err := scenario.TrainingWindows(specs, spec.Profile, cfg.Core.Window)
+	ccfg := core.DefaultConfig()
+	ccfg.Alpha = 4 // the substrate's empirical operating point
+	windows, err := scenario.TrainingWindows(specs, spec.Profile, ccfg.Window)
 	if err != nil {
 		return err
 	}
-	tmpl, err := core.BuildTemplate(windows, cfg.Core.Width, cfg.Core.MinFrames)
+	tmpl, err := core.BuildTemplate(windows, ccfg.Width, ccfg.MinFrames)
+	if err != nil {
+		return err
+	}
+	m, err := model.New(model.Spec{Epoch: 1, Core: ccfg, Template: tmpl})
 	if err != nil {
 		return err
 	}
@@ -65,9 +70,9 @@ func run() error {
 			return err
 		}
 	}
-	cfg.Baselines = []detect.Detector{muter, song}
+	cfg := engine.Config{Baselines: []detect.Detector{muter, song}}
 
-	eng, err := engine.NewTrained(cfg, tmpl)
+	eng, err := engine.NewFromModel(cfg, m)
 	if err != nil {
 		return err
 	}
@@ -103,7 +108,7 @@ func run() error {
 	}
 	muter.Reset()
 	song.Reset()
-	eng1, err := engine.NewTrained(cfg, tmpl)
+	eng1, err := engine.NewFromModel(cfg, m)
 	if err != nil {
 		return err
 	}

@@ -389,6 +389,24 @@ func adapterConfig(t *testing.T, cfg core.Config, tmpl core.Template) adapt.Conf
 	}
 }
 
+// adaptedEngine builds an adapter on adapterConfig's base model and the
+// engine it drives (ecfg plus the adapter), from that same model,
+// through engine.NewFromModel.
+func adaptedEngine(t *testing.T, ecfg engine.Config, cfg core.Config, tmpl core.Template) (*engine.Engine, *adapt.Adapter) {
+	t.Helper()
+	ac := adapterConfig(t, cfg, tmpl)
+	ad, err := adapt.New(ac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecfg.Adapt = ad
+	eng, err := engine.NewFromModel(ecfg, ac.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, ad
+}
+
 // sequentialAdaptAlerts is the reference semantics: one goroutine
 // classifying each record through the gateway, feeding forwarded ones
 // to a sequential core.Detector, and consulting an identical adapter at
@@ -506,18 +524,7 @@ func TestEngineAdaptMatchesSequential(t *testing.T) {
 	// value must leave the adapted stream unchanged.
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ad, err := adapt.New(adapterConfig(t, cfg, tmpl))
-			if err != nil {
-				t.Fatal(err)
-			}
-			gw, err := gateway.New(gateway.Config{RateWindow: cfg.Window})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := engine.NewTrained(engine.Config{Shards: shards, Core: cfg, Gateway: gw, Adapt: ad}, tmpl)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng, ad := adaptedEngine(t, engine.Config{Shards: shards}, cfg, tmpl)
 			got, st, err := eng.Detect(context.Background(), tr)
 			if err != nil {
 				t.Fatal(err)
@@ -543,18 +550,7 @@ func TestEngineAdaptDeterministicAcrossRuns(t *testing.T) {
 	var firstAlerts []detect.Alert
 	var firstStatus adapt.Status
 	for i := 0; i < 3; i++ {
-		ad, err := adapt.New(adapterConfig(t, cfg, tmpl))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gw, err := gateway.New(gateway.Config{RateWindow: cfg.Window})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := engine.NewTrained(engine.Config{Core: cfg, Gateway: gw, Adapt: ad}, tmpl)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, ad := adaptedEngine(t, engine.Config{}, cfg, tmpl)
 		got, _, err := eng.Detect(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)

@@ -333,10 +333,14 @@ func (d *Detector) Template() (Template, error) {
 
 // Threshold returns the detection threshold for bit i (1-based):
 // α·range(i), floored by MinThreshold.
-func (d *Detector) Threshold(i int) float64 {
-	th := d.cfg.Alpha * d.template.Range(i)
-	if th < d.cfg.MinThreshold {
-		th = d.cfg.MinThreshold
+func (d *Detector) Threshold(i int) float64 { return threshold(d.cfg, d.template, i) }
+
+// threshold is the per-bit threshold rule: α·range(i) of the template,
+// floored by cfg.MinThreshold.
+func threshold(cfg Config, tmpl Template, i int) float64 {
+	th := cfg.Alpha * tmpl.Range(i)
+	if th < cfg.MinThreshold {
+		th = cfg.MinThreshold
 	}
 	return th
 }
@@ -430,28 +434,31 @@ func (d *Detector) closeWindow() *detect.Alert {
 	if d.onWindow != nil {
 		d.onWindow(d.windowStart, WindowMeasurement{H: hs, P: ps, Frames: n})
 	}
-	return d.ScoreWindow(d.windowStart, hs, ps, n)
-}
-
-// ScoreWindow scores one already-measured window against the trained
-// template: hs and ps are the per-bit entropy and probability vectors
-// (length Width) and frames is the window's frame count. It returns nil
-// when the detector is untrained, the window is too sparse, or no bit
-// deviates beyond threshold, and the alert otherwise — exactly the
-// verdict Observe reaches when it closes the same window itself.
-//
-// This is the streaming engine's scoring point: an engine lane walks
-// windows and counts identifier bits itself, measures each closed
-// window once, and scores the measurement here through the same code
-// path as the sequential detector, keeping the engine's alert stream
-// bit-identical.
-func (d *Detector) ScoreWindow(start time.Duration, hs, ps []float64, frames int) *detect.Alert {
-	if !d.trained || frames < d.cfg.MinFrames {
+	if !d.trained || n < d.cfg.MinFrames {
 		return nil
 	}
 	d.windowCount++
+	return ScoreWindow(d.cfg, d.template, d.windowStart, hs, ps, n)
+}
 
-	violated, score := scoreAgainstTemplate(d.cfg.Width, d.Threshold, d.template, hs)
+// ScoreWindow scores one measured window against a trained template
+// under cfg: hs and ps are the per-bit entropy and probability vectors
+// (length cfg.Width) and frames is the window's frame count. It returns
+// nil when the window is too sparse or no bit deviates beyond
+// threshold, and the alert otherwise.
+//
+// It is the tumbling-window detector's one scoring function: the
+// Detector's own window close calls it, and so does the streaming
+// engine's lane, which walks windows and counts identifier bits itself
+// and scores each closed window here with its model's configuration and
+// template — so the engine's alert stream is bit-identical to the
+// sequential detector's by construction.
+func ScoreWindow(cfg Config, tmpl Template, start time.Duration, hs, ps []float64, frames int) *detect.Alert {
+	if frames < cfg.MinFrames {
+		return nil
+	}
+	th := func(i int) float64 { return threshold(cfg, tmpl, i) }
+	violated, score := scoreAgainstTemplate(cfg.Width, th, tmpl, hs)
 	if !violated {
 		return nil
 	}
@@ -459,12 +466,12 @@ func (d *Detector) ScoreWindow(start time.Duration, hs, ps []float64, frames int
 	alert := detect.Alert{
 		Detector:    DetectorName,
 		WindowStart: start,
-		WindowEnd:   detect.WindowEnd(start, d.cfg.Window),
+		WindowEnd:   detect.WindowEnd(start, cfg.Window),
 		Frames:      frames,
 		Score:       score,
-		Bits:        deviationBits(d.cfg.Width, d.Threshold, d.template, hs, ps),
+		Bits:        deviationBits(cfg.Width, th, tmpl, hs, ps),
 	}
-	alert.Detail = fmt.Sprintf("%d/%d bits deviated", len(alert.ViolatedBits()), d.cfg.Width)
+	alert.Detail = fmt.Sprintf("%d/%d bits deviated", len(alert.ViolatedBits()), cfg.Width)
 	return &alert
 }
 

@@ -113,14 +113,8 @@ func (d *SlidingDetector) SetTemplate(t Template) error {
 	return nil
 }
 
-// threshold mirrors Detector.Threshold.
-func (d *SlidingDetector) threshold(i int) float64 {
-	th := d.cfg.Base.Alpha * d.template.Range(i)
-	if th < d.cfg.Base.MinThreshold {
-		th = d.cfg.Base.MinThreshold
-	}
-	return th
-}
+// threshold is Detector.Threshold under the base configuration.
+func (d *SlidingDetector) threshold(i int) float64 { return threshold(d.cfg.Base, d.template, i) }
 
 // Observe implements detect.Detector. Records must arrive in
 // non-decreasing timestamp order.

@@ -1,10 +1,24 @@
 // Package engine is the streaming detection subsystem: it consumes CAN
 // record streams from any Source (trace files, the live simulated bus,
 // generators), counts and scores every detection window, and emits one
-// deterministic, timestamp-ordered alert stream per bus. With a gateway
-// and responder installed it is also the prevention subsystem: frames
-// are filtered before detection, alerts turn into blocks, and blocks
-// drop the rest of the attack mid-stream.
+// deterministic, timestamp-ordered alert stream per bus. When its model
+// carries gateway and response policy it is also the prevention
+// subsystem: frames are filtered before detection, alerts turn into
+// blocks, and blocks drop the rest of the attack mid-stream.
+//
+// # Construction
+//
+// A bus is built one way: NewFromModel, from an immutable model.Model
+// (the golden template with its core configuration, plus optional
+// gateway and response policy). The engine builds everything the model
+// calls for — a private gateway from the gateway policy, a responder
+// bound to it from the response policy — through the same lane
+// constructor a fleet vehicle's lane uses (see fleet.go); Config only
+// adds what is not model: baselines, hooks, fault seams and
+// instrumentation. Engine.Gateway and Engine.Responder expose the built
+// pair for reading after Run. Every later model install — Engine.Swap,
+// an adaptation promotion, Supervisor.SwapModel — must pass
+// model.Compatible against the served model first.
 //
 // # Architecture
 //
@@ -21,8 +35,9 @@
 // shared arithmetic (same origin, same step, same skip-ahead over empty
 // slots as core.Detector.Observe), and counts the record's identifier
 // bits. At a boundary it scores the closed window through
-// core.Detector.ScoreWindow — the code path the sequential detector
-// uses — hands the alert to the responder, releases the held alerts to
+// core.ScoreWindow, with the served model's core configuration and
+// template — the function the sequential detector's own window close
+// calls — hands the alert to the responder, releases the held alerts to
 // the sink, runs the adaptation hook and installs the boundary's model.
 // An Engine runs one lane over its Source on the caller's goroutine; a
 // fleet host (see fleet.go) runs one lane per vehicle through the same
@@ -36,14 +51,16 @@
 //
 // # Prevention
 //
-// Config.Gateway installs a pre-filter in the lane: every record is
-// classified in stream order, and only forwarded records reach the
-// detectors (dropped ones are counted in Stats and reported through
-// Config.OnDrop). Config.Responder closes the loop: every bit-entropy
-// alert goes to the responder as soon as its window is scored, and the
-// responder's inference puts the top suspects on the gateway blocklist,
-// so subsequent attack frames are dropped before they can pollute
-// further windows.
+// A model's gateway policy installs a pre-filter in the lane: every
+// record is classified in stream order, and only forwarded records reach
+// the detectors (dropped ones are counted in Stats and reported through
+// Config.OnDrop). Its response policy closes the loop: every
+// bit-entropy alert goes to the responder as soon as its window is
+// scored, and the responder's inference puts the top suspects on the
+// gateway blocklist, so subsequent attack frames are dropped before they
+// can pollute further windows. A model cannot carry response policy
+// without gateway policy (model.New refuses it), and the engine binds
+// the responder to the gateway it built, so the loop always closes.
 //
 // Blocking is deterministic. An alert for window W can only exist once W
 // has closed, and the lane scores W — and applies the responder's
@@ -70,6 +87,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -77,7 +95,6 @@ import (
 	"sync"
 	"time"
 
-	"canids/internal/core"
 	"canids/internal/detect"
 	"canids/internal/fault"
 	"canids/internal/gateway"
@@ -87,31 +104,21 @@ import (
 	"canids/internal/trace"
 )
 
-// Config parameterizes an Engine.
+// Config parameterizes an Engine beyond its model: the model decides
+// what is detected and enforced (core configuration, template, gateway
+// and response policy); Config adds the run's side detectors, hooks,
+// fault seams and instrumentation.
 type Config struct {
 	// Deprecated: ignored; every bus runs one lane.
 	Shards int
-	// Core configures the bit-entropy detector.
-	Core core.Config
 	// Baselines are optional additional detectors run over the full
 	// forwarded stream in the lane. They must be trained by the caller,
 	// walk tumbling windows through detect's window arithmetic (Müter and
 	// Song both do), and are Reset at the start of every Run.
 	Baselines []detect.Detector
-	// Gateway, when set, is the prevention pre-filter: the lane
-	// classifies every record in stream order and only Forward verdicts
-	// reach the detectors. Run resets the gateway's streaming rate state
-	// and counters; the blocklist persists across runs (a quarantine
-	// outlives the stream that triggered it). The lane owns the gateway
-	// while Run runs: read its quarantines and counters after Run
-	// returns.
+	// Deprecated: ignored; the engine builds both from the model.
 	Gateway *gateway.Gateway
-	// Responder, when set, closes the detect→infer→block loop: the lane
-	// hands it every bit-entropy alert, in window order, as it scores the
-	// window, so the resulting blocks land before the next record is
-	// classified. A responder error ends the run. Requires Gateway, and
-	// the responder must be bound to that same gateway
-	// (response.Responder.Gateway).
+	// Deprecated: ignored; the engine builds both from the model.
 	Responder *response.Responder
 	// OnDrop, when set, is called synchronously from Run's goroutine, in
 	// stream order, for every record the gateway drops — the hook the
@@ -191,12 +198,6 @@ type AdaptHook interface {
 	WindowClosed(info WindowInfo) *model.Model
 }
 
-// DefaultConfig returns an engine at the paper's detector operating
-// point.
-func DefaultConfig() Config {
-	return Config{Core: core.DefaultConfig()}
-}
-
 // Stats is a snapshot of a run's progress. Counters are updated with
 // atomics, so Stats may be read live from another goroutine while the
 // engine runs (the watch mode's metrics ticker does).
@@ -241,10 +242,9 @@ func (s *Stats) add(o Stats) {
 	s.LastTime = max(s.LastTime, o.LastTime)
 }
 
-// Engine is a streaming detection pipeline over one bus. Create with
-// New, install a trained template (or Train), then Run it over a
-// Source. An engine may be reused for sequential runs but not
-// concurrent ones.
+// Engine is a streaming detection pipeline over one bus. Create it from
+// a model with NewFromModel, then Run it over a Source. An engine may be
+// reused for sequential runs but not concurrent ones.
 type Engine struct {
 	cfg Config
 	counters
@@ -275,6 +275,30 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: panic in %s stage: %v", e.Stage, e.Value)
 }
 
+// NewFromModel creates an engine serving an immutable model — the only
+// way to build one. The engine builds everything it runs from the
+// model: the window scoring from its core configuration and template,
+// and, when the model carries gateway policy, a private gateway (and,
+// with response policy, a responder bound to it) whose streaming state
+// — rate windows, quarantines — belongs to this bus alone, while the
+// policy they read is the model's, shared and lock-free.
+func NewFromModel(cfg Config, m *model.Model) (*Engine, error) {
+	if m == nil {
+		return nil, errors.New("engine: nil model")
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
+	}
+	e := &Engine{cfg: cfg}
+	l, err := newLane(cfg.FaultScope, m, &e.counters, e, cfg.Fault, cfg.Logger)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	l.base, l.adapt, l.onDrop, l.closeHist = cfg.Baselines, cfg.Adapt, cfg.OnDrop, cfg.Timing.WindowClose
+	e.lane = l
+	return e, nil
+}
+
 // Swap queues an immutable model (internal/model) for the next window
 // boundary. The lane consumes it at the next boundary it crosses, so the
 // update lands at a deterministic stream position: every window closing
@@ -285,40 +309,19 @@ func (e *PanicError) Error() string {
 // initial build — construct the same model.Model and funnel through the
 // same boundary install.
 //
-// Swap validates the model against the engine's configuration up front,
-// so a queued swap cannot fail mid-stream; the previous
+// Swap checks the model against the served one with model.Compatible up
+// front, so a queued swap cannot fail mid-stream; the previous
 // queued-but-unapplied model, if any, is replaced (the latest wins).
 // Safe to call from any goroutine while Run is in flight; a model
 // queued while the engine is idle applies at the first boundary of the
 // next run.
 func (e *Engine) Swap(m *model.Model) error {
-	if err := e.lane.check(m); err != nil {
+	if err := model.Compatible(e.Model(), m); err != nil {
 		return fmt.Errorf("engine: swap: %w", err)
 	}
 	e.swapMu.Lock()
 	e.pendingSwap = m
 	e.swapMu.Unlock()
-	return nil
-}
-
-// checkModel is the one compatibility check every model install passes
-// first (engine swaps and fleet swaps alike): m must carry the serving
-// side's core configuration, gateway policy exactly when it filters and
-// response policy exactly when it responds. A model that passes cannot
-// fail the lane's install.
-func checkModel(m *model.Model, cfg core.Config, filters, responds bool) error {
-	if m == nil {
-		return fmt.Errorf("nil model")
-	}
-	if m.Core() != cfg {
-		return fmt.Errorf("model core config %+v does not match %+v", m.Core(), cfg)
-	}
-	if (m.Gateway() != nil) != filters {
-		return fmt.Errorf("model and serving pipeline disagree on gateway policy")
-	}
-	if (m.Response() != nil) != responds {
-		return fmt.Errorf("model and serving pipeline disagree on response policy")
-	}
 	return nil
 }
 
@@ -333,82 +336,23 @@ func (e *Engine) boundaryModel(*model.Model) *model.Model {
 	return m
 }
 
-// Model returns the model the engine is currently serving, or nil for
-// an engine assembled without one (New + SetTemplate/Train).
+// Model returns the model the engine is currently serving.
 func (e *Engine) Model() *model.Model { return e.serving.Load() }
 
-// New creates an engine. The detector starts untrained (windows are
-// counted but never alerted); install a template with SetTemplate or
-// train with Train before running detection proper.
-func New(cfg Config) (*Engine, error) {
-	if cfg.Responder != nil {
-		if cfg.Gateway == nil {
-			return nil, fmt.Errorf("engine: a Responder needs a Gateway to block on")
-		}
-		if cfg.Responder.Gateway() != cfg.Gateway {
-			return nil, fmt.Errorf("engine: Responder is bound to a different gateway; the loop would not close")
-		}
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.DiscardHandler)
-	}
-	det, err := core.New(cfg.Core)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	e := &Engine{cfg: cfg}
-	l := newLane(cfg.FaultScope, det, cfg.Gateway, cfg.Responder, &e.counters, e, cfg.Fault, cfg.Logger)
-	l.base, l.adapt, l.onDrop, l.closeHist = cfg.Baselines, cfg.Adapt, cfg.OnDrop, cfg.Timing.WindowClose
-	e.lane = l
-	return e, nil
-}
+// Gateway returns the gateway the engine built from its model's gateway
+// policy, or nil when the model carries none. Run resets its streaming
+// rate state and counters; the blocklist persists across runs. The lane
+// owns it while Run runs: read its quarantines and counters after Run
+// returns.
+func (e *Engine) Gateway() *gateway.Gateway { return e.lane.gw }
 
-// NewTrained creates an engine with a prebuilt golden template installed.
-func NewTrained(cfg Config, tmpl core.Template) (*Engine, error) {
-	e, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.SetTemplate(tmpl); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// NewFromModel creates an engine serving an immutable model — the
-// initial-build leg of the single swap path. cfg's Core is taken from
-// the model; its Gateway/Responder must structurally match the model
-// (a gateway exactly when the model carries gateway policy, a
-// responder exactly when it carries response policy), and the model's
-// template and policies are installed through the same validation a
-// boundary swap uses.
-func NewFromModel(cfg Config, m *model.Model) (*Engine, error) {
-	if m == nil {
-		return nil, fmt.Errorf("engine: nil model")
-	}
-	cfg.Core = m.Core()
-	e, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.lane.check(m); err != nil {
-		return nil, fmt.Errorf("engine: swap: %w", err)
-	}
-	if err := e.lane.install(m); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// SetTemplate installs a trained golden template.
-func (e *Engine) SetTemplate(tmpl core.Template) error {
-	return e.lane.det.SetTemplate(tmpl)
-}
-
-// Train builds the golden template from clean training windows.
-func (e *Engine) Train(windows []trace.Trace) error {
-	return e.lane.det.Train(windows)
-}
+// Responder returns the responder the engine built from its model's
+// response policy, or nil when the model carries none. The lane hands it
+// every bit-entropy alert, in window order, as it scores the window, so
+// the resulting blocks land before the next record is classified; a
+// responder error ends the run. Like Gateway, read its action history
+// after Run returns.
+func (e *Engine) Responder() *response.Responder { return e.lane.resp }
 
 // Stats returns a live snapshot of the current (or last) run.
 func (e *Engine) Stats() Stats { return e.stats() }
@@ -428,12 +372,6 @@ func (e *Engine) Stats() Stats { return e.stats() }
 func (e *Engine) Run(ctx context.Context, src Source, sink func(detect.Alert)) (Stats, error) {
 	e.reset()
 	e.lane.reset(sink)
-	for _, b := range e.cfg.Baselines {
-		b.Reset()
-	}
-	if e.cfg.Gateway != nil {
-		e.cfg.Gateway.Reset()
-	}
 	err := e.dispatchGuarded(ctx, src)
 	if err == nil {
 		err = ctx.Err()

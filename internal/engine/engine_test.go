@@ -13,6 +13,7 @@ import (
 	"canids/internal/detect"
 	"canids/internal/engine"
 	"canids/internal/engine/scenario"
+	"canids/internal/model"
 	"canids/internal/trace"
 )
 
@@ -73,6 +74,34 @@ func scenarioTrace(t *testing.T, name string) trace.Trace {
 	return tr
 }
 
+// specModel freezes spec into a model, at epoch 1 and detectorConfig()
+// unless set.
+func specModel(t testing.TB, spec model.Spec) *model.Model {
+	t.Helper()
+	if spec.Epoch == 0 {
+		spec.Epoch = 1
+	}
+	if spec.Core == (core.Config{}) {
+		spec.Core = detectorConfig()
+	}
+	m, err := model.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// newEngine builds an engine through the one constructor there is:
+// engine.NewFromModel, with cfg, serving specModel(spec).
+func newEngine(t testing.TB, cfg engine.Config, spec model.Spec) *engine.Engine {
+	t.Helper()
+	eng, err := engine.NewFromModel(cfg, specModel(t, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // sequentialAlerts replays a trace through a detector the classic way.
 func sequentialAlerts(d detect.Detector, tr trace.Trace) []detect.Alert {
 	d.Reset()
@@ -115,10 +144,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 		if !strings.HasSuffix(name, "/clean") && len(want) == 0 {
 			t.Fatalf("%s: sequential detector found no alerts; scenario too weak to test equality", name)
 		}
-		eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
 		got, st, err := eng.Detect(context.Background(), tr)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -138,10 +164,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 func TestEngineDeterministicAcrossRuns(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
-	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
 	var first []detect.Alert
 	for i := 0; i < 5; i++ {
 		got, _, err := eng.Detect(context.Background(), tr)
@@ -237,13 +260,7 @@ func TestEngineWithBaselines(t *testing.T) {
 			}
 			sortAlertsByMergeOrder(want, ref)
 
-			eng, err := engine.NewTrained(engine.Config{
-				Core:      detectorConfig(),
-				Baselines: newBaselines(),
-			}, tmpl)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng := newEngine(t, engine.Config{Baselines: newBaselines()}, model.Spec{Template: tmpl})
 			got, _, err := eng.Detect(context.Background(), tc.tr)
 			if err != nil {
 				t.Fatal(err)
@@ -279,10 +296,7 @@ func TestEngineLiveStream(t *testing.T) {
 	streamErr := make(chan error, 1)
 	go func() { streamErr <- spec.Stream(ctx, ch) }()
 
-	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
 	var got []detect.Alert
 	if _, err := eng.Run(ctx, engine.NewChanSource(ctx, ch), func(a detect.Alert) { got = append(got, a) }); err != nil {
 		t.Fatal(err)
@@ -301,10 +315,7 @@ func TestEngineCancel(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := make(chan trace.Record) // never closed, never fed after cancel
-	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
 	done := make(chan error, 1)
 	go func() {
 		_, err := eng.Run(ctx, engine.NewChanSource(ctx, ch), func(detect.Alert) {})
@@ -325,10 +336,7 @@ func TestEngineCancel(t *testing.T) {
 // alerts and no error.
 func TestEngineEmptySource(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
-	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
 	alerts, st, err := eng.Detect(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -347,10 +355,7 @@ func TestEngineSourceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
 	_, err = eng.Run(context.Background(), src, func(detect.Alert) {})
 	if err == nil {
 		t.Fatal("malformed log did not surface an error")
@@ -369,10 +374,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	full := scenarioTrace(t, "fusion/idle/clean")
 	half := full[:len(full)/2]
-	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
 	ctx := context.Background()
 	warmAllocs := func(tr trace.Trace) (float64, uint64) {
 		_, st, err := eng.Detect(ctx, tr)
@@ -397,26 +399,5 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if avgFull > avgHalf {
 		t.Errorf("warm run allocates %.0f over %d windows but %.0f over %d; allocations must not grow with the window count",
 			avgFull, winFull, avgHalf, winHalf)
-	}
-}
-
-// TestEngineUntrained: without a template the engine counts windows but
-// never alerts, matching an untrained sequential detector.
-func TestEngineUntrained(t *testing.T) {
-	loadFixture(t)
-	tr := scenarioTrace(t, "fusion/idle/SI-100")
-	eng, err := engine.New(engine.Config{Core: detectorConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alerts, st, err := eng.Detect(context.Background(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(alerts) != 0 {
-		t.Fatalf("untrained engine alerted %d times", len(alerts))
-	}
-	if st.Windows == 0 {
-		t.Fatal("untrained engine closed no windows")
 	}
 }

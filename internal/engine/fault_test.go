@@ -24,13 +24,8 @@ func TestEngineRunRecoversPanic(t *testing.T) {
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
 	inj := fault.New()
 	inj.ArmPanic(fault.EngineFrame, "", 500, 1)
-	eng, err := engine.NewTrained(engine.Config{
-		Core: detectorConfig(), Fault: inj,
-	}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = eng.Run(context.Background(), engine.NewSliceSource(tr), func(detect.Alert) {})
+	eng := newEngine(t, engine.Config{Fault: inj}, model.Spec{Template: tmpl})
+	_, err := eng.Run(context.Background(), engine.NewSliceSource(tr), func(detect.Alert) {})
 	var perr *engine.PanicError
 	if !errors.As(err, &perr) {
 		t.Fatalf("Run error = %v (%T), want *engine.PanicError", err, err)
@@ -53,16 +48,11 @@ func TestEngineRunRecoversStagePanic(t *testing.T) {
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
 	inj := fault.New()
 	inj.ArmPanic(fault.EngineSwap, "", 1, 1)
-	eng, err := engine.NewTrained(engine.Config{
-		Core: detectorConfig(), Fault: inj,
-	}, tmpl)
-	if err != nil {
+	eng := newEngine(t, engine.Config{Fault: inj}, model.Spec{Template: tmpl})
+	if err := eng.Swap(specModel(t, model.Spec{Template: tmpl})); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Swap(templateModel(t, detectorConfig(), tmpl)); err != nil {
-		t.Fatal(err)
-	}
-	_, err = eng.Run(context.Background(), engine.NewSliceSource(tr), func(detect.Alert) {})
+	_, err := eng.Run(context.Background(), engine.NewSliceSource(tr), func(detect.Alert) {})
 	var perr *engine.PanicError
 	if !errors.As(err, &perr) {
 		t.Fatalf("Run error = %v (%T), want *engine.PanicError", err, err)
@@ -81,16 +71,11 @@ func TestEngineSwapInstallFailure(t *testing.T) {
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
 	inj := fault.New()
 	inj.ArmError(fault.EngineSwap, "", 1, 1)
-	eng, err := engine.NewTrained(engine.Config{
-		Core: detectorConfig(), Fault: inj,
-	}, tmpl)
-	if err != nil {
+	eng := newEngine(t, engine.Config{Fault: inj}, model.Spec{Template: tmpl})
+	if err := eng.Swap(specModel(t, model.Spec{Template: tmpl})); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Swap(templateModel(t, detectorConfig(), tmpl)); err != nil {
-		t.Fatal(err)
-	}
-	_, err = eng.Run(context.Background(), engine.NewSliceSource(tr), func(detect.Alert) {})
+	_, err := eng.Run(context.Background(), engine.NewSliceSource(tr), func(detect.Alert) {})
 	if err == nil || !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Run error = %v, want injected install failure", err)
 	}
@@ -163,10 +148,7 @@ func dedicatedAlerts(t *testing.T, name, channel string) []detect.Alert {
 	t.Helper()
 	_, tmpl, _ := loadFixture(t)
 	tr := retag(scenarioTrace(t, name), channel)
-	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
 	alerts, _, err := eng.Detect(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
@@ -185,15 +167,13 @@ func dedicatedAlerts(t *testing.T, name, channel string) []detect.Alert {
 // Lost (it arrived while the bus was down), with no estimate anywhere.
 func TestSupervisorRestartsCrashedBus(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
+	m := specModel(t, model.Spec{Template: tmpl})
 	wantB := dedicatedAlerts(t, "fusion/idle/FI-500", "can-b")
 
 	inj := fault.New()
 	inj.ArmPanic(fault.EngineFrame, "can-a", 700, 1)
 	newEngine := func(channel string) (*engine.Engine, error) {
-		return engine.NewTrained(engine.Config{
-			Core:  detectorConfig(),
-			Fault: inj, FaultScope: channel,
-		}, tmpl)
+		return engine.NewFromModel(engine.Config{Fault: inj, FaultScope: channel}, m)
 	}
 	var restartedCh string
 	var restartedAttempt int
@@ -257,16 +237,14 @@ func isDead(h engine.BusHealth) bool { return h.State == engine.BusDead }
 func TestSupervisorDeadBus(t *testing.T) {
 	wantB := dedicatedAlerts(t, "fusion/idle/FI-500", "can-b")
 	_, tmpl, _ := loadFixture(t)
+	m := specModel(t, model.Spec{Template: tmpl})
 
 	inj := fault.New()
 	inj.ArmPanic(fault.EngineFrame, "can-a", 300, 0) // every record from 300 on
 	var busErrs []string
 	got, stats, health, _, runErr := faultFleet(t, func(cfg *engine.SupervisorConfig) {
 		cfg.NewEngine = func(channel string) (*engine.Engine, error) {
-			return engine.NewTrained(engine.Config{
-				Core:  detectorConfig(),
-				Fault: inj, FaultScope: channel,
-			}, tmpl)
+			return engine.NewFromModel(engine.Config{Fault: inj, FaultScope: channel}, m)
 		}
 		cfg.MaxRestarts = 2
 		cfg.OnBusError = func(channel string, err error, willRestart bool) {
@@ -310,14 +288,12 @@ func TestSupervisorDeadBus(t *testing.T) {
 // eventually dies cleanly.
 func TestSupervisorRestartFactoryError(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
+	m := specModel(t, model.Spec{Template: tmpl})
 	inj := fault.New()
 	inj.ArmPanic(fault.EngineFrame, "can-a", 100, 1)
 	_, _, health, _, runErr := faultFleet(t, func(cfg *engine.SupervisorConfig) {
 		cfg.NewEngine = func(channel string) (*engine.Engine, error) {
-			return engine.NewTrained(engine.Config{
-				Core:  detectorConfig(),
-				Fault: inj, FaultScope: channel,
-			}, tmpl)
+			return engine.NewFromModel(engine.Config{Fault: inj, FaultScope: channel}, m)
 		}
 		cfg.MaxRestarts = 2
 		cfg.RestartEngine = func(channel string, attempt int) (*engine.Engine, error) {
@@ -341,10 +317,7 @@ func TestSupervisorRestartFactoryError(t *testing.T) {
 func TestStatsLostDirectRun(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
 	tr := scenarioTrace(t, "fusion/idle/clean")
-	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
 	if _, _, err := eng.Detect(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}

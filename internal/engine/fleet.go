@@ -6,11 +6,12 @@
 // whole set of policy state, which caps how many vehicles one serving
 // node can hold. Fleet mode inverts the layout: K hosts serve N vehicles
 // (N >> K), each vehicle as a lane — the same per-record pipeline an
-// Engine runs (see lane.go), over a core.Detector, a gateway sharing the
-// fleet's immutable policy snapshot, and a responder. A lane's marginal
-// state is its bit counters plus its quarantine list; everything big
-// (the template, the whitelist, the budget table) lives once in the
-// shared model.Model.
+// Engine runs, built by the same constructor (see lane.go): a gateway
+// sharing the fleet's immutable policy snapshot and a responder, both
+// built from the fleet model. A lane's marginal state is its bit
+// counters plus its gateway and quarantine state; everything big (the
+// template, the whitelist, the budget table) lives once in the shared
+// model.Model.
 //
 // Because a fleet lane and an Engine run the same lane code, a
 // vehicle's alert stream is bit-identical to a dedicated engine fed the
@@ -64,12 +65,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"canids/internal/core"
 	"canids/internal/detect"
 	"canids/internal/fault"
-	"canids/internal/gateway"
 	"canids/internal/model"
-	"canids/internal/response"
 )
 
 // BusIdle is the Health state of a fleet lane torn down for idleness;
@@ -179,38 +177,25 @@ func (f *fleetRun) boundaryModel(cur *model.Model) *model.Model {
 // phase, advanced over the silent gap with the same skip-ahead a
 // dedicated engine applies when the vehicle's next frame arrives.
 func (f *fleetRun) spinUp(c *chanState, t time.Duration, sink func(string, detect.Alert)) (*lane, error) {
-	m := f.curModel.Load()
-	det, err := core.New(m.Core())
+	l, err := newLane(c.name, f.curModel.Load(), &c.counters, f, f.cfg.Fault, f.log)
 	if err != nil {
 		return nil, fmt.Errorf("engine: fleet: lane %q: %w", c.name, err)
 	}
-	if err := det.SetTemplate(m.Template()); err != nil {
-		return nil, fmt.Errorf("engine: fleet: lane %q: %w", c.name, err)
-	}
-	var gw *gateway.Gateway
-	var resp *response.Responder
-	if gp := m.Gateway(); gp != nil {
-		gw = gateway.NewWithPolicy(gp)
+	l.sink = func(a detect.Alert) { sink(c.name, a) }
+	if gw := l.gw; gw != nil {
 		if c.quar != nil {
 			gw.RestoreQuarantines(c.quar)
 			c.quar = nil
 		}
 		if c.haveRate {
 			start := c.rateStart
-			if rw := gp.RateWindow(); rw > 0 && detect.WindowExpired(start, t, rw) {
+			if rw := gw.RateWindow(); rw > 0 && detect.WindowExpired(start, t, rw) {
 				start = detect.NextWindowStart(start, t, rw)
 			}
 			gw.SeedRateWindow(start)
 			c.haveRate = false
 		}
-		if rc := m.Response(); rc != nil {
-			if resp, err = response.New(gw, *rc); err != nil {
-				return nil, fmt.Errorf("engine: fleet: lane %q: %w", c.name, err)
-			}
-		}
 	}
-	l := newLane(c.name, det, gw, resp, &c.counters, f, f.cfg.Fault, f.log)
-	l.sink = func(a detect.Alert) { sink(c.name, a) }
 	if c.haveWindow {
 		start := c.winStart
 		if detect.WindowExpired(start, t, l.W) {
@@ -219,7 +204,6 @@ func (f *fleetRun) spinUp(c *chanState, t time.Duration, sink func(string, detec
 		l.winStart, l.haveWindow = start, true
 		c.haveWindow = false
 	}
-	c.serving.Store(m)
 	c.idle.Store(false)
 	return l, nil
 }
@@ -296,8 +280,7 @@ func (f *fleetRun) serveLanes(in *hostFeed, sink func(string, detect.Alert)) err
 // SwapModel queues an immutable model for every fleet lane: each live
 // lane installs it at its next window boundary, idle lanes pick it up
 // when they respin, and new vehicles spin up serving it. The model must
-// structurally match the fleet's current one (same core configuration,
-// gateway and response policy present exactly when they are now), so an
+// be compatible with the fleet's current one (model.Compatible), so an
 // accepted swap can never fail at a lane. Classic (non-fleet)
 // supervisors reject the call — their engines swap individually through
 // Engine.Swap.
@@ -306,8 +289,7 @@ func (s *Supervisor) SwapModel(m *model.Model) error {
 	if f == nil {
 		return fmt.Errorf("engine: supervisor is not in fleet mode")
 	}
-	base := f.curModel.Load()
-	if err := checkModel(m, base.Core(), base.Gateway() != nil, base.Response() != nil); err != nil {
+	if err := model.Compatible(f.curModel.Load(), m); err != nil {
 		return fmt.Errorf("engine: fleet swap: %w", err)
 	}
 	f.curModel.Store(m)

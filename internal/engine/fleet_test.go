@@ -24,7 +24,7 @@ import (
 func fleetModel(t *testing.T) *model.Model {
 	t.Helper()
 	_, tmpl, _ := loadFixture(t)
-	return templateModel(t, detectorConfig(), tmpl)
+	return specModel(t, model.Spec{Template: tmpl})
 }
 
 // preventionModel freezes a full prevention model: tight budgets on the
@@ -150,12 +150,7 @@ func TestFleetPreventionMatchesDedicated(t *testing.T) {
 
 	var anyDropped bool
 	for ch, tr := range buses {
-		gw := gateway.NewWithPolicy(m.Gateway())
-		resp, err := response.New(gw, *m.Response())
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := engine.NewFromModel(engine.Config{Gateway: gw, Responder: resp}, m)
+		eng, err := engine.NewFromModel(engine.Config{}, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,6 +216,64 @@ func TestFleetSwapModelLandsEverywhere(t *testing.T) {
 	}
 	if err := sup.SwapModel(nil); err == nil {
 		t.Error("fleet swap accepted nil")
+	}
+}
+
+// TestSwapRejectsIncompatibleModels pins the one compatibility rule on
+// both boundary swap paths, Engine.Swap and Supervisor.SwapModel: a
+// model with another gateway rate window — which would land against the
+// lane's open rate phase and the fleet's stored teardown phases — is
+// refused up front, as are core-config drift and a change of policy
+// presence; a model that only retunes budgets is accepted.
+func TestSwapRejectsIncompatibleModels(t *testing.T) {
+	_, tmpl, _ := loadFixture(t)
+	pool := scenarioLegalPool(t, "fusion/idle/SI-100")
+	base := preventionModel(t, pool)
+	w := detectorConfig().Window
+	variant := func(cfg core.Config, gc gateway.Config) *model.Model {
+		gp, err := gateway.NewPolicy(gc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := response.DefaultConfig(pool)
+		m, err := model.New(model.Spec{Epoch: 2, Core: cfg, Template: tmpl, Pool: pool, Gateway: gp, Response: &rc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	drifted := detectorConfig()
+	drifted.Alpha = 6
+	budgets := map[can.ID]int{0x0B5: 2}
+	for _, tc := range []struct {
+		name string
+		next *model.Model
+		ok   bool
+	}{
+		{"budgets retuned", variant(detectorConfig(), gateway.Config{RateWindow: w, Budgets: map[can.ID]int{0x0B5: 5}}), true},
+		{"rate window", variant(detectorConfig(), gateway.Config{RateWindow: 2 * w, Budgets: budgets}), false},
+		{"core config", variant(drifted, gateway.Config{RateWindow: w, Budgets: budgets}), false},
+		{"policy dropped", specModel(t, model.Spec{Template: tmpl}), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := engine.NewFromModel(engine.Config{}, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Swap(tc.next); (err == nil) != tc.ok {
+				t.Errorf("Engine.Swap = %v, want accepted=%v", err, tc.ok)
+			}
+			sup, err := engine.NewSupervisor(engine.SupervisorConfig{Fleet: &engine.FleetConfig{Engines: 1, Model: base}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sup.SwapModel(tc.next); (err == nil) != tc.ok {
+				t.Errorf("Supervisor.SwapModel = %v, want accepted=%v", err, tc.ok)
+			}
+			if want := map[bool]*model.Model{true: tc.next, false: base}[tc.ok]; sup.FleetModel() != want {
+				t.Errorf("fleet serves epoch %d after the swap, want %d", sup.FleetModel().Epoch(), want.Epoch())
+			}
+		})
 	}
 }
 
@@ -530,12 +583,7 @@ func TestFleetLaggingClockTeardown(t *testing.T) {
 	}
 
 	dedicated := func(tr trace.Trace) ([]detect.Alert, engine.Stats) {
-		gw := gateway.NewWithPolicy(m.Gateway())
-		resp, err := response.New(gw, *m.Response())
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := engine.NewFromModel(engine.Config{Gateway: gw, Responder: resp}, m)
+		eng, err := engine.NewFromModel(engine.Config{}, m)
 		if err != nil {
 			t.Fatal(err)
 		}

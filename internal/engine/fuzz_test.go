@@ -9,6 +9,7 @@ import (
 	"canids/internal/core"
 	"canids/internal/detect"
 	"canids/internal/engine"
+	"canids/internal/model"
 	"canids/internal/trace"
 )
 
@@ -62,6 +63,20 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add(byte(2), append([]byte("CTR1"), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF))                     // forged count
 	f.Add(byte(2), []byte("NOPE....."))                                                                        // bad magic
 
+	// A flat template: decoded records are also scored, so the fuzzer
+	// reaches window scoring and alerting.
+	cfg := core.DefaultConfig()
+	flat := func(v float64) []float64 {
+		vec := make([]float64, cfg.Width)
+		for i := range vec {
+			vec[i] = v
+		}
+		return vec
+	}
+	spec := model.Spec{Core: cfg, Template: core.Template{
+		Width: cfg.Width, Windows: 1, MeanH: flat(0.5), MinH: flat(0.45), MaxH: flat(0.55), MeanP: flat(0.5),
+	}}
+
 	f.Fuzz(func(t *testing.T, format byte, data []byte) {
 		ft := fuzzFormats[int(format)%len(fuzzFormats)]
 		src, err := engine.NewLogSource(bytes.NewReader(data), ft)
@@ -69,10 +84,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatalf("NewLogSource(%v): %v", ft, err)
 		}
 
-		eng, err := engine.New(engine.Config{Core: core.DefaultConfig()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, engine.Config{}, spec)
 		var decoded trace.Trace
 		_, runErr := eng.Run(context.Background(), &teeSource{src: src, got: &decoded}, func(detect.Alert) {})
 		if runErr != nil {

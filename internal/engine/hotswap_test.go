@@ -54,17 +54,6 @@ type swapAtSource struct {
 	t   *testing.T
 }
 
-// templateModel freezes a bare detection model (no gateway, no
-// responder) for swapping into engines assembled with NewTrained.
-func templateModel(t *testing.T, cfg core.Config, tmpl core.Template) *model.Model {
-	t.Helper()
-	m, err := model.New(model.Spec{Epoch: 1, Core: cfg, Template: tmpl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 func (s *swapAtSource) Next() (trace.Record, error) {
 	if s.i == s.n {
 		if err := s.eng.Swap(s.sw); err != nil {
@@ -141,11 +130,8 @@ func TestEngineHotSwapMatchesSequential(t *testing.T) {
 		if reflect.DeepEqual(want, unswapped) {
 			t.Fatalf("%s: swap to the fusion-b template changes nothing; test is vacuous", name)
 		}
-		eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := &swapAtSource{tr: tr, n: n, eng: eng, sw: templateModel(t, detectorConfig(), alt), t: t}
+		eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
+		src := &swapAtSource{tr: tr, n: n, eng: eng, sw: specModel(t, model.Spec{Template: alt}), t: t}
 		var got []detect.Alert
 		if _, err := eng.Run(context.Background(), src, func(a detect.Alert) { got = append(got, a) }); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -166,11 +152,8 @@ func TestEngineHotSwapDeterministicAcrossRuns(t *testing.T) {
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
 	var first []detect.Alert
 	for i := 0; i < 4; i++ {
-		eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := &swapAtSource{tr: tr, n: len(tr) / 3, eng: eng, sw: templateModel(t, detectorConfig(), alt), t: t}
+		eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
+		src := &swapAtSource{tr: tr, n: len(tr) / 3, eng: eng, sw: specModel(t, model.Spec{Template: alt}), t: t}
 		var got []detect.Alert
 		if _, err := eng.Run(context.Background(), src, func(a detect.Alert) { got = append(got, a) }); err != nil {
 			t.Fatal(err)
@@ -213,25 +196,15 @@ func TestEngineHotSwapPolicy(t *testing.T) {
 	newPolicy.Quarantine = 5 * time.Second
 	newPolicy.MinScore = 0.25
 
-	gw, err := gateway.New(gateway.Config{RateWindow: detectorConfig().Window})
+	base, err := gateway.NewPolicy(gateway.Config{RateWindow: detectorConfig().Window})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := response.New(gw, response.DefaultConfig(pool))
-	if err != nil {
-		t.Fatal(err)
-	}
+	basePolicy := response.DefaultConfig(pool)
 	var dropped []droppedRec
-	cfg := engine.Config{
-		Core:      detectorConfig(),
-		Gateway:   gw,
-		Responder: resp,
-		OnDrop:    func(r trace.Record, v gateway.Verdict) { dropped = append(dropped, droppedRec{rec: r, v: v}) },
-	}
-	eng, err := engine.NewTrained(cfg, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, engine.Config{
+		OnDrop: func(r trace.Record, v gateway.Verdict) { dropped = append(dropped, droppedRec{rec: r, v: v}) },
+	}, model.Spec{Template: tmpl, Pool: pool, Gateway: base, Response: &basePolicy})
 	gp, err := gateway.NewPolicy(gateway.Config{RateWindow: detectorConfig().Window, Budgets: budgets})
 	if err != nil {
 		t.Fatal(err)
@@ -248,10 +221,10 @@ func TestEngineHotSwapPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := gw.Budgets(); !reflect.DeepEqual(got, budgets) {
+	if got := eng.Gateway().Budgets(); !reflect.DeepEqual(got, budgets) {
 		t.Errorf("gateway budgets after swap: %d entries, want %d", len(got), len(budgets))
 	}
-	got := resp.Config()
+	got := eng.Responder().Config()
 	if got.Quarantine != newPolicy.Quarantine || got.MinScore != newPolicy.MinScore {
 		t.Errorf("responder policy after swap: quarantine %v minscore %v, want %v %v",
 			got.Quarantine, got.MinScore, newPolicy.Quarantine, newPolicy.MinScore)

@@ -29,8 +29,7 @@ type counters struct {
 	alerts          atomic.Uint64
 	lastTime        atomic.Int64
 	// serving is the model the lane serves right now: published at
-	// construction and at every boundary install. Nil for engines
-	// assembled piecemeal (New + SetTemplate) rather than from a model.
+	// construction and at every boundary install.
 	serving atomic.Pointer[model.Model]
 }
 
@@ -76,7 +75,7 @@ type rankedAlert struct {
 // vehicle. All methods run on the owning goroutine.
 type lane struct {
 	scope     string // fault scope and error label: the bus or vehicle
-	det       *core.Detector
+	m         *model.Model
 	gw        *gateway.Gateway
 	resp      *response.Responder
 	base      []detect.Detector
@@ -103,40 +102,55 @@ type lane struct {
 	release []rankedAlert
 }
 
-func newLane(scope string, det *core.Detector, gw *gateway.Gateway, resp *response.Responder,
-	st *counters, swaps swapSource, flt *fault.Injector, log *slog.Logger) *lane {
-	w := det.Config().Width
-	return &lane{
-		scope: scope, det: det, gw: gw, resp: resp, st: st, swaps: swaps, flt: flt, log: log,
-		W:       det.Config().Window,
+// newLane builds a lane serving m, with the gateway and responder the
+// model's policy calls for — the one place either is built, for a
+// classic bus and a fleet vehicle alike — and publishes m. The lane
+// scores every window with the model's core configuration and template
+// directly; it holds no detector of its own.
+func newLane(scope string, m *model.Model, st *counters, swaps swapSource,
+	flt *fault.Injector, log *slog.Logger) (*lane, error) {
+	w := m.Core().Width
+	l := &lane{
+		scope: scope, m: m, st: st, swaps: swaps, flt: flt, log: log,
+		W:       m.Core().Window,
 		counter: entropy.MustBitCounter(w),
 		h:       make([]float64, w),
 		p:       make([]float64, w),
 	}
+	if gp := m.Gateway(); gp != nil {
+		l.gw = gateway.NewWithPolicy(gp)
+		if rc := m.Response(); rc != nil {
+			resp, err := response.New(l.gw, *rc)
+			if err != nil {
+				return nil, err
+			}
+			l.resp = resp
+		}
+	}
+	st.serving.Store(m)
+	return l, nil
 }
 
-// reset clears the streaming state for a new run.
+// reset clears the streaming state for a new run: the window walk, the
+// baselines, and the gateway's rate state and counters (its blocklist
+// persists — a quarantine outlives the stream that triggered it).
 func (l *lane) reset(sink func(detect.Alert)) {
-	l.det.Reset()
 	l.counter.Reset()
 	l.winStart, l.haveWindow, l.winDropped = 0, false, 0
 	l.release = l.release[:0]
 	l.sink = sink
-}
-
-// check validates a model against the lane's structure, so an accepted
-// model can never fail when it is installed mid-stream.
-func (l *lane) check(m *model.Model) error {
-	return checkModel(m, l.det.Config(), l.gw != nil, l.resp != nil)
-}
-
-// install applies a checked model — the template into the detector,
-// the policy snapshots into the gateway and responder when present —
-// and publishes it.
-func (l *lane) install(m *model.Model) error {
-	if err := l.det.SetTemplate(m.Template()); err != nil {
-		return err
+	for _, b := range l.base {
+		b.Reset()
 	}
+	if l.gw != nil {
+		l.gw.Reset()
+	}
+}
+
+// install applies a model checked by model.Compatible — the policy
+// snapshots into the gateway and responder when present — and publishes
+// it; the next window scores under its template.
+func (l *lane) install(m *model.Model) error {
 	if l.gw != nil {
 		if err := l.gw.SetPolicy(m.Gateway()); err != nil {
 			return err
@@ -147,6 +161,7 @@ func (l *lane) install(m *model.Model) error {
 			return err
 		}
 	}
+	l.m = m
 	l.st.serving.Store(m)
 	return nil
 }
@@ -240,7 +255,7 @@ func (l *lane) boundary(t time.Duration) error {
 		}
 		l.winDropped = 0
 		if m := l.adapt.WindowClosed(info); m != nil {
-			if err := l.check(m); err != nil {
+			if err := model.Compatible(l.m, m); err != nil {
 				return fmt.Errorf("engine: adapt: %w", err)
 			}
 			if err := l.installAt(m); err != nil {
@@ -248,7 +263,7 @@ func (l *lane) boundary(t time.Duration) error {
 			}
 		}
 	}
-	if m := l.swaps.boundaryModel(l.st.serving.Load()); m != nil {
+	if m := l.swaps.boundaryModel(l.m); m != nil {
 		return l.installAt(m)
 	}
 	return nil
@@ -267,9 +282,9 @@ func (l *lane) closeWindow() (bool, error) {
 	alerted := false
 	if n := int(l.counter.Total()); n > 0 {
 		l.counter.MeasureInto(l.h, l.p)
-		// Same scoring path as the sequential detector's own window
+		// Same scoring function as the sequential detector's own window
 		// close, so the alert stream is bit-identical.
-		if a := l.det.ScoreWindow(l.winStart, l.h, l.p, n); a != nil {
+		if a := core.ScoreWindow(l.m.Core(), l.m.Template(), l.winStart, l.h, l.p, n); a != nil {
 			alerted = true
 			if l.resp != nil {
 				if _, err := l.resp.HandleAlert(*a); err != nil {

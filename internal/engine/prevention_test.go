@@ -14,6 +14,7 @@ import (
 	"canids/internal/engine"
 	"canids/internal/engine/scenario"
 	"canids/internal/gateway"
+	"canids/internal/model"
 	"canids/internal/response"
 	"canids/internal/trace"
 	"canids/internal/vehicle"
@@ -51,6 +52,20 @@ func preventionSetup(t *testing.T, legal, pool []can.ID, quarantine time.Duratio
 		t.Fatal(err)
 	}
 	return gw, resp
+}
+
+// preventionSpec is the model twin of preventionSetup: the same gateway
+// and response policy, frozen with the template, for the engine to build
+// its own gateway and responder from.
+func preventionSpec(t *testing.T, tmpl core.Template, legal, pool []can.ID, quarantine time.Duration) model.Spec {
+	t.Helper()
+	gp, err := gateway.NewPolicy(gateway.DefaultConfig(legal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := response.DefaultConfig(pool)
+	rc.Quarantine = quarantine
+	return model.Spec{Template: tmpl, Pool: pool, Gateway: gp, Response: &rc}
 }
 
 // scenarioLegalPool returns the profile's legal identifier set for a
@@ -103,24 +118,16 @@ func enginePrevention(t *testing.T, tmpl core.Template, legal, pool []can.ID,
 	tr trace.Trace) ([]detect.Alert, []droppedRec, []response.Action, engine.Stats) {
 
 	t.Helper()
-	gw, resp := preventionSetup(t, legal, pool, quarantine)
 	var dropped []droppedRec
-	cfg := engine.Config{
-		Core:      detectorConfig(),
+	eng := newEngine(t, engine.Config{
 		Baselines: baselines,
-		Gateway:   gw,
-		Responder: resp,
 		OnDrop:    func(r trace.Record, v gateway.Verdict) { dropped = append(dropped, droppedRec{rec: r, v: v}) },
-	}
-	eng, err := engine.NewTrained(cfg, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, preventionSpec(t, tmpl, legal, pool, quarantine))
 	alerts, st, err := eng.Detect(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return alerts, dropped, resp.Actions(), st
+	return alerts, dropped, eng.Responder().Actions(), st
 }
 
 // TestEnginePreventionMatchesSequential is the PR's acceptance
@@ -315,14 +322,11 @@ func TestEngineGatewayOnly(t *testing.T) {
 	}
 	want := sequentialAlerts(newSequentialCore(t, tmpl), forwarded)
 
-	gw, err := gateway.New(gateway.DefaultConfig(legal))
+	gp, err := gateway.NewPolicy(gateway.DefaultConfig(legal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.NewTrained(engine.Config{Core: detectorConfig(), Gateway: gw}, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl, Gateway: gp})
 	got, st, err := eng.Detect(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
@@ -335,28 +339,6 @@ func TestEngineGatewayOnly(t *testing.T) {
 	}
 }
 
-// TestEnginePreventionValidation pins Config validation: a responder
-// without a gateway, or bound to a different gateway, cannot close the
-// loop and must be rejected.
-func TestEnginePreventionValidation(t *testing.T) {
-	pool := []can.ID{0x100}
-	gw1, resp1 := preventionSetup(t, nil, pool, time.Second)
-	_ = gw1
-	if _, err := engine.New(engine.Config{Core: detectorConfig(), Responder: resp1}); err == nil {
-		t.Error("Responder without Gateway accepted")
-	}
-	gw2, err := gateway.New(gateway.DefaultConfig(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.New(engine.Config{Core: detectorConfig(), Gateway: gw2, Responder: resp1}); err == nil {
-		t.Error("Responder bound to a different gateway accepted")
-	}
-	if _, err := engine.New(engine.Config{Core: detectorConfig(), Gateway: gw2}); err != nil {
-		t.Errorf("gateway-only config rejected: %v", err)
-	}
-}
-
 // TestEnginePreventionSteadyStateAllocs extends the alloc-regression
 // guard to the prevention path: the per-frame work — classify, batch,
 // count — must stay amortized well under one allocation per frame even
@@ -366,11 +348,9 @@ func TestEnginePreventionSteadyStateAllocs(t *testing.T) {
 	tr := scenarioTrace(t, "fusion/idle/SI-100")
 	pool := scenarioLegalPool(t, "fusion/idle/SI-100")
 	ctx := context.Background()
+	m := specModel(t, preventionSpec(t, tmpl, nil, pool, 30*time.Second))
 	run := func() {
-		gw, resp := preventionSetup(t, nil, pool, 30*time.Second)
-		eng, err := engine.NewTrained(engine.Config{
-			Core: detectorConfig(), Gateway: gw, Responder: resp,
-		}, tmpl)
+		eng, err := engine.NewFromModel(engine.Config{}, m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,9 +63,9 @@ const (
 type SupervisorConfig struct {
 	// NewEngine builds the engine for one bus the moment its first
 	// record appears. Called from the demux goroutine, once per distinct
-	// channel name. Typically every engine shares one trained template
-	// and, when prevention is wanted, gets its own gateway + responder
-	// (per-bus policy state cannot be shared: each bus has its own rate
+	// channel name. Typically every engine is built from one shared model
+	// with NewFromModel, and each builds its own gateway + responder from
+	// it (per-bus policy state cannot be shared: each bus has its own rate
 	// windows and blocklist).
 	NewEngine func(channel string) (*Engine, error)
 	// RestartEngine, when set, rebuilds a crashed bus's engine for its

@@ -12,7 +12,7 @@ import (
 	"canids/internal/detect"
 	"canids/internal/engine"
 	"canids/internal/gateway"
-	"canids/internal/response"
+	"canids/internal/model"
 	"canids/internal/trace"
 )
 
@@ -43,16 +43,14 @@ func interleave(traces ...trace.Trace) trace.Trace {
 // exact alert stream a dedicated engine produces on that bus alone.
 func TestSupervisorMatchesPerBusEngines(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
+	m := specModel(t, model.Spec{Template: tmpl})
 	busA := retag(scenarioTrace(t, "fusion/idle/SI-100"), "can-a")
 	busB := retag(scenarioTrace(t, "fusion/idle/FI-500"), "can-b")
 	mixed := interleave(busA, busB)
 
 	want := make(map[string][]detect.Alert)
 	for ch, tr := range map[string]trace.Trace{"can-a": busA, "can-b": busB} {
-		eng, err := engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, engine.Config{}, model.Spec{Template: tmpl})
 		alerts, _, err := eng.Detect(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +63,7 @@ func TestSupervisorMatchesPerBusEngines(t *testing.T) {
 
 	sup, err := engine.NewSupervisor(engine.SupervisorConfig{
 		NewEngine: func(channel string) (*engine.Engine, error) {
-			return engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
+			return engine.NewFromModel(engine.Config{}, m)
 		},
 	})
 	if err != nil {
@@ -118,26 +116,16 @@ func TestSupervisorPrevention(t *testing.T) {
 	// needs locking (per-bus order is still deterministic).
 	var dropMu sync.Mutex
 	droppedBy := make(map[string][]droppedRec)
+	m := specModel(t, preventionSpec(t, tmpl, nil, pool, 30*time.Second))
 	sup, err := engine.NewSupervisor(engine.SupervisorConfig{
 		NewEngine: func(channel string) (*engine.Engine, error) {
-			gw, err := gateway.New(gateway.DefaultConfig(nil))
-			if err != nil {
-				return nil, err
-			}
-			cfg := response.DefaultConfig(pool)
-			cfg.Quarantine = 30 * time.Second
-			resp, err := response.New(gw, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return engine.NewTrained(engine.Config{
-				Core: detectorConfig(), Gateway: gw, Responder: resp,
+			return engine.NewFromModel(engine.Config{
 				OnDrop: func(r trace.Record, v gateway.Verdict) {
 					dropMu.Lock()
 					droppedBy[channel] = append(droppedBy[channel], droppedRec{rec: r, v: v})
 					dropMu.Unlock()
 				},
-			}, tmpl)
+			}, m)
 		},
 	})
 	if err != nil {
@@ -182,10 +170,11 @@ func TestSupervisorErrors(t *testing.T) {
 // pipeline.
 func TestSupervisorCancel(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
+	m := specModel(t, model.Spec{Template: tmpl})
 	sup, err := engine.NewSupervisor(engine.SupervisorConfig{
 		Buffer: 2,
 		NewEngine: func(string) (*engine.Engine, error) {
-			return engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
+			return engine.NewFromModel(engine.Config{}, m)
 		},
 	})
 	if err != nil {
@@ -218,6 +207,7 @@ func TestSupervisorCancel(t *testing.T) {
 // DefaultBatch — batching is a transport detail, never a semantic one.
 func TestSupervisorBatchedMatchesPerRecord(t *testing.T) {
 	_, tmpl, _ := loadFixture(t)
+	m := specModel(t, model.Spec{Template: tmpl})
 	busA := retag(scenarioTrace(t, "fusion/idle/SI-100"), "can-a")
 	busB := retag(scenarioTrace(t, "fusion/idle/FI-500"), "can-b")
 	mixed := interleave(busA, busB)
@@ -241,7 +231,7 @@ func TestSupervisorBatchedMatchesPerRecord(t *testing.T) {
 					cfg.Fleet = &engine.FleetConfig{Engines: 2, Model: fleetModel(t)}
 				} else {
 					cfg.NewEngine = func(string) (*engine.Engine, error) {
-						return engine.NewTrained(engine.Config{Core: detectorConfig()}, tmpl)
+						return engine.NewFromModel(engine.Config{}, m)
 					}
 				}
 				sup, err := engine.NewSupervisor(cfg)

@@ -16,6 +16,11 @@
 // quarantine list, which is what makes fleet-scale multiplexing
 // affordable.
 //
+// Models are compatible (Compatible) when one may replace the other in
+// a running pipeline: same core configuration, gateway and response
+// policy present in both or neither, and the same gateway rate window.
+// Every swap path checks that one rule before it installs anything.
+//
 // The epoch is assigned by the producer that owns the generation
 // counter (the serving layer): an operator reload bumps it, and every
 // engine serving the fleet converges on the same number. Derived
@@ -77,6 +82,9 @@ func New(spec Spec) (*Model, error) {
 	if spec.Template.Width != spec.Core.Width {
 		return nil, fmt.Errorf("model: template width %d != core width %d", spec.Template.Width, spec.Core.Width)
 	}
+	if spec.Response != nil && spec.Gateway == nil {
+		return nil, errors.New("model: a response policy needs a gateway policy to block on")
+	}
 	m := &Model{
 		epoch:    spec.Epoch,
 		core:     spec.Core,
@@ -99,6 +107,32 @@ func New(spec Spec) (*Model, error) {
 		m.response = &cfg
 	}
 	return m, nil
+}
+
+// Compatible reports whether next may replace cur in a running
+// pipeline — the one rule every install obeys: Engine.Swap, an
+// adaptation promotion, Supervisor.SwapModel, and the serving layer's
+// reload and checkpoint-restore ladder. A pipeline's structure is fixed
+// by the model it was built from: the detector's core configuration,
+// whether a gateway filters and a responder blocks, and the gateway's
+// rate window, whose open tumbling phase (and a torn-down fleet lane's
+// stored phase) another window would tear. Template, whitelist, budgets
+// and response policy may change freely.
+func Compatible(cur, next *Model) error {
+	if cur == nil || next == nil {
+		return errors.New("model: nil model")
+	}
+	if next.core != cur.core {
+		return fmt.Errorf("model: core config changes (%+v -> %+v)", cur.core, next.core)
+	}
+	if (next.gateway != nil) != (cur.gateway != nil) || (next.response != nil) != (cur.response != nil) {
+		return errors.New("model: gateway/response policy presence changes")
+	}
+	if cur.gateway != nil && next.gateway.RateWindow() != cur.gateway.RateWindow() {
+		return fmt.Errorf("model: gateway rate window changes (%v -> %v)",
+			cur.gateway.RateWindow(), next.gateway.RateWindow())
+	}
+	return nil
 }
 
 // Epoch returns the model generation.

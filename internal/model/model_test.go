@@ -57,6 +57,7 @@ func TestModelNewValidation(t *testing.T) {
 		{"bad template", func(s *model.Spec) { s.Template.MeanH = s.Template.MeanH[:1] }, "model:"},
 		{"width mismatch", func(s *model.Spec) { s.Core.Width = 32 }, "width"},
 		{"bad response", func(s *model.Spec) { s.Response = &response.Config{MinScore: -1} }, "MinScore"},
+		{"response without gateway", func(s *model.Spec) { s.Gateway = nil }, "needs a gateway"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,5 +159,67 @@ func TestModelDerivations(t *testing.T) {
 	}
 	if _, err := bare.WithGatewayBudgets(map[can.ID]int{1: 1}); err == nil {
 		t.Error("WithGatewayBudgets worked without a gateway policy")
+	}
+}
+
+// TestModelCompatible pins the one structural rule every swap path
+// applies: template, budgets, whitelist and response policy may change;
+// core config, policy presence and the gateway rate window may not.
+func TestModelCompatible(t *testing.T) {
+	cur, err := model.New(fullSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*testing.T, *model.Spec)
+		want   string // "" = compatible
+	}{
+		{"same", func(*testing.T, *model.Spec) {}, ""},
+		{"new template", func(_ *testing.T, s *model.Spec) { s.Template.MeanH[0] = 0.45 }, ""},
+		{"new budgets and whitelist", func(t *testing.T, s *model.Spec) {
+			gp, err := gateway.NewPolicy(gateway.Config{RateWindow: s.Core.Window, Budgets: map[can.ID]int{0x171: 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Gateway = gp
+		}, ""},
+		{"new response policy", func(_ *testing.T, s *model.Spec) { s.Response = &response.Config{BlockTop: 2} }, ""},
+		{"core drift", func(_ *testing.T, s *model.Spec) { s.Core.Alpha = 9 }, "core config"},
+		{"no response", func(_ *testing.T, s *model.Spec) { s.Response = nil }, "presence"},
+		{"no policy", func(_ *testing.T, s *model.Spec) { s.Gateway, s.Response = nil, nil }, "presence"},
+		{"rate window", func(t *testing.T, s *model.Spec) {
+			gp, err := gateway.NewPolicy(gateway.Config{RateWindow: 2 * s.Core.Window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Gateway = gp
+		}, "rate window"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := fullSpec(t)
+			tc.mutate(t, &spec)
+			next, err := model.New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = model.Compatible(cur, next)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Compatible() = %v, want nil", err)
+				}
+				if err := model.Compatible(next, cur); err != nil {
+					t.Fatalf("Compatible is not symmetric: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Compatible() = %v, want mention of %q", err, tc.want)
+			}
+		})
+	}
+	if err := model.Compatible(cur, nil); err == nil {
+		t.Error("Compatible accepted a nil model")
 	}
 }

@@ -187,11 +187,6 @@ func (r *Responder) HandleAlert(a detect.Alert) (*Action, error) {
 	return &act, nil
 }
 
-// Gateway returns the gateway this responder blocks on, so callers
-// wiring the loop (the streaming engine) can check it is the same
-// gateway that filters the stream.
-func (r *Responder) Gateway() *gateway.Gateway { return r.gateway }
-
 // Actions returns a copy of the response history.
 func (r *Responder) Actions() []Action {
 	r.mu.Lock()

@@ -135,10 +135,8 @@ import (
 	"canids/internal/detect"
 	"canids/internal/engine"
 	"canids/internal/fault"
-	"canids/internal/gateway"
 	"canids/internal/journal"
 	"canids/internal/model"
-	"canids/internal/response"
 	"canids/internal/store"
 	"canids/internal/trace"
 )
@@ -479,9 +477,6 @@ func New(cfg Config) (*Server, error) {
 	for _, note := range cfg.Degraded {
 		s.noteDegraded("%s", note)
 	}
-	if _, err := buildEngine(base, cfg, nil, "", engine.Timing{}, nil); err != nil {
-		return nil, fmt.Errorf("server: snapshot cannot serve: %w", err)
-	}
 	if cfg.Adapt != nil {
 		if _, err := s.newAdapter(base); err != nil {
 			return nil, fmt.Errorf("server: snapshot cannot adapt: %w", err)
@@ -563,36 +558,10 @@ func (s *Server) DegradedNotes() []string {
 	return append([]string(nil), s.degraded...)
 }
 
-// buildEngine materializes one bus engine serving an immutable model:
-// a private gateway and responder per bus (their streaming state —
-// rate windows, quarantines — is per bus; the policy snapshot they
-// read is the model's, shared and lock-free), and the bus's adaptation
-// hook when one is given. The model already carries a permissive
-// gateway policy for response-only snapshots (store.Snapshot.
-// BuildModel). The channel scopes the fault injector, when one is
-// armed; timing and logger are the bus's side-band observability
-// hooks (zero/nil for the New-time probe build).
-func buildEngine(m *model.Model, cfg Config, hook engine.AdaptHook, channel string,
-	timing engine.Timing, logger *slog.Logger) (*engine.Engine, error) {
-	ecfg := engine.Config{Adapt: hook, Fault: cfg.Fault, FaultScope: channel, Timing: timing, Logger: logger}
-	if gp := m.Gateway(); gp != nil {
-		gw := gateway.NewWithPolicy(gp)
-		ecfg.Gateway = gw
-		if rc := m.Response(); rc != nil {
-			resp, err := response.New(gw, *rc)
-			if err != nil {
-				return nil, err
-			}
-			ecfg.Responder = resp
-		}
-	}
-	return engine.NewFromModel(ecfg, m)
-}
-
 // newAdapter builds one bus's adapter on the given base model. Budget
-// learning turns on exactly when the model carries gateway policy
-// (same condition as buildEngine); the learning slack falls back to
-// the policy's persisted slack inside adapt.New.
+// learning turns on exactly when the model carries gateway policy (the
+// same condition under which the engine builds a gateway); the learning
+// slack falls back to the policy's persisted slack inside adapt.New.
 func (s *Server) newAdapter(m *model.Model) (*adapt.Adapter, error) {
 	o := s.cfg.Adapt
 	ac := adapt.Config{
@@ -618,41 +587,6 @@ func (s *Server) newAdapter(m *model.Model) (*adapt.Adapter, error) {
 	return adapt.New(ac)
 }
 
-// effectiveRateWindow is the rate horizon a gateway built from the
-// snapshot enforces — the persisted window, defaulted like buildEngine.
-func effectiveRateWindow(snap *store.Snapshot) time.Duration {
-	if snap.Gateway != nil && snap.Gateway.RateWindow > 0 {
-		return snap.Gateway.RateWindow
-	}
-	return snap.Core.Window
-}
-
-// snapshotCompatible reports whether next keeps cur's structural
-// identity — the detector's core configuration, the gateway/responder
-// shape as the engines actually materialize it (a response-only
-// snapshot gets a permissive gateway, see buildEngine), and the
-// effective rate window. Those are fixed for the life of the process;
-// Reload rejects a snapshot that changes any of them, and the restart
-// fallback ladder skips a checkpoint that does.
-func snapshotCompatible(cur, next *store.Snapshot) error {
-	if next.Core != cur.Core {
-		return fmt.Errorf("server: reload changes the core config (%+v -> %+v); restart to retune", cur.Core, next.Core)
-	}
-	hasGateway := func(s *store.Snapshot) bool { return s.Gateway != nil || s.Response != nil }
-	if hasGateway(next) != hasGateway(cur) || (next.Response != nil) != (cur.Response != nil) {
-		return errors.New("server: reload changes the gateway/responder shape; restart to rearm prevention")
-	}
-	// Compare the window the live gateways actually enforce (buildEngine
-	// defaults a zero RateWindow to the detection window), not the
-	// persisted field, so a whitelist-only snapshot can later gain
-	// budgets at the effective window without a restart.
-	if hasGateway(next) && effectiveRateWindow(next) != effectiveRateWindow(cur) {
-		return fmt.Errorf("server: reload changes the rate window (%v -> %v); restart to retime rate limits",
-			effectiveRateWindow(cur), effectiveRateWindow(next))
-	}
-	return nil
-}
-
 // newEngine is the supervisor's per-bus factory.
 func (s *Server) newEngine(channel string) (*engine.Engine, error) {
 	s.mu.Lock()
@@ -661,7 +595,9 @@ func (s *Server) newEngine(channel string) (*engine.Engine, error) {
 }
 
 // buildBus assembles one bus's engine (and adapter, when adaptation is
-// on) from the given model and registers both. Caller holds s.mu.
+// on) from the given model and registers both. The engine builds the
+// bus's private gateway and responder from the model; the bus's fault
+// scope, latency histogram and logger ride along. Caller holds s.mu.
 func (s *Server) buildBus(m *model.Model, channel string) (*engine.Engine, error) {
 	var hook engine.AdaptHook
 	var ad *adapt.Adapter
@@ -672,9 +608,11 @@ func (s *Server) buildBus(m *model.Model, channel string) (*engine.Engine, error
 		}
 		hook = ad
 	}
-	b := s.obs.bus(channel)
-	timing := engine.Timing{WindowClose: b.pipeline}
-	eng, err := buildEngine(m, s.cfg, hook, channel, timing, s.log.With("bus", channel))
+	eng, err := engine.NewFromModel(engine.Config{
+		Adapt: hook, Fault: s.cfg.Fault, FaultScope: channel,
+		Timing: engine.Timing{WindowClose: s.obs.bus(channel).pipeline},
+		Logger: s.log.With("bus", channel),
+	}, m)
 	if err != nil {
 		return nil, err
 	}
@@ -712,7 +650,7 @@ func (s *Server) restartEngine(channel string, attempt int) (*engine.Engine, err
 // not a generation of its own.
 func (s *Server) restoreModel(channel string) *model.Model {
 	s.mu.Lock()
-	base, baseSnap := s.model, s.snap
+	base := s.model
 	s.mu.Unlock()
 	if s.cfg.CheckpointPath == "" {
 		return base
@@ -726,13 +664,13 @@ func (s *Server) restoreModel(channel string) *model.Model {
 			}
 			continue
 		}
-		if err := snapshotCompatible(baseSnap, snap); err != nil {
-			s.noteDegraded("bus %q restart: checkpoint %s incompatible: %v", channel, filepath.Base(path), err)
-			continue
-		}
 		m, err := snap.BuildModel(base.Epoch())
 		if err != nil {
 			s.noteDegraded("bus %q restart: checkpoint %s unusable: %v", channel, filepath.Base(path), err)
+			continue
+		}
+		if err := model.Compatible(base, m); err != nil {
+			s.noteDegraded("bus %q restart: checkpoint %s incompatible: %v", channel, filepath.Base(path), err)
 			continue
 		}
 		if path != ck {
@@ -993,25 +931,22 @@ func (s *Server) Snapshot() *store.Snapshot {
 // from it, and every live bus engine gets a queued Swap of that same
 // model landing at its next window boundary (in fleet mode, one
 // Supervisor.SwapModel swaps every vehicle lane). It returns the buses
-// that were swapped. The new snapshot must keep the model's structural
-// identity — the detector's core configuration, the presence/absence
-// of gateway and response policy, and the gateway rate window — those
+// that were swapped. The new model must be compatible with the served
+// one (model.Compatible: same core configuration, gateway and response
+// policy present in both or neither, same gateway rate window) — those
 // are fixed at startup; changing them needs a restart. The reload is
 // transactional: the model is committed only after every live engine
 // accepted the swap, so a rejected reload leaves the server exactly as
 // it was.
 func (s *Server) Reload(snap *store.Snapshot) ([]string, error) {
-	if err := snap.Validate(); err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := snapshotCompatible(s.snap, snap); err != nil {
-		return nil, err
-	}
 	m, err := snap.BuildModel(s.model.Epoch() + 1)
 	if err != nil {
 		return nil, err
+	}
+	if err := model.Compatible(s.model, m); err != nil {
+		return nil, fmt.Errorf("server: reload needs a restart: %w", err)
 	}
 	if s.cfg.Fleet != nil {
 		if err := s.sup.SwapModel(m); err != nil {
@@ -1029,8 +964,8 @@ func (s *Server) Reload(snap *store.Snapshot) ([]string, error) {
 	// Engine.Swap only validates and stores (it never blocks on the
 	// pipeline), so holding s.mu across the loop is safe and keeps the
 	// factory from building a bus from a model the live engines
-	// rejected. With the structural checks above, every engine shares
-	// the swap's preconditions, so a failure here aborts before any
+	// rejected. Every engine serves a model compatible with s.model, so
+	// each shares the check above and a failure here aborts before any
 	// state changed.
 	for _, ch := range buses {
 		if err := s.engines[ch].Swap(m); err != nil {

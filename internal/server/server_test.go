@@ -24,7 +24,6 @@ import (
 	"canids/internal/detect"
 	"canids/internal/engine"
 	"canids/internal/gateway"
-	"canids/internal/response"
 	"canids/internal/server"
 	"canids/internal/sim"
 	"canids/internal/store"
@@ -444,15 +443,11 @@ func TestServePrevention(t *testing.T) {
 	}
 
 	// The served prevention loop must match the engine run directly.
-	gw, err := gateway.New(armed.GatewayConfig())
+	m, err := armed.BuildModel(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := response.New(gw, armed.ResponseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.NewTrained(engine.Config{Core: armed.Core, Gateway: gw, Responder: resp}, armed.Template)
+	eng, err := engine.NewFromModel(engine.Config{}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
