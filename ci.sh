@@ -85,6 +85,12 @@ go build -o "$smoke/canids" ./cmd/canids
 go run ./cmd/cangen -duration 8s -seed 1 -scenario idle -format csv -o "$smoke/clean.csv"
 go run ./cmd/canattack -attack SI -ids 0B5 -freq 100 -duration 10s -seed 1 -o "$smoke/attacked.csv"
 "$smoke/canids" -train -alpha 4 -o "$smoke/template.json" -save "$smoke/model.snap" "$smoke/clean.csv" >/dev/null
+# Training is deterministic: the same flags over the same capture write
+# the same snapshot bytes.
+"$smoke/canids" -train -alpha 4 -o "$smoke/template2.json" -save "$smoke/model2.snap" "$smoke/clean.csv" >/dev/null
+if ! cmp "$smoke/model.snap" "$smoke/model2.snap"; then
+  echo "serve smoke FAILED: two identical trainings wrote different snapshots"; exit 1
+fi
 offline=$("$smoke/canids" -detect -load "$smoke/model.snap" "$smoke/attacked.csv" | grep -c 'ALERT \[bit-entropy\]' || true)
 "$smoke/canids" -serve -addr 127.0.0.1:0 -load "$smoke/model.snap" >"$smoke/serve.log" &
 serve_pid=$!

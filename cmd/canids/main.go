@@ -449,10 +449,13 @@ func runTrain(files []string, window time.Duration, alpha float64, dest, savePat
 	if err != nil {
 		return err
 	}
+	// Sorted, so identical trainings write identical template and
+	// snapshot bytes.
 	pool := make([]can.ID, 0, len(poolSet))
 	for id := range poolSet {
 		pool = append(pool, id)
 	}
+	sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
 	tf := templateFile{Template: tmpl, Pool: pool}
 	f, err := os.Create(dest)
 	if err != nil {

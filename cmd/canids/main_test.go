@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -430,6 +431,33 @@ func TestTrainSaveDetectLoad(t *testing.T) {
 	}
 	if got := alertLines(watched.String()); len(got) != len(want) {
 		t.Errorf("watch -load found %d alerts, detect found %d", len(got), len(want))
+	}
+}
+
+// TestTrainDeterministic: two identical -train -save runs over one
+// capture write byte-identical template and snapshot files.
+func TestTrainDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	clean := makeCapture(t, dir, "clean.csv", vehicle.Idle, 5, 4*time.Second, nil)
+	var files [2][2][]byte
+	for i := range files {
+		tmpl := filepath.Join(dir, fmt.Sprintf("template%d.json", i))
+		snap := filepath.Join(dir, fmt.Sprintf("model%d.snap", i))
+		if err := run([]string{"-train", "-alpha", "4", "-o", tmpl, "-save", snap, clean}, io.Discard); err != nil {
+			t.Fatalf("train %d: %v", i, err)
+		}
+		for j, path := range []string{tmpl, snap} {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[i][j] = b
+		}
+	}
+	for j, name := range []string{"template", "snapshot"} {
+		if !bytes.Equal(files[0][j], files[1][j]) {
+			t.Errorf("two identical trainings wrote different %s files", name)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@
 //	internal/gateway     bus gateway filter: whitelist, rate limits, blocklist
 //	internal/response    alerts → inference → gateway blocks (prevention)
 //	internal/metrics     Ir, Dr, hit rate, confusion counts
-//	internal/trace       candump / CSV / binary log formats + streaming decoders, jitter-horizon reordering
+//	internal/trace       candump / CSV / binary log formats + streaming decoders (Next, and Decode into a caller's slab), jitter-horizon reordering
 //	internal/dataset     real-world CAN capture dialects (HCRL, survival, OTIDS): sniffing, streaming importers, writers
 //	internal/sim         deterministic discrete-event scheduler, fast seeded RNG
 //	internal/engine      streaming detection + prevention engine (one lane per bus), multi-bus supervisor
@@ -431,10 +431,11 @@
 //     instead of per record lifted BenchmarkServeIngest from ~1.9M to
 //     ~2.5M frames/s (BENCH_4 → BENCH_5);
 //   - the CTR1 binary record codec is allocation-free both ways once
-//     warm: trace.BinaryDecoder reads each record's fixed 13-byte
-//     header and frame bytes into arrays of the decoder, parses the
-//     meta field in place in its read buffer and interns Channel/Source
-//     through a bounded per-decoder table; trace.AppendBinary (built on
+//     warm: trace.BinaryDecoder parses every record whole in its read
+//     buffer in place, straight into the caller's slot, and advances
+//     the buffer once per batch (a record straddling the buffer's end
+//     is made whole first), interning Channel/Source through a bounded
+//     per-decoder table; trace.AppendBinary (built on
 //     can.Frame.AppendBinary, an encoding.BinaryAppender) encodes into a
 //     caller's buffer, which the -record capture tap reuses slab to
 //     slab. TestBinaryCodecSteadyStateAllocs pins both at 0 allocs per
@@ -442,6 +443,17 @@
 //     <0.25 allocs/frame bound to a warm Server.Ingest of binary bodies
 //     (~0.03 measured, 6.0 before). On servebench upload-binary this
 //     moved ~3.0M to ~4.4M frames/s and 6.07 to 0.076 allocs/frame
+//     (EXPERIMENTS.md, Performance);
+//   - every format's decoder has a batch Decode that fills a caller's
+//     []trace.Record slab in place; Next and Decode run the same record
+//     parser. Server.Ingest runs one loop for
+//     all formats: Decode into the engine.RecordPool slab it holds,
+//     overwrite Channel when the route names a bus, flush the full slab.
+//     Names are interned through an open-addressed table (no map
+//     lookup per name). BenchmarkDecode reports both legs per format
+//     (binary, warm, medians of 10 runs on a 2-vCPU VM: Next 160 → 97,
+//     Decode 75 ns/record); on servebench upload-binary ingest_p99_ms
+//     fell from 1.58 to 0.76 ms and frames/s rose from 3.2M to 4.9M
 //     (EXPERIMENTS.md, Performance).
 //
 // The experiment pipeline (internal/experiments) memoizes the clean

@@ -7,11 +7,12 @@ import (
 	"canids/internal/trace"
 )
 
-// resetDecoder is a trace decoder that can be pointed at another
-// stream, keeping its buffers and interned names. Every format's
-// decoder is one.
+// resetDecoder is a trace decoder that decodes in batches, straight
+// into a caller's slab, and can be pointed at another stream, keeping
+// its buffers and interned names. Every format's decoder is one.
 type resetDecoder interface {
 	trace.Decoder
+	Decode(dst []trace.Record) ([]trace.Record, error)
 	Reset(io.Reader)
 }
 
@@ -20,10 +21,10 @@ type resetDecoder interface {
 const maxIdleDecoders = 8
 
 // decoderPool recycles Ingest's decoders across requests, so a request
-// does not pay for a fresh decoder's buffers (a candump decoder's is
-// 64 KiB) and re-intern its channel names. Idle decoders hold no
-// reference to the body they last read. The zero value is an empty
-// pool; it is safe for concurrent use.
+// does not pay for a fresh decoder's buffers (4 KiB each) and re-intern
+// its channel names. Idle decoders hold no reference to the body they
+// last read. The zero value is an empty pool; it is safe for concurrent
+// use.
 type decoderPool struct {
 	mu   sync.Mutex
 	n    int

@@ -322,11 +322,10 @@ type TaggedAlert struct {
 // Server serves detection over HTTP. Create with New, Start the
 // pipeline, mount Handler on an http.Server, and Drain to stop.
 type Server struct {
-	cfg   Config
-	sup   *engine.Supervisor
-	feed  chan []trace.Record
-	pool  *engine.RecordPool
-	batch int
+	cfg  Config
+	sup  *engine.Supervisor
+	feed chan []trace.Record
+	pool *engine.RecordPool // slabs of Config.Batch records
 	// decoders recycles Ingest's decoders across requests.
 	decoders decoderPool
 
@@ -456,7 +455,6 @@ func New(cfg Config) (*Server, error) {
 		// the engines lag a full buffer behind.
 		feed:      make(chan []trace.Record, feedBuf),
 		pool:      engine.NewRecordPool(feedBuf+16, batch),
-		batch:     batch,
 		engines:   make(map[string]*engine.Engine),
 		adapters:  make(map[string]*adapt.Adapter),
 		runDone:   make(chan struct{}),
@@ -821,10 +819,11 @@ func (s *Server) Drain() error {
 
 // Ingest decodes records from r in the given format and feeds them to
 // the pipeline, overriding each record's bus with channel when channel
-// is non-empty. Records travel in recycled slabs of Config.Batch, so a
-// heavy upload costs one channel operation per batch instead of one
-// per record; the slab in progress is flushed at end of body, so every
-// record of a finished request is in the pipeline when Ingest returns.
+// is non-empty. The decoder fills recycled slabs of Config.Batch
+// records in place, so a heavy upload costs one decode call and one
+// channel operation per batch instead of one per record; the slab in
+// progress is flushed at end of body, so every record of a finished
+// request is in the pipeline when Ingest returns.
 // It returns how many records were accepted; on a decode error,
 // records before the malformed one stay ingested (the stream was
 // already live) and the error reports the rest were refused. With
@@ -894,27 +893,23 @@ func (s *Server) Ingest(channel string, format trace.Format, r io.Reader) (int, 
 		}
 	}
 	for {
-		rec, err := dec.Next()
-		if err == io.EOF {
-			// Flush before reading n: the closure adds the final slab's
-			// records to the accepted count.
-			ferr := flush()
+		// Decode fills the slab in place up to its capacity, the batch
+		// size; every call starts on an empty slab.
+		var err error
+		slab, err = dec.Decode(slab)
+		if channel != "" {
+			for i := range slab {
+				slab[i].Channel = channel
+			}
+		}
+		// Flush before reading n: the closure adds the slab's records to
+		// the accepted count. Records before a malformed one are
+		// accepted with its error.
+		if ferr := flush(); ferr != nil || err == io.EOF {
 			return n, ferr
 		}
 		if err != nil {
-			if ferr := flush(); ferr != nil {
-				return n, ferr
-			}
 			return n, err
-		}
-		if channel != "" {
-			rec.Channel = channel
-		}
-		slab = append(slab, rec)
-		if len(slab) >= s.batch {
-			if err := flush(); err != nil {
-				return n, err
-			}
 		}
 	}
 }

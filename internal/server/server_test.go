@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -465,22 +466,48 @@ func TestServePrevention(t *testing.T) {
 // malformed body (earlier records stay ingested), and 503 after drain.
 func TestServeIngestErrors(t *testing.T) {
 	snap, clean, _ := loadFixture(t)
-	_, url := startServer(t, server.Config{Snapshot: snap})
+	s, url := startServer(t, server.Config{Snapshot: snap})
 
 	if code := post(t, url+"/ingest/ms-can?format=tsv", nil, nil); code != http.StatusBadRequest {
 		t.Errorf("unknown format status %d, want 400", code)
 	}
 
-	body := append(encodeCSV(t, clean[:10]), []byte("this,is,not,a,csv,row,either\n")...)
-	var ing struct {
-		Records int    `json:"records"`
-		Error   string `json:"error"`
+	// A malformed record past the first slab, in every format, each on
+	// a bus of its own: the reply and the drained bus both count exactly
+	// the records before it.
+	const bad = engine.DefaultBatch + 5
+	bodies := make(map[trace.Format][]byte)
+	for _, f := range []trace.Format{trace.FormatCSV, trace.FormatCandump, trace.FormatBinary} {
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, f, clean[:bad]); err != nil {
+			t.Fatal(err)
+		}
+		bodies[f] = buf.Bytes()
 	}
-	if code := post(t, url+"/ingest/ms-can?format=csv", body, &ing); code != http.StatusBadRequest {
-		t.Errorf("malformed body status %d, want 400", code)
+	bodies[trace.FormatCSV] = append(bodies[trace.FormatCSV], "this,is,not,a,csv,row,either\n"...)
+	bodies[trace.FormatCandump] = append(bodies[trace.FormatCandump], "(1.000000) can0 123#0G\n"...)
+	// The binary body counts more records than it holds whole: record
+	// bad carries DLC 9, and valid records follow it.
+	tail, err := trace.AppendBinary(nil, clean[bad:bad+10])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ing.Records != 10 || ing.Error == "" {
-		t.Errorf("malformed body response %+v, want 10 records and an error", ing)
+	tail = tail[12:] // past the stream header
+	tail[recordHeadLen+5] = 9
+	bin := bodies[trace.FormatBinary]
+	binary.LittleEndian.PutUint64(bin[4:12], bad+10)
+	bodies[trace.FormatBinary] = append(bin, tail...)
+	for f, body := range bodies {
+		var ing struct {
+			Records int    `json:"records"`
+			Error   string `json:"error"`
+		}
+		if code := post(t, url+"/ingest/bus-"+f.String()+"?format="+f.String(), body, &ing); code != http.StatusBadRequest {
+			t.Errorf("%v: malformed body status %d, want 400", f, code)
+		}
+		if ing.Records != bad || ing.Error == "" {
+			t.Errorf("%v: malformed body response %+v, want %d records and an error", f, ing, bad)
+		}
 	}
 
 	if code := post(t, url+"/admin/shutdown", nil, nil); code != http.StatusOK {
@@ -495,7 +522,19 @@ func TestServeIngestErrors(t *testing.T) {
 	if code := get(t, url+"/healthz", &health); code != http.StatusOK || health.Status != "draining" {
 		t.Errorf("healthz after drain: %d %q", code, health.Status)
 	}
+	_, buses := s.Stats()
+	for f := range bodies {
+		bus := "bus-" + f.String()
+		if h := s.Health()[bus]; h.Accepted != bad || buses[bus].Frames != bad {
+			t.Errorf("%v: bus accepted %d records and served %d, want %d", f, h.Accepted, buses[bus].Frames, bad)
+		}
+	}
 }
+
+// recordHeadLen is the size of a CTR1 record's fixed header (int64
+// time, uint16 frame and meta lengths, uint8 injected); the frame's
+// DLC is its sixth byte.
+const recordHeadLen = 13
 
 // TestServeStatsAndAlertsEndpoints exercises the read endpoints while
 // the pipeline is live.
@@ -787,10 +826,10 @@ func TestServeAdaptLifecycle(t *testing.T) {
 
 // TestIngestSteadyStateAllocs extends the engine's allocation guard to
 // the serve path: a warm server ingesting binary or candump bodies —
-// decode, feed slabs, demux and the engine lanes together — and a
-// fleet with the gateway and responder armed stay below 0.25
-// allocations per frame. Each body is the capture shifted past the
-// previous one, so stream time keeps advancing.
+// Decode straight into the feed slabs, demux and the engine lanes
+// together — and a fleet with the gateway and responder armed stay
+// below 0.25 allocations per frame. Each body is the capture shifted
+// past the previous one, so stream time keeps advancing.
 func TestIngestSteadyStateAllocs(t *testing.T) {
 	snap, clean, attacked := loadFixture(t)
 	// The prevention leg serves a fleet with the gateway's whitelist and

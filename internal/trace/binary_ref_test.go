@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -97,19 +98,77 @@ func decodeAll(d Decoder) (Trace, error) {
 	}
 }
 
-// checkSameAsReference fails t unless BinaryDecoder and the reference
-// decoder yield the same records from data and fail, if at all, at the
-// same record.
+// batchDecoder is a decoder with the batch method every format's
+// decoder has.
+type batchDecoder interface {
+	Decoder
+	Decode(dst []Record) ([]Record, error)
+}
+
+// batches hands out one by one the records d.Decode puts into a reused
+// slab of capacity n, so decodeAll and the reference checks can drain
+// the batch path as they drain Next. It fails t when Decode returns a
+// slab that is not full without an error.
+type batches struct {
+	t   *testing.T
+	d   batchDecoder
+	buf []Record
+	i   int
+	err error
+}
+
+// newBatches drains d in slabs of n records.
+func newBatches(t *testing.T, d batchDecoder, n int) *batches {
+	return &batches{t: t, d: d, buf: make([]Record, 0, n)}
+}
+
+// Next implements Decoder.
+func (b *batches) Next() (Record, error) {
+	for b.i == len(b.buf) {
+		if b.err != nil {
+			return Record{}, b.err
+		}
+		b.buf, b.err = b.d.Decode(b.buf[:0])
+		b.i = 0
+		if b.err == nil && len(b.buf) != cap(b.buf) {
+			b.t.Fatalf("Decode returned %d of %d records and no error", len(b.buf), cap(b.buf))
+		}
+	}
+	b.i++
+	return b.buf[b.i-1], nil
+}
+
+// slabFor picks the Decode slab capacity a fuzz input is drained at:
+// 1, 3 or 64 records.
+func slabFor(n int) int { return [...]int{1, 3, 64}[n%3] }
+
+// errRecord finds the record index a binary decode error names.
+var errRecord = regexp.MustCompile(`record \d+`)
+
+// checkSameAsReference fails t unless BinaryDecoder, drained through
+// Next and through Decode, yields the reference decoder's records from
+// data and fails, if at all, at the same record.
 func checkSameAsReference(t *testing.T, data []byte) {
 	t.Helper()
 	want, wantErr := decodeAll(newRefBinaryDecoder(bytes.NewReader(data)))
-	got, gotErr := decodeAll(NewBinaryDecoder(bytes.NewReader(data)))
-	if (gotErr == nil) != (wantErr == nil) || len(got) != len(want) {
-		t.Fatalf("decoded %d records (err %v), reference %d (err %v)", len(got), gotErr, len(want), wantErr)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: %+v, reference %+v", i, got[i], want[i])
+	for _, d := range []Decoder{
+		NewBinaryDecoder(bytes.NewReader(data)),
+		newBatches(t, NewBinaryDecoder(bytes.NewReader(data)), slabFor(len(data))),
+	} {
+		got, gotErr := decodeAll(d)
+		if (gotErr == nil) != (wantErr == nil) || len(got) != len(want) {
+			t.Fatalf("%T: decoded %d records (err %v), reference %d (err %v)", d, len(got), gotErr, len(want), wantErr)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%T: record %d: %+v, reference %+v", d, i, got[i], want[i])
+			}
+		}
+		if gotErr == nil {
+			continue
+		}
+		if g, w := errRecord.FindString(gotErr.Error()), errRecord.FindString(wantErr.Error()); g != w {
+			t.Fatalf("%T: error %q at %q, reference %q at %q", d, gotErr, g, wantErr, w)
 		}
 	}
 }

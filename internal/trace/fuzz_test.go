@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"errors"
+	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -15,8 +16,9 @@ import (
 )
 
 // FuzzReadCandump holds CandumpDecoder to the reference decoder — the
-// same records, an error on the same line with the same sentinels, also
-// after a Reset — and checks that accepted logs round-trip.
+// same records, an error on the same line with the same sentinels,
+// drained through Next and through Decode, also after a Reset — and
+// checks that accepted logs round-trip.
 func FuzzReadCandump(f *testing.F) {
 	f.Add("(1.000000) can0 123#DEADBEEF\n")
 	f.Add("# comment\n\n(2.5) x 1#R\n")
@@ -46,6 +48,10 @@ func FuzzReadCandump(f *testing.F) {
 		"(1.0) c #00\n(1.0) c 1G#00\n(1.0) c 123\n(1.0) c 123#00 extra\n",
 		// A line longer than the initial buffer.
 		"(1.0) " + strings.Repeat("c", 70_000) + " 123#00\n(2.0) c 1#\n",
+		// Lines across the 4 KiB read buffer's edge, and a malformed
+		// line in the middle of a 64-record slab.
+		textLines(200, -1, "(1.%06d) can0 123#DEADBEEF\n", ""),
+		textLines(100, 69, "(1.%06d) can0 7FF#\n", "(1.0) can0 123#0G\n"),
 	} {
 		f.Add(seed)
 	}
@@ -60,6 +66,8 @@ func FuzzReadCandump(f *testing.F) {
 		}
 		d := NewCandumpDecoder(strings.NewReader(input))
 		checkSameText(t, d, newRefCandumpDecoder(strings.NewReader(input)))
+		d.Reset(strings.NewReader(input))
+		checkSameText(t, newBatches(t, d, slabFor(len(input))), newRefCandumpDecoder(strings.NewReader(input)))
 		d.Reset(strings.NewReader(input))
 		tr, err := checkSameText(t, d, newRefCandumpDecoder(strings.NewReader(input)))
 		if err != nil {
@@ -86,9 +94,9 @@ func FuzzReadCandump(f *testing.F) {
 }
 
 // FuzzReadCSV holds CSVDecoder to the reference decoder — the same
-// records, an error on the same row with the same sentinels, also after
-// a Reset — and checks that accepted records are valid, capturable and
-// round-trip.
+// records, an error on the same row with the same sentinels, drained
+// through Next and through Decode, also after a Reset — and checks that
+// accepted records are valid, capturable and round-trip.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("time_us,channel,id,dlc,data,source,injected\n1000,ms,123,2,DEAD,ecu1,0\n")
 	f.Add("time_us,channel,id,dlc,data,source,injected\n")
@@ -105,12 +113,18 @@ func FuzzReadCSV(f *testing.F) {
 		head + "9223372036854775,ms,1,0,,e,0\n9223372036854776,ms,1,0,,e,0\n",
 		"1,a,1,0,,s,0\n2,a\x00b,1,0,,s,0\n",
 		head + "1," + strings.Repeat("c", 70_000) + ",1,0,,s,0\n",
+		// Rows across the 4 KiB read buffer's edge, and a malformed row
+		// in the middle of a 64-record slab.
+		head + textLines(200, -1, "%d,ms,123,2,DEAD,ecu1,0\n", ""),
+		head + textLines(100, 69, "%d,ms,7FF,0,,ecu1,0\n", "1,ms,123,1,0G,e,0\n"),
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		d := NewCSVDecoder(strings.NewReader(input))
 		checkSameText(t, d, newRefCSVDecoder(strings.NewReader(input)))
+		d.Reset(strings.NewReader(input))
+		checkSameText(t, newBatches(t, d, slabFor(len(input))), newRefCSVDecoder(strings.NewReader(input)))
 		d.Reset(strings.NewReader(input))
 		tr, err := checkSameText(t, d, newRefCSVDecoder(strings.NewReader(input)))
 		if err != nil {
@@ -138,6 +152,20 @@ func FuzzReadCSV(f *testing.F) {
 			t.Fatalf("round trip length %d != %d", len(back), len(tr))
 		}
 	})
+}
+
+// textLines returns n lines made by formatting the line number into
+// format, with the line at index bad (if any) replaced by badLine.
+func textLines(n, bad int, format, badLine string) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		if i == bad {
+			b.WriteString(badLine)
+			continue
+		}
+		fmt.Fprintf(&b, format, i)
+	}
+	return b.String()
 }
 
 // textSentinels are the errors a text decoder's failure is told apart
@@ -180,7 +208,8 @@ func checkSameText(t *testing.T, got, want Decoder) (Trace, error) {
 }
 
 // FuzzReadBinary holds BinaryDecoder to the reference decoder on
-// arbitrary bytes: the same records, and an error at the same record.
+// arbitrary bytes, drained through Next and through Decode: the same
+// records, and an error at the same record.
 func FuzzReadBinary(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, Trace{{Frame: can.MustFrame(0x123, []byte{1, 2})}}); err == nil {
@@ -208,10 +237,40 @@ func FuzzReadBinary(f *testing.F) {
 		binaryStream(1, rawRecord(5, len(frame), frame, 9, []byte("ms"), 0)),
 		binaryStream(3, rawRecord(6, len(frame), frame, 1, []byte("c"), 0)),
 		binaryStream(1, rawRecord(6, len(frame), frame, 1, []byte("c"), 0), []byte("trailing")),
+		// Records across the 4 KiB read buffer's edge: 38-byte records
+		// put the edge inside record 107's frame; growing meta moves it
+		// through headers and metas.
+		binaryStream(200, binaryRecords(200, func(i int) []byte {
+			return rawRecord(int64(i), len(frame), frame, 11, []byte("ms-can\x00ecu1"), 0)
+		})...),
+		binaryStream(200, binaryRecords(200, func(i int) []byte {
+			meta := []byte("c\x00" + strings.Repeat("s", i%40))
+			return rawRecord(int64(i), len(frame), frame, len(meta), meta, byte(i%2))
+		})...),
+		// An invalid frame, and a truncation, in the middle of a
+		// 64-record slab.
+		binaryStream(100, binaryRecords(100, func(i int) []byte {
+			if i == 69 {
+				return rawRecord(int64(i), len(bad), bad, 1, []byte("x"), 0)
+			}
+			return rawRecord(int64(i), len(frame), frame, 1, []byte("c"), 0)
+		})...),
+		binaryStream(100, binaryRecords(69, func(i int) []byte {
+			return rawRecord(int64(i), len(frame), frame, 1, []byte("c"), 0)
+		})...),
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(checkSameAsReference)
+}
+
+// binaryRecords returns n records made by record.
+func binaryRecords(n int, record func(i int) []byte) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = record(i)
+	}
+	return out
 }
 
 // FuzzBinaryRoundTrip: every trace AppendBinary accepts decodes back to

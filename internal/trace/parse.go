@@ -227,58 +227,106 @@ func unicodeSpace(b []byte) int {
 
 // interner hands out one shared string per distinct name, so a warm
 // decoder turns a channel or source name into a string without
-// allocating. It is bounded, so a stream of ever-new names cannot grow
-// it without limit: past the bounds, names still decode but cost an
-// allocation each.
+// allocating. The first name lives in a field of its own, so a
+// one-channel stream needs no table. From the second name on, names go
+// into an open-addressed table of fixed size, found by hashing a name's
+// length and its first and last four bytes, so the alternating channel
+// and source names of a mixed-bus stream cost a hash and a compare
+// each, not a map lookup. The table is bounded, so a stream of
+// ever-new names cannot grow it without limit, and so is a probe, so
+// names made to collide cannot slow it down: past the bounds, names
+// still decode but cost an allocation each.
 type interner struct {
-	m    map[string]string
-	last string // the name returned last, checked before m
+	one   string               // the only name, until a second arrives
+	n     int                  // names in table
+	table *[internSlots]string // made when a second name arrives
 }
 
-// Bounds of an intern table.
+// Bounds of an intern table: names held, bytes per name, and slots
+// probed per lookup.
 const (
 	maxInterned  = 256
 	maxInternLen = 64
+	maxProbe     = 8
+	internBits   = 9
+	internSlots  = 1 << internBits // twice maxInterned
 )
 
 // fromBytes returns b as a string.
 func (t *interner) fromBytes(b []byte) string {
-	if string(b) == t.last {
-		return t.last
-	}
-	if s, ok := t.m[string(b)]; ok {
-		t.last = s
-		return s
+	if t.table == nil {
+		if string(b) == t.one {
+			return t.one
+		}
+	} else if len(b) > 0 && len(b) <= maxInternLen {
+		for i, p := internHash(b), 0; p < maxProbe && t.table[i] != ""; i, p = (i+1)%internSlots, p+1 {
+			if s := t.table[i]; s == string(b) {
+				return s
+			}
+		}
 	}
 	return t.keep(string(b))
 }
 
 // fromString returns s, or the equal string already interned.
 func (t *interner) fromString(s string) string {
-	if s == t.last {
-		return t.last
-	}
-	if v, ok := t.m[s]; ok {
-		t.last = v
-		return v
+	if t.table == nil {
+		if s == t.one {
+			return t.one
+		}
+	} else if len(s) > 0 && len(s) <= maxInternLen {
+		for i, p := internHash(s), 0; p < maxProbe && t.table[i] != ""; i, p = (i+1)%internSlots, p+1 {
+			if v := t.table[i]; v == s {
+				return v
+			}
+		}
 	}
 	// A CSV field shares its row's memory; the table keeps a copy.
 	return t.keep(strings.Clone(s))
 }
 
-// keep adds s to the table while it has room. The first name is held
-// in last alone, so a single-channel stream needs no map.
+// keep interns s, a name not interned yet, while the bounds allow.
 func (t *interner) keep(s string) string {
-	switch {
-	case len(s) > maxInternLen || len(t.m) >= maxInterned:
-	case t.m == nil && t.last == "":
-		t.last = s
-	default:
-		if t.m == nil {
-			t.m = map[string]string{t.last: t.last}
-		}
-		t.m[s] = s
-		t.last = s
+	if len(s) == 0 || len(s) > maxInternLen {
+		return s
 	}
+	if t.table == nil {
+		if t.one == "" {
+			t.one = s
+			return s
+		}
+		t.table = new([internSlots]string)
+		t.insert(t.one)
+	}
+	t.insert(s)
 	return s
+}
+
+// insert puts s into the first empty slot of its probe, unless the
+// table is full or the probe finds no empty slot.
+func (t *interner) insert(s string) {
+	if t.n == maxInterned {
+		return
+	}
+	for i, p := internHash(s), 0; p < maxProbe; i, p = (i+1)%internSlots, p+1 {
+		if t.table[i] == "" {
+			t.table[i] = s
+			t.n++
+			return
+		}
+	}
+}
+
+// internHash returns the slot a probe for b starts at, from b's length
+// and its first and last four bytes; b must not be empty.
+func internHash[T string | []byte](b T) int {
+	n := len(b)
+	var lo, hi uint32
+	if n >= 4 {
+		lo = uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+		hi = uint32(b[n-4]) | uint32(b[n-3])<<8 | uint32(b[n-2])<<16 | uint32(b[n-1])<<24
+	} else {
+		lo = uint32(b[0]) | uint32(b[n/2])<<8 | uint32(b[n-1])<<16
+	}
+	return int((lo*0x9E3779B1 ^ hi*0x85EBCA77 ^ uint32(n)) * 0xC2B2AE3D >> (32 - internBits))
 }

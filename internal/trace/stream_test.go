@@ -169,28 +169,48 @@ func TestCandumpLineLimit(t *testing.T) {
 }
 
 // BenchmarkDecode reports each format's warm decode cost per record
-// over a reused decoder.
+// over a reused decoder: Next one record at a time, and Decode into a
+// reused 64-record slab.
 func BenchmarkDecode(b *testing.B) {
 	tr := servedTrace(4000)
 	for _, f := range []Format{FormatCandump, FormatCSV, FormatBinary} {
-		b.Run(f.String(), func(b *testing.B) {
-			var buf bytes.Buffer
-			if err := Write(&buf, f, tr); err != nil {
-				b.Fatal(err)
-			}
-			var rd bytes.Reader
+		var buf bytes.Buffer
+		if err := Write(&buf, f, tr); err != nil {
+			b.Fatal(err)
+		}
+		var rd bytes.Reader
+		rd.Reset(buf.Bytes())
+		dec, _ := NewDecoder(f, &rd)
+		d := dec.(interface {
+			batchDecoder
+			Reset(io.Reader)
+		})
+		rewind := func() {
 			rd.Reset(buf.Bytes())
-			dec, _ := NewDecoder(f, &rd)
-			d := dec.(interface {
-				Decoder
-				Reset(io.Reader)
-			})
+			d.Reset(&rd)
+		}
+		b.Run(f.String()+"/next", func(b *testing.B) {
+			rewind()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := d.Next(); err == io.EOF {
-					rd.Reset(buf.Bytes())
-					d.Reset(&rd)
+					rewind()
+				} else if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(f.String()+"/decode", func(b *testing.B) {
+			rewind()
+			slab := make([]Record, 0, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			// One op is one record: each call fills up to a slab.
+			for i := 0; i < b.N; i += len(slab) {
+				var err error
+				if slab, err = d.Decode(slab[:0]); err == io.EOF {
+					rewind()
 				} else if err != nil {
 					b.Fatal(err)
 				}

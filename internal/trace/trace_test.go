@@ -279,9 +279,9 @@ func servedTrace(n int) Trace {
 }
 
 // TestBinaryCodecSteadyStateAllocs pins both directions of the binary
-// codec at zero allocations per record once warm: Next after the
-// decoder has interned the stream's names, and AppendBinary into a
-// buffer with room.
+// codec at zero allocations per record once warm: Next and Decode into
+// a reused slab after the decoder has interned the stream's names, and
+// AppendBinary into a buffer with room.
 func TestBinaryCodecSteadyStateAllocs(t *testing.T) {
 	tr := servedTrace(4000)
 	raw, err := AppendBinary(nil, tr)
@@ -300,6 +300,14 @@ func TestBinaryCodecSteadyStateAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("BinaryDecoder.Next: %v allocs/record, want 0", n)
+	}
+	slab := make([]Record, 0, 64)
+	if n := testing.AllocsPerRun(20, func() {
+		if slab, err = d.Decode(slab[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("BinaryDecoder.Decode: %v allocs per %d-record slab, want 0", n, cap(slab))
 	}
 	buf := make([]byte, 0, len(raw))
 	if n := testing.AllocsPerRun(20, func() {
@@ -335,10 +343,10 @@ func TestBinaryDecoderInternBounded(t *testing.T) {
 			t.Fatalf("record %d: %+v, want %+v", i, got[i], tr[i])
 		}
 	}
-	if len(d.names.m) > maxInterned {
-		t.Errorf("intern table holds %d names, bound %d", len(d.names.m), maxInterned)
+	if d.names.n > maxInterned {
+		t.Errorf("intern table holds %d names, bound %d", d.names.n, maxInterned)
 	}
-	for s := range d.names.m {
+	for _, s := range d.names.table {
 		if len(s) > maxInternLen {
 			t.Errorf("intern table kept a %d-byte name, bound %d", len(s), maxInternLen)
 		}
