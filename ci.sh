@@ -41,11 +41,12 @@ go test -race ./...
 go test -shuffle=on ./...
 
 # Fuzz smoke: each differential fuzzer runs for 10 s against its
-# reference — the original candump, CSV and binary decoders, and the
-# map-based gateway. A mismatch fails CI, and go test saves the input
-# under the package's testdata/fuzz, where plain `go test` replays it.
+# reference — the original candump, CSV and binary decoders, the
+# map-based gateway, and the full-sort malicious-ID ranking. A mismatch
+# fails CI, and go test saves the input under the package's
+# testdata/fuzz, where plain `go test` replays it.
 echo "== fuzz smoke"
-for target in trace:FuzzReadCandump trace:FuzzReadCSV trace:FuzzReadBinary gateway:FuzzGatewayClassify; do
+for target in trace:FuzzReadCandump trace:FuzzReadCSV trace:FuzzReadBinary gateway:FuzzGatewayClassify infer:FuzzRank; do
   go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
 done
 

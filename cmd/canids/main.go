@@ -96,6 +96,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -114,6 +115,7 @@ import (
 	"canids/internal/infer"
 	"canids/internal/metrics"
 	"canids/internal/model"
+	"canids/internal/response"
 	"canids/internal/server"
 	"canids/internal/store"
 	"canids/internal/trace"
@@ -619,14 +621,21 @@ type engineParts struct {
 	windows []trace.Trace // clean training windows (scenario mode only)
 	opts    watchOptions
 
-	// engines collects what build created, keyed by channel, for the
-	// end-of-run prevention report. Only the goroutine driving the
-	// supervisor demux (or the single-engine caller) writes it.
+	// engines and actions collect, keyed by channel, what build created
+	// and what each engine's responder did, for the end-of-run
+	// prevention report. Only the goroutine driving the supervisor demux
+	// (or the single-engine caller) writes the maps; each bus's engine
+	// appends to its own actions slice.
 	engines map[string]*engine.Engine
+	actions map[string]*[]response.Action
 }
 
 func (p *engineParts) build(channel string) (*engine.Engine, error) {
-	cfg := engine.Config{Logger: p.opts.logger}
+	acts := new([]response.Action)
+	cfg := engine.Config{Logger: p.opts.logger, OnAction: func(act response.Action) {
+		act.Blocked = slices.Clone(act.Blocked)
+		*acts = append(*acts, act)
+	}}
 	if p.opts.baselines {
 		m, err := baseline.NewMuter(baseline.DefaultMuterConfig())
 		if err != nil {
@@ -648,6 +657,7 @@ func (p *engineParts) build(channel string) (*engine.Engine, error) {
 		return nil, err
 	}
 	p.engines[channel] = eng
+	p.actions[channel] = acts
 	return eng, nil
 }
 
@@ -1255,6 +1265,7 @@ func watchStream(parts *engineParts, src engine.Source, injected *trace.Trace, s
 	// Per-call engines: a multi-file run must not replay the previous
 	// file's blocks in this file's report.
 	parts.engines = make(map[string]*engine.Engine)
+	parts.actions = make(map[string]*[]response.Action)
 	pool := parts.model.Pool()
 	start := time.Now()
 	var mu sync.Mutex // stdout interleaving: sink vs metrics ticker
@@ -1352,9 +1363,9 @@ func watchStream(parts *engineParts, src engine.Source, injected *trace.Trace, s
 	return nil
 }
 
-// reportPrevention prints each bus's response history and live
-// quarantines, read from its engine's responder and gateway after the
-// run, and scores the pre-filter against ground truth: how many attack
+// reportPrevention prints each bus's responder actions and live
+// quarantines, read from what its engine reported and its gateway after
+// the run, and scores the pre-filter against ground truth: how many attack
 // frames the gateway stopped, and how many legitimate frames it dropped
 // as collateral.
 func reportPrevention(parts *engineParts, st engine.Stats, injected *trace.Trace, stdout io.Writer) {
@@ -1364,7 +1375,7 @@ func reportPrevention(parts *engineParts, st engine.Stats, injected *trace.Trace
 		if channel != "" {
 			tag = fmt.Sprintf(" [%s]", channel)
 		}
-		for _, act := range eng.Responder().Actions() {
+		for _, act := range *parts.actions[channel] {
 			until := "forever"
 			if act.Until != 0 {
 				until = fmt.Sprint(act.Until)

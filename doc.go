@@ -76,9 +76,14 @@
 // alert feeds the responder, whose inference quarantines the top
 // suspects, and the lane responds at the window boundary, before it
 // classifies the next record, so blocks land at a deterministic stream
-// position. The result — alert stream, dropped-frame set, response
-// history — is bit-identical to a sequential classify→observe→respond
-// loop (TestEnginePreventionMatchesSequential, under -race).
+// position. Inference ranks against an infer.Index built once per
+// response policy and shared by every lane serving it, into scratch the
+// responder owns: a warm alert allocates nothing, and the responder
+// keeps no history (engine.Config.OnAction reports each action in
+// stream order). The result — alert stream, dropped-frame set, the
+// actions taken — is bit-identical to a sequential
+// classify→observe→respond loop (TestEnginePreventionMatchesSequential,
+// under -race).
 // engine.Supervisor serves multi-bus captures with one engine (and
 // per-bus policy state) per channel. `canids -watch -prevent
 // [-whitelist] [-multibus]` merges its flags (and a -load snapshot's
@@ -155,12 +160,15 @@
 // `canids -serve -adapt` arms one adapter per bus; /admin/adapt serves
 // the counters and the pause/resume/force controls, and /stats carries
 // the per-bus adaptation section. With -checkpoint, every promotion
-// (and the final drain) persists the adapted model as a version-2
-// snapshot — the first snapshot schema evolution: format 2 adds
+// persists the buses whose adapted model changed since their last save
+// (and the final drain, like /admin/checkpoint, persists every bus) as
+// a version-2 snapshot — the first snapshot schema evolution: format 2 adds
 // adaptation provenance (windows observed, promotions, last promotion
 // boundary, drift), and store.Decode migrates format-1 files in code so
 // every pre-existing snapshot still loads bit-identically
-// (TestSnapshotV1MigratesToV2). A restarted daemon -loads the
+// (TestSnapshotV1MigratesToV2). Between a bus's promotions its file's
+// adaptation counters lag the live ones; the model, which is all a
+// restart reads, does not. A restarted daemon -loads the
 // checkpoint and the learned budgets survive, which ci.sh's adapt smoke
 // leg scripts end to end. The admin surface hardens accordingly:
 // Config.AdminToken puts every /admin/* verb behind a bearer token

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"canids/internal/core"
@@ -70,7 +71,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	eng, err := engine.NewFromModel(engine.Config{}, m)
+	// The responder keeps no history; collect its actions as it takes
+	// them (Blocked is its scratch, so copy it).
+	var actions []response.Action
+	eng, err := engine.NewFromModel(engine.Config{OnAction: func(act response.Action) {
+		act.Blocked = slices.Clone(act.Blocked)
+		actions = append(actions, act)
+	}}, m)
 	if err != nil {
 		return err
 	}
@@ -95,7 +102,7 @@ func run() error {
 		return err
 	}
 
-	for _, act := range eng.Responder().Actions() {
+	for _, act := range actions {
 		fmt.Printf("  -> blocked %v until %v\n", act.Blocked, act.Until)
 	}
 	stopped := st.DroppedInjected

@@ -125,6 +125,13 @@ type Config struct {
 	// watch mode uses to score prevention against ground truth. It must
 	// not call back into the engine.
 	OnDrop func(rec trace.Record, v gateway.Verdict)
+	// OnAction, when set, is called synchronously from Run's goroutine,
+	// in stream order, for every action the responder takes — the hook
+	// the watch mode prints its BLOCK report from (the responder keeps
+	// no history). act.Blocked is the responder's scratch, valid only
+	// during the call: copy it to keep it. It must not call back into
+	// the engine.
+	OnAction func(act response.Action)
 	// Adapt, when set, is the online-adaptation hook (internal/adapt
 	// implements it): Observe sees every forwarded record, and
 	// WindowClosed runs at every window boundary — after the closed
@@ -294,7 +301,7 @@ func NewFromModel(cfg Config, m *model.Model) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	l.base, l.adapt, l.onDrop, l.closeHist = cfg.Baselines, cfg.Adapt, cfg.OnDrop, cfg.Timing.WindowClose
+	l.base, l.adapt, l.onDrop, l.onAction, l.closeHist = cfg.Baselines, cfg.Adapt, cfg.OnDrop, cfg.OnAction, cfg.Timing.WindowClose
 	e.lane = l
 	return e, nil
 }
@@ -350,8 +357,8 @@ func (e *Engine) Gateway() *gateway.Gateway { return e.lane.gw }
 // response policy, or nil when the model carries none. The lane hands it
 // every bit-entropy alert, in window order, as it scores the window, so
 // the resulting blocks land before the next record is classified; a
-// responder error ends the run. Like Gateway, read its action history
-// after Run returns.
+// responder error ends the run. Config.OnAction sees each action as it
+// is taken.
 func (e *Engine) Responder() *response.Responder { return e.lane.resp }
 
 // Stats returns a live snapshot of the current (or last) run.

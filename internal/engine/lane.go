@@ -81,6 +81,7 @@ type lane struct {
 	base      []detect.Detector
 	adapt     AdaptHook
 	onDrop    func(trace.Record, gateway.Verdict)
+	onAction  func(response.Action)
 	flt       *fault.Injector
 	closeHist *hist.Histogram
 	log       *slog.Logger
@@ -287,8 +288,12 @@ func (l *lane) closeWindow() (bool, error) {
 		if a := core.ScoreWindow(l.m.Core(), l.m.Template(), l.winStart, l.h, l.p, n); a != nil {
 			alerted = true
 			if l.resp != nil {
-				if _, err := l.resp.HandleAlert(*a); err != nil {
+				act, err := l.resp.HandleAlert(*a)
+				if err != nil {
 					return false, fmt.Errorf("engine: response: %w", err)
+				}
+				if act != nil && l.onAction != nil {
+					l.onAction(*act)
 				}
 			}
 			l.release = append(l.release, rankedAlert{Alert: *a})

@@ -94,8 +94,12 @@ func sequentialPrevention(t *testing.T, tmpl core.Template, legal, pool []can.ID
 	handle := func(as []detect.Alert) {
 		for _, a := range as {
 			alerts = append(alerts, a)
-			if _, err := resp.HandleAlert(a); err != nil {
+			act, err := resp.HandleAlert(a)
+			if err != nil {
 				t.Fatalf("HandleAlert: %v", err)
+			}
+			if act != nil {
+				actions = append(actions, keepAction(*act))
 			}
 		}
 	}
@@ -108,7 +112,13 @@ func sequentialPrevention(t *testing.T, tmpl core.Template, legal, pool []can.ID
 		handle(det.Observe(r))
 	}
 	handle(det.Flush())
-	return alerts, dropped, resp.Actions(), forwarded
+	return alerts, dropped, actions, forwarded
+}
+
+// keepAction copies an action out of the responder's scratch.
+func keepAction(act response.Action) response.Action {
+	act.Blocked = append([]can.ID(nil), act.Blocked...)
+	return act
 }
 
 // enginePrevention runs the engine with the full loop installed and
@@ -119,20 +129,22 @@ func enginePrevention(t *testing.T, tmpl core.Template, legal, pool []can.ID,
 
 	t.Helper()
 	var dropped []droppedRec
+	var actions []response.Action
 	eng := newEngine(t, engine.Config{
 		Baselines: baselines,
 		OnDrop:    func(r trace.Record, v gateway.Verdict) { dropped = append(dropped, droppedRec{rec: r, v: v}) },
+		OnAction:  func(act response.Action) { actions = append(actions, keepAction(act)) },
 	}, preventionSpec(t, tmpl, legal, pool, quarantine))
 	alerts, st, err := eng.Detect(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return alerts, dropped, eng.Responder().Actions(), st
+	return alerts, dropped, actions, st
 }
 
 // TestEnginePreventionMatchesSequential is the PR's acceptance
 // criterion: with blocking enabled, the engine's alert stream, its
-// dropped-frame set and the responder's action history are bit-identical
+// dropped-frame set and the responder's actions are bit-identical
 // to the sequential reference loop — the lane responds at every window
 // close, so blocks land at the same stream position.
 func TestEnginePreventionMatchesSequential(t *testing.T) {

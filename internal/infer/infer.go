@@ -21,13 +21,24 @@
 // agreement score and used to fill the set; accuracy therefore degrades
 // gracefully as the number of injected IDs grows, matching the trend in
 // the paper's Table I.
+//
+// Ranking runs against an Index: the legal pool sorted once, with each
+// entry's identifier bits laid out as a 0/1 row. An Index is immutable
+// and built once per response policy, so every lane and vehicle serving
+// that policy shares it. Per alert, the hard constraints compile to one
+// mask/value pair ((id^v)&m == 0), the agreement ranking is a top-n
+// selection rather than a sort of the pool, and each greedy pick is one
+// pass of table lookups over the pool rows — no candidate signature is
+// rebuilt. A Scratch holds the per-alert working memory, so a warm
+// ranking allocates nothing. Package-level Rank builds a throwaway index
+// per call and returns exactly what the original full-sort algorithm
+// did.
 package infer
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"canids/internal/can"
 	"canids/internal/detect"
@@ -40,6 +51,11 @@ const DefaultRank = 10
 var (
 	ErrEmptyPool = errors.New("infer: empty ID pool")
 	ErrBadRank   = errors.New("infer: rank must be positive")
+	ErrBadWidth  = errors.New("infer: identifier width must be >= 0")
+	// ErrNonFinite rejects an alert carrying a NaN or infinite DeltaP or
+	// TemplateP, and a ranking whose arithmetic overflowed: no
+	// candidate's evidence is comparable then.
+	ErrNonFinite = errors.New("infer: non-finite bit deviation")
 )
 
 // Constraint pins one identifier bit to a value, with a confidence
@@ -63,19 +79,7 @@ func (c Constraint) String() string {
 // are skipped even if their entropy moved (entropy is symmetric around
 // p = 0.5, so a sign is required).
 func DeriveConstraints(a detect.Alert) []Constraint {
-	const minDelta = 1e-9
-	var out []Constraint
-	for _, b := range a.Bits {
-		if !b.Violated || math.Abs(b.DeltaP) < minDelta {
-			continue
-		}
-		v := 0
-		if b.DeltaP > 0 {
-			v = 1
-		}
-		out = append(out, Constraint{Bit: b.Bit, Value: v, Weight: math.Abs(b.DeltaP)})
-	}
-	return out
+	return appendConstraints(nil, a, true, 1e-9)
 }
 
 // SoftConstraints extracts direction evidence from every bit with a
@@ -88,33 +92,64 @@ func SoftConstraints(a detect.Alert, minDelta float64) []Constraint {
 	if minDelta <= 0 {
 		minDelta = 1e-4
 	}
-	var out []Constraint
+	return appendConstraints(nil, a, false, minDelta)
+}
+
+// appendConstraints appends one constraint per bit whose |ΔP| reaches
+// minDelta (violated bits only, when violatedOnly), in alert order.
+func appendConstraints(dst []Constraint, a detect.Alert, violatedOnly bool, minDelta float64) []Constraint {
 	for _, b := range a.Bits {
-		if math.Abs(b.DeltaP) < minDelta {
+		if (violatedOnly && !b.Violated) || math.Abs(b.DeltaP) < minDelta {
 			continue
 		}
 		v := 0
 		if b.DeltaP > 0 {
 			v = 1
 		}
-		out = append(out, Constraint{Bit: b.Bit, Value: v, Weight: math.Abs(b.DeltaP)})
+		dst = append(dst, Constraint{Bit: b.Bit, Value: v, Weight: math.Abs(b.DeltaP)})
 	}
-	return out
+	return dst
 }
 
 // Satisfies reports whether the identifier meets every constraint, for
-// the given ID width.
+// the given ID width. A constraint on a bit outside 1..width, or with a
+// value other than 0 or 1, is never met.
 func Satisfies(id can.ID, width int, cons []Constraint) bool {
-	for _, c := range cons {
-		if c.Bit < 1 || c.Bit > width {
-			return false
-		}
-		if id.Bit(c.Bit, width) != c.Value {
-			return false
-		}
-	}
-	return true
+	return compileHard(cons, width).ok(id)
 }
+
+// hard is a conjunction of bit constraints compiled to one mask/value
+// pair over the identifier: id meets it iff (id^v)&m == 0.
+type hard struct {
+	m, v  uint32
+	never bool // some constraint cannot be met by any identifier
+}
+
+func compileHard(cons []Constraint, width int) hard {
+	var h hard
+	for _, c := range cons {
+		if c.Bit < 1 || c.Bit > width || (c.Value != 0 && c.Value != 1) {
+			h.never = true
+			continue
+		}
+		s := width - c.Bit
+		if s >= 32 {
+			// Beyond the 32-bit identifier: the bit reads 0.
+			h.never = h.never || c.Value == 1
+			continue
+		}
+		bit := uint32(1) << s
+		val := uint32(c.Value) << s
+		if h.m&bit != 0 && h.v&bit != val {
+			h.never = true // the same bit pinned both ways
+		}
+		h.m |= bit
+		h.v |= val
+	}
+	return h
+}
+
+func (h hard) ok(id can.ID) bool { return !h.never && (uint32(id)^h.v)&h.m == 0 }
 
 // Score rates how well an identifier explains the observed deviations:
 // the weighted sum of per-constraint agreements (+w if the ID's bit
@@ -176,6 +211,9 @@ func (r Result) HitCount(targets []can.ID) int {
 //  2. the weighted agreement of the ID's full bit vector with the soft
 //     ΔP evidence — the paper's "changing rate" refinement, with
 //     ascending numeric ID (arbitration priority) breaking ties.
+//
+// Rank indexes the pool on every call; callers ranking many alerts
+// against one pool should build an Index once and rank with a Scratch.
 func Rank(a detect.Alert, pool []can.ID, width, n int) (Result, error) {
 	if len(pool) == 0 {
 		return Result{}, ErrEmptyPool
@@ -183,154 +221,10 @@ func Rank(a detect.Alert, pool []can.ID, width, n int) (Result, error) {
 	if n <= 0 {
 		return Result{}, fmt.Errorf("%w: %d", ErrBadRank, n)
 	}
-	cons := DeriveConstraints(a)
-	soft := SoftConstraints(a, 0)
-
-	// Two complementary orderings are interleaved into the candidate
-	// set:
-	//
-	//  1. Agreement ranking — identifiers sorted by how well their full
-	//     bit vector agrees with the per-bit ΔP directions, hard
-	//     (violated-bit) constraint satisfaction first, ascending ID as
-	//     the final tiebreak. This is the paper's constraint-based rank
-	//     selection and is nearly exact for single-ID and weak attacks.
-	//
-	//  2. Greedy residual ranking — the shift is modelled as a
-	//     superposition Δp_i ≈ Σ_j ε_j(x_ji − p_i); picks are made one
-	//     at a time, each time subtracting the least-squares
-	//     contribution of the picked ID from the residual. This is the
-	//     paper's "direction and changing rate" refinement and recovers
-	//     the separate components of multi-ID mixtures that the
-	//     agreement ranking blurs together.
-	byScore := scoreOrder(pool, width, cons, soft)
-	byGreedy := greedyOrder(a, pool, width, n)
-
-	// The agreement ranking fills most of the candidate set; the last
-	// ~third comes from the greedy residual list, which contributes the
-	// mixture components agreement ranking tends to blur together.
-	greedySlots := n / 3
-	res := Result{Constraints: cons}
-	seen := make(map[can.ID]bool, n)
-	take := func(id can.ID) {
-		if seen[id] || len(res.Candidates) >= n {
-			return
-		}
-		seen[id] = true
-		res.Candidates = append(res.Candidates, id)
-		if Satisfies(id, width, cons) {
-			res.Strict++
-		}
+	ix, err := NewIndex(pool, width)
+	if err != nil {
+		return Result{}, err
 	}
-	for si := 0; si < len(byScore) && len(res.Candidates) < n-greedySlots; si++ {
-		take(byScore[si])
-	}
-	for gi := 0; gi < len(byGreedy) && len(res.Candidates) < n; gi++ {
-		take(byGreedy[gi])
-	}
-	for si := 0; si < len(byScore) && len(res.Candidates) < n; si++ {
-		take(byScore[si])
-	}
-	return res, nil
-}
-
-// scoreOrder ranks the pool by hard-constraint satisfaction, then soft
-// agreement score, then ascending identifier.
-func scoreOrder(pool []can.ID, width int, cons, soft []Constraint) []can.ID {
-	type row struct {
-		id     can.ID
-		strict bool
-		s      float64
-	}
-	rows := make([]row, 0, len(pool))
-	for _, id := range pool {
-		rows = append(rows, row{id, Satisfies(id, width, cons), Score(id, width, soft)})
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].strict != rows[j].strict {
-			return rows[i].strict
-		}
-		if rows[i].s != rows[j].s {
-			return rows[i].s > rows[j].s
-		}
-		return rows[i].id < rows[j].id
-	})
-	out := make([]can.ID, len(rows))
-	for i, r := range rows {
-		out[i] = r.id
-	}
-	return out
-}
-
-// greedyOrder ranks up to n pool identifiers by iterative residual
-// subtraction.
-func greedyOrder(a detect.Alert, pool []can.ID, width, n int) []can.ID {
-	residual := make([]float64, width)
-	templateP := make([]float64, width)
-	for _, b := range a.Bits {
-		if b.Bit >= 1 && b.Bit <= width {
-			residual[b.Bit-1] = b.DeltaP
-			templateP[b.Bit-1] = b.TemplateP
-		}
-	}
-	// signatureInto fills g with the candidate's centered bit vector.
-	// The scratch buffer is shared across the whole ranking — the inner
-	// pick loop evaluates every remaining candidate against the
-	// residual, and allocating a fresh vector per candidate dominated
-	// the cost of inference.
-	g := make([]float64, width)
-	signatureInto := func(id can.ID) {
-		for i := 1; i <= width; i++ {
-			g[i-1] = float64(id.Bit(i, width)) - templateP[i-1]
-		}
-	}
-	remaining := make([]can.ID, len(pool))
-	copy(remaining, pool)
-	sort.Slice(remaining, func(i, j int) bool { return remaining[i] < remaining[j] })
-
-	var out []can.ID
-	for len(out) < n && len(remaining) > 0 {
-		bestIdx := -1
-		bestDot := math.Inf(-1)
-		for idx, id := range remaining {
-			signatureInto(id)
-			dot := 0.0
-			for i := range g {
-				dot += residual[i] * g[i]
-			}
-			// Strict inequality keeps ties resolved toward the lowest
-			// (highest arbitration priority) identifier.
-			if dot > bestDot {
-				bestDot = dot
-				bestIdx = idx
-			}
-		}
-		id := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		out = append(out, id)
-		signatureInto(id)
-		var num, den float64
-		for i := range g {
-			num += residual[i] * g[i]
-			den += g[i] * g[i]
-		}
-		if den > 0 {
-			eps := num / den
-			if eps < 0 {
-				eps = 0
-			}
-			// Cap the subtraction step at a realistic single-ID
-			// injection fraction. A full least-squares step lets one
-			// "averaged" identifier absorb a whole multi-ID mixture,
-			// hiding the true components from later picks; a small step
-			// keeps each component visible until something close to it
-			// has been picked.
-			if eps > 0.08 {
-				eps = 0.08
-			}
-			for i := range g {
-				residual[i] -= eps * g[i]
-			}
-		}
-	}
-	return out
+	// The scratch dies with this call, so the result may keep its slices.
+	return ix.Rank(new(Scratch), a, n)
 }

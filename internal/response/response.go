@@ -6,18 +6,20 @@
 //
 // HandleAlert blocks on the Responder's gateway, so it runs on the
 // goroutine that classifies with that gateway: the streaming engine
-// hands it alerts from its lane's goroutine. Actions may be read from
-// another goroutine meanwhile. The policy itself is an immutable
+// hands it alerts from its lane's goroutine. The policy is an immutable
 // snapshot behind an atomic pointer — HandleAlert reads it without
-// taking a lock; only the per-responder action history is
-// mutex-guarded.
+// taking a lock. A normalized policy carries the inference index of its
+// pool (infer.Index), built once and shared by every responder serving
+// the policy, and each responder ranks into scratch of its own, so a
+// warm HandleAlert allocates nothing. A Responder keeps no history: the
+// returned Action is the record of what it did (engine.Config.OnAction
+// hands each one to the caller in stream order).
 package response
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,6 +53,11 @@ type Config struct {
 	// MinScore ignores alerts below this threshold-normalized score,
 	// avoiding knee-jerk blocking on marginal deviations.
 	MinScore float64
+
+	// index is Pool indexed for inference at Width, set by Normalize and
+	// shared by every copy of the normalized Config. Pool must not be
+	// mutated after normalization.
+	index *infer.Index
 }
 
 // DefaultConfig returns a conservative responder: block the single top
@@ -78,7 +85,10 @@ type Action struct {
 // Normalize fills the Config's defaulted fields (Width, Rank, BlockTop)
 // and validates the result — the same rules New applies, exposed so a
 // policy restored from a snapshot (or queued for a hot swap) can be
-// checked before it is installed.
+// checked before it is installed. It indexes the pool for inference
+// unless the Config already carries an index of the same pool and
+// width, so re-normalizing a normalized policy (every responder built
+// from one model) shares its index.
 func (c Config) Normalize() (Config, error) {
 	if len(c.Pool) == 0 {
 		return c, ErrNoPool
@@ -101,6 +111,13 @@ func (c Config) Normalize() (Config, error) {
 	if c.Quarantine < 0 {
 		return c, fmt.Errorf("response: Quarantine must be >= 0, got %v", c.Quarantine)
 	}
+	if c.index == nil || !c.index.Matches(c.Pool, c.Width) {
+		ix, err := infer.NewIndex(c.Pool, c.Width)
+		if err != nil {
+			return c, fmt.Errorf("response: %w", err)
+		}
+		c.index = ix
+	}
 	return c, nil
 }
 
@@ -113,8 +130,17 @@ type Responder struct {
 	// the pointer is never mutated in place.
 	cfg atomic.Pointer[Config]
 
-	mu      sync.Mutex
-	actions []Action
+	// scratch is HandleAlert's working memory, allocated on the first
+	// alert so an idle responder stays small.
+	scratch *alertScratch
+}
+
+// alertScratch is one responder's reusable per-alert memory: the
+// ranking's, and the Action HandleAlert returns.
+type alertScratch struct {
+	rank    infer.Scratch
+	act     Action
+	blocked []can.ID
 }
 
 // New creates a responder bound to a gateway.
@@ -135,9 +161,7 @@ func New(gw *gateway.Gateway, cfg Config) (*Responder, error) {
 func (r *Responder) Config() Config { return *r.cfg.Load() }
 
 // SetPolicy replaces the response policy, e.g. with one restored from a
-// snapshot at a hot-reload boundary. The action history is kept: policy
-// swaps reconfigure the responder, they do not rewrite what it already
-// did.
+// snapshot at a hot-reload boundary.
 func (r *Responder) SetPolicy(cfg Config) error {
 	cfg, err := cfg.Normalize()
 	if err != nil {
@@ -150,12 +174,19 @@ func (r *Responder) SetPolicy(cfg Config) error {
 // HandleAlert infers the malicious identifiers behind an alert and
 // blocks the top candidates. It returns the action taken, or nil when
 // the alert was below the score floor. The policy read is lock-free.
+// The Action and its Blocked slice are the responder's scratch, valid
+// until the next HandleAlert: copy what you keep.
 func (r *Responder) HandleAlert(a detect.Alert) (*Action, error) {
-	cfg := *r.cfg.Load()
+	cfg := r.cfg.Load()
 	if a.Score < cfg.MinScore {
 		return nil, nil
 	}
-	res, err := infer.Rank(a, cfg.Pool, cfg.Width, cfg.Rank)
+	sc := r.scratch
+	if sc == nil {
+		sc = new(alertScratch)
+		r.scratch = sc
+	}
+	res, err := cfg.index.Rank(&sc.rank, a, cfg.Rank)
 	if err != nil {
 		return nil, fmt.Errorf("response: %w", err)
 	}
@@ -170,28 +201,16 @@ func (r *Responder) HandleAlert(a detect.Alert) (*Action, error) {
 			until = a.WindowEnd + cfg.Quarantine
 		}
 	}
-	act := Action{Alert: a, Until: until}
 	// Inference can return fewer candidates than BlockTop when the pool
 	// is small; block what it found.
 	top := res.Candidates
 	if len(top) > cfg.BlockTop {
 		top = top[:cfg.BlockTop]
 	}
-	for _, id := range top {
+	sc.blocked = append(sc.blocked[:0], top...)
+	for _, id := range sc.blocked {
 		r.gateway.Block(id, until)
-		act.Blocked = append(act.Blocked, id)
 	}
-	r.mu.Lock()
-	r.actions = append(r.actions, act)
-	r.mu.Unlock()
-	return &act, nil
-}
-
-// Actions returns a copy of the response history.
-func (r *Responder) Actions() []Action {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Action, len(r.actions))
-	copy(out, r.actions)
-	return out
+	sc.act = Action{Alert: a, Blocked: sc.blocked, Until: until}
+	return &sc.act, nil
 }

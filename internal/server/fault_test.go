@@ -16,6 +16,7 @@ import (
 	"canids/internal/fault"
 	"canids/internal/server"
 	"canids/internal/store"
+	"canids/internal/trace"
 )
 
 // faultStats is the /stats surface the chaos suite scripts against.
@@ -355,6 +356,112 @@ func TestServeCheckpointRetry(t *testing.T) {
 	}
 	if st.CheckpointRetries < 1 {
 		t.Errorf("checkpoint_retries = %d, want >= 1", st.CheckpointRetries)
+	}
+}
+
+// TestServeCheckpointChangedOnly: a promotion's background save
+// rewrites only the buses whose model changed since their last save —
+// here the one bus still adapting, not the paused one — while the drain
+// writes every bus.
+func TestServeCheckpointChangedOnly(t *testing.T) {
+	snap := gatewaySnapshot(t)
+	_, clean, _ := loadFixture(t)
+	base := filepath.Join(t.TempDir(), "model.snap")
+	srv, url := startServer(t, server.Config{
+		Snapshot:       snap,
+		Adapt:          &server.AdaptOptions{Every: 2, MinWindows: 2, RateSlack: 1.5},
+		CheckpointPath: base,
+	})
+	// One record brings the idle bus up; pausing it keeps its model.
+	if code := post(t, url+"/ingest/idle?format=csv", encodeCSV(t, clean[:1]), nil); code != http.StatusOK {
+		t.Fatalf("ingest status %d", code)
+	}
+	if code := post(t, url+"/admin/adapt?action=pause&channel=idle", nil, nil); code != http.StatusOK {
+		t.Fatalf("pause status %d", code)
+	}
+	busy, idle := server.CheckpointFile(base, "busy"), server.CheckpointFile(base, "idle")
+	stat := func(path string) os.FileInfo {
+		fi, err := os.Stat(path)
+		if err != nil {
+			return nil
+		}
+		return fi
+	}
+	// sameSave reports whether two stats are of one save: the inode, and
+	// the modification time, since a file can reuse the inode of a
+	// generation freed two saves ago.
+	sameSave := func(a, b os.FileInfo) bool {
+		return a != nil && b != nil && os.SameFile(a, b) && a.ModTime().Equal(b.ModTime())
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(15 * time.Second); !ok(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// savedPromotions is how many promotions the busy bus's file holds,
+	// once the bus has scored every ingested record and its file caught
+	// up with its promotions.
+	savedPromotions := func(frames int) uint64 {
+		t.Helper()
+		var n uint64
+		waitFor("the busy bus's checkpoint to catch up", func() bool {
+			var st faultStats
+			if code := get(t, url+"/stats", &st); code != http.StatusOK || st.Buses["busy"].Frames != uint64(frames) {
+				return false
+			}
+			ck, err := store.Load(busy)
+			if err != nil || ck.Adapt == nil {
+				return false
+			}
+			n = ck.Adapt.Promotions
+			return n > 0 && n == srv.AdaptStatus()["busy"].Promotions
+		})
+		return n
+	}
+
+	// The first promotion saves both buses: neither was saved yet.
+	if code := post(t, url+"/ingest/busy?format=csv", encodeCSV(t, clean), nil); code != http.StatusOK {
+		t.Fatalf("ingest status %d", code)
+	}
+	first := savedPromotions(len(clean))
+	idleSaved := stat(idle)
+	if idleSaved == nil {
+		t.Fatal("the first promotion's save skipped the never-saved bus")
+	}
+
+	// Later promotions of the busy bus rewrite its file only.
+	later := make(trace.Trace, len(clean))
+	shift := clean[len(clean)-1].Time + time.Second
+	for i, r := range clean {
+		r.Time += shift
+		later[i] = r
+	}
+	if code := post(t, url+"/ingest/busy?format=csv", encodeCSV(t, later), nil); code != http.StatusOK {
+		t.Fatalf("ingest status %d", code)
+	}
+	if n := savedPromotions(2 * len(clean)); n <= first {
+		t.Fatalf("no later promotion saved (%d, then %d)", first, n)
+	}
+	if !sameSave(stat(idle), idleSaved) {
+		t.Error("a promotion on another bus rewrote the unchanged bus's checkpoint")
+	}
+	if p := srv.AdaptStatus()["idle"].Promotions; p != 0 {
+		t.Fatalf("paused bus promoted %d times", p)
+	}
+
+	// The drain saves every bus.
+	busySaved := stat(busy)
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for path, before := range map[string]os.FileInfo{busy: busySaved, idle: idleSaved} {
+		if fi := stat(path); fi == nil || sameSave(fi, before) {
+			t.Errorf("drain did not rewrite %s", filepath.Base(path))
+		}
 	}
 }
 

@@ -49,11 +49,16 @@
 // stream stays bit-identical to a sequential run swapping the same
 // models at the same boundaries (TestEngineAdaptMatchesSequential).
 // Config.CheckpointPath persists each bus's adapted model as a
-// version-2 snapshot (with adaptation metadata) after every promotion
-// and at drain; a restart -loads the checkpoint and the learned budgets
-// survive. An /admin/reload rebases every adapter on the reloaded
-// model: adaptation restarts from it rather than promoting artifacts
-// learned against the replaced template.
+// version-2 snapshot (with adaptation metadata) after a promotion — the
+// background save writes only buses whose model changed since their last
+// successful save, so an alert-heavy bus that never promotes is not
+// rewritten on every other bus's promotion — and every bus at drain; a
+// restart -loads the checkpoint and the learned budgets survive. Between
+// a bus's promotions its file's adaptation counters (windows, clean)
+// lag the live ones; the model, which is all a restart reads, does not.
+// An /admin/reload rebases every adapter on the reloaded model:
+// adaptation restarts from it rather than promoting artifacts learned
+// against the replaced template.
 //
 // # Hot reload
 //
@@ -380,12 +385,14 @@ type Server struct {
 	// serializes concurrent Checkpoint calls (background vs admin) and
 	// guards ckErr, the outcome of the most recent checkpoint attempt
 	// (surfaced by /admin/adapt so silent background failures cannot
-	// hide). ckRetries counts background retry attempts after failed
-	// writes (surfaced by /stats).
+	// hide), and ckSaved, the model each bus's file last saved
+	// successfully. ckRetries counts background retry attempts after
+	// failed writes (surfaced by /stats).
 	ckCh      chan struct{}
 	ckDone    chan struct{}
 	ckMu      sync.Mutex
 	ckErr     error
+	ckSaved   map[string]*model.Model
 	ckRetries atomic.Uint64
 
 	// degraded is the bounded log of degradation events — checkpoint
@@ -468,6 +475,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CheckpointPath != "" {
 		s.ckCh = make(chan struct{}, 1)
 		s.ckDone = make(chan struct{})
+		s.ckSaved = make(map[string]*model.Model)
 	}
 	if cfg.CheckpointBackoff <= 0 {
 		s.cfg.CheckpointBackoff = DefaultCheckpointBackoff
@@ -710,7 +718,9 @@ func (s *Server) Start(ctx context.Context) error {
 }
 
 // checkpointLoop persists the adapted models after every promotion
-// nudge and once more when the pipeline finishes, so a drain never
+// nudge — only the buses whose model changed since their last
+// successful save (a failed bus stays changed, so its retry lands it) —
+// and every bus once more when the pipeline finishes, so a drain never
 // loses the last promotions. A failed write is retried with capped
 // exponential backoff (Config.CheckpointBackoff) until it lands or a
 // newer nudge supersedes it, so a transiently full or slow disk does
@@ -733,7 +743,7 @@ func (s *Server) checkpointLoop() {
 	}
 	attempt := func() {
 		stopTimer()
-		if _, err := s.Checkpoint(); err != nil {
+		if _, err := s.checkpoint(false); err != nil {
 			d := checkpointBackoff(s.cfg.CheckpointBackoff, failures)
 			failures++
 			timer = time.NewTimer(d)
@@ -1098,6 +1108,15 @@ func CheckpointFile(base, channel string) string {
 // save) and returns the files written, keyed by bus. Buses that have
 // not appeared yet have nothing to checkpoint.
 func (s *Server) Checkpoint() (files map[string]string, err error) {
+	return s.checkpoint(true)
+}
+
+// checkpoint saves every adapting bus (all), or only those whose model
+// differs from the one their file last saved successfully — the
+// promotion-driven save, whose cost then follows what was promoted, not
+// the bus count. A skipped bus's file keeps its model; only its
+// adaptation counters are older than the live ones.
+func (s *Server) checkpoint(all bool) (files map[string]string, err error) {
 	if s.cfg.CheckpointPath == "" {
 		return nil, errors.New("server: checkpointing is not configured")
 	}
@@ -1113,7 +1132,11 @@ func (s *Server) Checkpoint() (files map[string]string, err error) {
 	files = make(map[string]string, len(adapters))
 	var errs []error
 	for ch, ad := range adapters {
-		ck, err := checkpointSnapshot(ad)
+		m, st := ad.Model()
+		if !all && s.ckSaved[ch] == m {
+			continue
+		}
+		ck, err := checkpointSnapshot(m, st)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("server: checkpoint bus %q: %w", ch, err))
 			continue
@@ -1138,6 +1161,7 @@ func (s *Server) Checkpoint() (files map[string]string, err error) {
 			continue
 		}
 		files[ch] = path
+		s.ckSaved[ch] = m
 		s.log.Debug("checkpoint saved", "bus", ch, "path", path)
 	}
 	return files, errors.Join(errs...)
@@ -1163,8 +1187,7 @@ func keepPrevious(path string) error {
 // metadata attached. The result passes the same validation as any
 // snapshot, so a restart can -load it and an /admin/reload can swap it
 // in.
-func checkpointSnapshot(ad *adapt.Adapter) (*store.Snapshot, error) {
-	m, st := ad.Model()
+func checkpointSnapshot(m *model.Model, st adapt.Status) (*store.Snapshot, error) {
 	return store.FromModel(m, &store.AdaptMeta{
 		Windows:      st.Windows,
 		Clean:        st.Clean,
