@@ -42,11 +42,14 @@ go test -shuffle=on ./...
 
 # Fuzz smoke: each differential fuzzer runs for 10 s against its
 # reference — the original candump, CSV and binary decoders, the
-# map-based gateway, and the full-sort malicious-ID ranking. A mismatch
-# fails CI, and go test saves the input under the package's
-# testdata/fuzz, where plain `go test` replays it.
+# map-based gateway, the full-sort malicious-ID ranking, the capture
+# codec against its own input (encode then decode), and the journal
+# segment scanner against re-encoding its entries. A mismatch fails CI,
+# and go test saves the input under the package's testdata/fuzz, where
+# plain `go test` replays it.
 echo "== fuzz smoke"
-for target in trace:FuzzReadCandump trace:FuzzReadCSV trace:FuzzReadBinary gateway:FuzzGatewayClassify infer:FuzzRank; do
+for target in trace:FuzzReadCandump trace:FuzzReadCSV trace:FuzzReadBinary trace:FuzzCaptureRoundTrip \
+  gateway:FuzzGatewayClassify infer:FuzzRank journal:FuzzJournalScan; do
   go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
 done
 

@@ -69,7 +69,10 @@
 // Record an incident while serving, then replay it as a local test
 // case — the capture carries the snapshot, the exact per-bus record
 // stream, and the alert journal, and the replay must reproduce that
-// journal bit for bit; scrape /metrics for Prometheus-format counters:
+// journal bit for bit. The capture is written in groups, about once per
+// ingest request, so a daemon crash loses at most the group not yet
+// written (the alert journal is written per alert). Scrape /metrics
+// for Prometheus-format counters:
 //
 //	canids -serve -load model.snap -record incident
 //	curl --data-binary @attacked.csv 'http://127.0.0.1:8080/ingest/ms-can?format=csv'
@@ -163,7 +166,7 @@ func run(args []string, stdout io.Writer) error {
 		logFormat = fs.String("log-format", "text", "structured-log encoding on stderr: text or json")
 
 		replayDir  = fs.String("replay", "", "re-run a -record capture directory and reproduce its alert journal bit-for-bit")
-		recordDir  = fs.String("record", "", "with -serve, capture the post-demux record stream + snapshot into this directory for -replay")
+		recordDir  = fs.String("record", "", "with -serve, capture the post-demux record stream + snapshot into this directory for -replay; capture is written about once per ingest request, so a crash loses at most the last unwritten group")
 		journalDir = fs.String("journal", "", "with -serve, append alerts to rotating per-bus binary journals under this directory (default <record>/journal with -record)")
 		adaptOn    = fs.Bool("adapt", false, "with -serve, learn budgets/template online from live clean windows")
 		adaptEvery = fs.Int("adapt-every", 0, "with -adapt, promotion cadence in clean windows, also the warm-up before the first promotion (0 = defaults)")
@@ -521,7 +524,14 @@ func runDetect(files []string, tmplPath, loadPath string, window time.Duration, 
 	if err := d.SetTemplate(tmpl); err != nil {
 		return err
 	}
-	tf := templateFile{Template: tmpl, Pool: pool}
+	// One index and scratch rank every alert against the pool.
+	var ix *infer.Index
+	var scratch infer.Scratch
+	if len(pool) > 0 {
+		if ix, err = infer.NewIndex(pool, can.StandardIDBits); err != nil {
+			return err
+		}
+	}
 
 	for _, path := range files {
 		tr, err := readLog(path)
@@ -539,8 +549,8 @@ func runDetect(files []string, tmplPath, loadPath string, window time.Duration, 
 		fmt.Fprintf(stdout, "%s: %d frames, %d alerts\n", path, len(tr), len(alerts))
 		for _, a := range alerts {
 			fmt.Fprintf(stdout, "  ALERT %s\n", a)
-			if len(tf.Pool) > 0 {
-				res, err := infer.Rank(a, tf.Pool, can.StandardIDBits, rank)
+			if ix != nil {
+				res, err := ix.Rank(&scratch, a, rank)
 				if err == nil {
 					fmt.Fprintf(stdout, "        suspected IDs: %s\n", formatIDs(res.Candidates))
 				}
@@ -1266,7 +1276,16 @@ func watchStream(parts *engineParts, src engine.Source, injected *trace.Trace, s
 	// file's blocks in this file's report.
 	parts.engines = make(map[string]*engine.Engine)
 	parts.actions = make(map[string]*[]response.Action)
-	pool := parts.model.Pool()
+	// Without -prevent the sink ranks each alert itself, against one
+	// index of the pool and with one scratch (it runs under mu).
+	var ix *infer.Index
+	var scratch infer.Scratch
+	if pool := parts.model.Pool(); !opts.prevent && len(pool) > 0 {
+		var err error
+		if ix, err = infer.NewIndex(pool, can.StandardIDBits); err != nil {
+			return err
+		}
+	}
 	start := time.Now()
 	var mu sync.Mutex // stdout interleaving: sink vs metrics ticker
 	var alerts []detect.Alert
@@ -1283,8 +1302,8 @@ func watchStream(parts *engineParts, src engine.Source, injected *trace.Trace, s
 		// BLOCK report names the verdict); re-ranking here would double
 		// the inference cost on the engine's dispatch goroutine, which
 		// scores every window.
-		if !opts.prevent && len(pool) > 0 && len(a.Bits) > 0 {
-			if res, err := infer.Rank(a, pool, can.StandardIDBits, opts.rank); err == nil {
+		if ix != nil && len(a.Bits) > 0 {
+			if res, err := ix.Rank(&scratch, a, opts.rank); err == nil {
 				fmt.Fprintf(stdout, "        suspected IDs: %s\n", formatIDs(res.Candidates))
 			}
 		}

@@ -254,7 +254,17 @@
 // (TestRecordReplayDeterminism under -race, and ci.sh's
 // observability smoke leg against the real daemon). The contract covers
 // clean-drain runs; a crash-restart loses frames the capture still
-// carries, so those replays run but may legitimately diverge.
+// carries, so those replays run but may legitimately diverge. Each
+// captured slab is one compact entry (trace.AppendCapture: the channel
+// once, then per record a varint time delta, a flags byte carrying the
+// DLC, a varint identifier, the data and the source only where it
+// changes — about 14 bytes a frame against 35 in the CTR1 layout that
+// version-1 captures used, which replay still reads). The capture
+// journal commits in groups: entries of one bus are staged and written
+// with one call when the bus changes, the group reaches 256 KiB, or the
+// serve feed runs dry — about one write per ingest request — so a crash
+// of the recorder loses at most the unflushed group. The alert journal
+// stays write-through, one write per alert.
 //
 // # Latency & profiling
 //
@@ -445,8 +455,7 @@
 //     is made whole first), interning Channel/Source through a bounded
 //     per-decoder table; trace.AppendBinary (built on
 //     can.Frame.AppendBinary, an encoding.BinaryAppender) encodes into a
-//     caller's buffer, which the -record capture tap reuses slab to
-//     slab. TestBinaryCodecSteadyStateAllocs pins both at 0 allocs per
+//     caller's buffer. TestBinaryCodecSteadyStateAllocs pins both at 0 allocs per
 //     record, and TestIngestSteadyStateAllocs extends the engine's
 //     <0.25 allocs/frame bound to a warm Server.Ingest of binary bodies
 //     (~0.03 measured, 6.0 before). On servebench upload-binary this

@@ -85,12 +85,18 @@ func run() error {
 	fmt.Printf("attack: injected ID %s, %d frames on the bus\n",
 		injected, attacked.CountInjected())
 
-	// 4. Detect and infer.
+	// 4. Detect and infer: one index of the legal pool, and one scratch,
+	// rank every alert.
+	ix, err := infer.NewIndex(profile.IDSet(), can.StandardIDBits)
+	if err != nil {
+		return err
+	}
+	var scratch infer.Scratch
 	var alerts int
 	for _, r := range attacked {
 		for _, a := range detector.Observe(r) {
 			alerts++
-			res, err := infer.Rank(a, profile.IDSet(), can.StandardIDBits, infer.DefaultRank)
+			res, err := ix.Rank(&scratch, a, infer.DefaultRank)
 			if err != nil {
 				return err
 			}

@@ -88,6 +88,12 @@ type BatchSource interface {
 // consumed slab is handed to recycle (when set) as soon as the consumer
 // moves past it, closing the producer's pool loop.
 type ChanBatchSource struct {
+	// Idle, when set, runs on the consumer's goroutine each time the
+	// source finds the channel empty, just before it blocks for the
+	// next slab — the serving layer writes its staged capture group
+	// there. Unset, the source goes straight to the blocking receive.
+	Idle func()
+
 	ctx     context.Context
 	ch      <-chan []trace.Record
 	recycle func([]trace.Record)
@@ -113,22 +119,40 @@ func (s *ChanBatchSource) NextBatch() ([]trace.Record, error) {
 		s.prev = nil
 	}
 	for {
+		slab, ok, err := s.recv()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, io.EOF
+		}
+		if len(slab) == 0 {
+			if s.recycle != nil {
+				s.recycle(slab)
+			}
+			continue
+		}
+		s.prev = slab
+		return slab, nil
+	}
+}
+
+// recv receives the next slab, running Idle first when none is
+// waiting.
+func (s *ChanBatchSource) recv() ([]trace.Record, bool, error) {
+	if s.Idle != nil {
 		select {
 		case slab, ok := <-s.ch:
-			if !ok {
-				return nil, io.EOF
-			}
-			if len(slab) == 0 {
-				if s.recycle != nil {
-					s.recycle(slab)
-				}
-				continue
-			}
-			s.prev = slab
-			return slab, nil
-		case <-s.ctx.Done():
-			return nil, s.ctx.Err()
+			return slab, ok, nil
+		default:
+			s.Idle()
 		}
+	}
+	select {
+	case slab, ok := <-s.ch:
+		return slab, ok, nil
+	case <-s.ctx.Done():
+		return nil, false, s.ctx.Err()
 	}
 }
 

@@ -79,10 +79,11 @@ type scenarioOutcome struct {
 }
 
 // runScenario executes one attack run and scores detection + inference.
-// It builds a private detector from the shared template so concurrent
-// scenario runs never share mutable state.
+// It builds a private detector from the shared template, and ranks with
+// a private scratch against the shared (read-only) pool index, so
+// concurrent scenario runs never share mutable state.
 func runScenario(p Params, profile vehicle.Profile, tmpl core.Template,
-	pool []can.ID, cfg attack.Config, weakECU string, runSeed int64) (scenarioOutcome, error) {
+	ix *infer.Index, cfg attack.Config, weakECU string, runSeed int64) (scenarioOutcome, error) {
 
 	res, err := cachedRun(p, profile, runOptions{
 		scenario:  vehicle.Idle,
@@ -109,8 +110,9 @@ func runScenario(p Params, profile vehicle.Profile, tmpl core.Template,
 	// injected identifier.
 	if cfg.Scenario != attack.Flood {
 		out.hasInfer = true
+		var s infer.Scratch
 		for _, a := range alerts {
-			r, err := infer.Rank(a, pool, can.StandardIDBits, p.Rank)
+			r, err := ix.Rank(&s, a, p.Rank)
 			if err != nil {
 				return scenarioOutcome{}, err
 			}
@@ -165,6 +167,10 @@ func Table1(p Params) (Table1Result, error) {
 		return Table1Result{}, err
 	}
 	pool := profile.IDSet()
+	ix, err := infer.NewIndex(pool, can.StandardIDBits)
+	if err != nil {
+		return Table1Result{}, err
+	}
 
 	seedCounter := int64(0x1000)
 	nextSeed := func() int64 {
@@ -240,7 +246,7 @@ func Table1(p Params) (Table1Result, error) {
 
 	outcomes := make([]scenarioOutcome, len(jobs))
 	err = forEach(p.workers(), len(jobs), func(i int) error {
-		o, err := runScenario(p, profile, tmpl, pool, jobs[i].cfg, jobs[i].weakECU, jobs[i].runSeed)
+		o, err := runScenario(p, profile, tmpl, ix, jobs[i].cfg, jobs[i].weakECU, jobs[i].runSeed)
 		if err != nil {
 			return err
 		}

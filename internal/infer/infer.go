@@ -212,19 +212,13 @@ func (r Result) HitCount(targets []can.ID) int {
 //     ΔP evidence — the paper's "changing rate" refinement, with
 //     ascending numeric ID (arbitration priority) breaking ties.
 //
-// Rank indexes the pool on every call; callers ranking many alerts
-// against one pool should build an Index once and rank with a Scratch.
+// Rank indexes the pool on every call: it is for one-off rankings.
+// Callers ranking many alerts against one pool hold an Index and a
+// Scratch instead.
 func Rank(a detect.Alert, pool []can.ID, width, n int) (Result, error) {
-	if len(pool) == 0 {
-		return Result{}, ErrEmptyPool
-	}
-	if n <= 0 {
-		return Result{}, fmt.Errorf("%w: %d", ErrBadRank, n)
-	}
 	ix, err := NewIndex(pool, width)
 	if err != nil {
 		return Result{}, err
 	}
-	// The scratch dies with this call, so the result may keep its slices.
 	return ix.Rank(new(Scratch), a, n)
 }

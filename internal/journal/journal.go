@@ -22,14 +22,35 @@
 // active segment is started, so no segment (beyond a single oversized
 // entry) exceeds the cap.
 //
+// # Writes and group commit
+//
+// Writer.Append writes each entry, header and payload, with one write
+// call: an appended entry is in the file (the OS page cache) when
+// Append returns. A Set opened with Options.Group instead stages
+// consecutive entries of one key in a single Set-wide buffer and writes
+// the whole group with one call when the key changes, when the group
+// reaches groupCap bytes, on Set.Flush (the serving layer calls it when
+// its feed runs dry), and on Sync, Close and rotation. The file bytes
+// are the same either way; only the number of write calls changes.
+//
 // # Crash tolerance
 //
-// A crash can leave a torn entry at the active segment's tail — a
-// partial header, a short payload, or a payload that fails its CRC.
-// OpenWriter scans the segment on open and truncates it back to the
-// last intact entry, so the journal is append-ready again and every
-// entry that was fully written survives. Read tolerates (and reports)
-// the same torn tail without modifying the file.
+// A process crash loses what was not yet written: nothing for a
+// write-through journal, at most the unflushed group for a grouped Set.
+// A crash can also leave a torn entry at the active segment's tail — a
+// partial header, a short payload, or a payload that fails its CRC —
+// when it lands mid-write. OpenWriter scans the segment on open and
+// truncates it back to the last intact entry, so the journal is
+// append-ready again and every entry that was fully written survives.
+// Read tolerates (and reports) the same torn tail without modifying the
+// file. Without Options.Sync an OS crash can lose more: whatever the
+// page cache had not written back.
+//
+// A failed write (ENOSPC, a short write) can leave a torn entry in a
+// live file, too. The Writer then refuses every later append, flush and
+// sync with that same error instead of appending behind the torn bytes,
+// where a reader would never find them; reopening the journal recovers
+// the tail as after a crash.
 package journal
 
 import (
@@ -54,20 +75,30 @@ const (
 	// capacity knob: a torn length field must not make recovery (or a
 	// reader) trust a multi-gigabyte allocation.
 	MaxEntry = 16 << 20
+
+	// groupCap is the staged size at which a grouped Set writes its
+	// group out without waiting for a key change or a Flush. It bounds
+	// the group buffer (an oversized entry aside) and what a crash can
+	// lose.
+	groupCap = 256 << 10
 )
 
 // ErrNotJournal reports a file whose header is not the journal magic —
 // a different file altogether, which recovery must refuse to truncate.
 var ErrNotJournal = errors.New("journal: bad magic (not a journal file)")
 
-// Options parameterizes a Writer.
+// Options parameterizes a Writer or a Set.
 type Options struct {
 	// MaxBytes caps one segment file; an append that would exceed it
 	// rotates first. Zero disables rotation (one unbounded segment).
 	MaxBytes int64
-	// Sync fsyncs after every append. Durable but slow; off, entries are
+	// Sync fsyncs after every write. Durable but slow; off, entries are
 	// flushed by the OS and forced down on Close.
 	Sync bool
+	// Group makes a Set commit in groups (see the package doc): appends
+	// are staged and written out per group, not per entry. A Writer
+	// ignores it.
+	Group bool
 }
 
 // Writer appends entries to the active segment of one journal.
@@ -76,9 +107,12 @@ type Writer struct {
 	path string
 	opts Options
 	f    *os.File
-	size int64
-	seq  int // next rotation slot, 1-based
-	head [entryHead]byte
+	size int64 // bytes written to the active segment
+	seq  int   // next rotation slot, 1-based
+	buf  []byte
+	// err is the first write, rotation or sync failure; once set, the
+	// Writer refuses everything but Close with it.
+	err error
 }
 
 // OpenWriter opens (or creates) the journal at path for appending,
@@ -134,34 +168,79 @@ func (w *Writer) openActive() error {
 	return nil
 }
 
-// Append writes one entry to the active segment, rotating first when
-// the entry would push the segment past Options.MaxBytes.
+// Append writes one entry to the active segment with one write call,
+// rotating first when the entry would push the segment past
+// Options.MaxBytes.
 func (w *Writer) Append(payload []byte) error {
+	buf, err := w.stage(w.buf[:0], payload)
+	w.buf = buf[:0]
+	if err != nil {
+		return err
+	}
+	return w.write(buf)
+}
+
+// stage appends one entry — header and payload — to dst, which holds
+// the Writer's staged, unwritten entries, and returns the extended
+// buffer. When the entry would push the segment past Options.MaxBytes,
+// stage writes dst and rotates first, so the returned buffer then holds
+// the new entry alone.
+func (w *Writer) stage(dst, payload []byte) ([]byte, error) {
+	if err := w.usable(); err != nil {
+		return dst, err
+	}
+	if len(payload) > MaxEntry {
+		return dst, fmt.Errorf("journal: entry of %d bytes exceeds the %d byte bound", len(payload), MaxEntry)
+	}
+	size := w.size + int64(len(dst))
+	if need := int64(entryHead + len(payload)); w.opts.MaxBytes > 0 && size > int64(headerSize) && size+need > w.opts.MaxBytes {
+		if err := w.write(dst); err != nil {
+			return dst[:0], err
+		}
+		dst = dst[:0]
+		if err := w.rotate(); err != nil {
+			return dst, w.fail(err)
+		}
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...), nil
+}
+
+// write writes b — staged entries — to the active segment in one call.
+// A failure is sticky: b may be partly in the file, and an entry
+// appended behind it would be unreachable.
+func (w *Writer) write(b []byte) error {
+	if err := w.usable(); err != nil || len(b) == 0 {
+		return err
+	}
+	if _, err := w.f.Write(b); err != nil {
+		return w.fail(err)
+	}
+	w.size += int64(len(b))
+	if w.opts.Sync {
+		if err := w.f.Sync(); err != nil {
+			return w.fail(err)
+		}
+	}
+	return nil
+}
+
+// usable reports why the Writer cannot take entries, or nil.
+func (w *Writer) usable() error {
+	if w.err != nil {
+		return w.err
+	}
 	if w.f == nil {
 		return errors.New("journal: writer is closed")
 	}
-	if len(payload) > MaxEntry {
-		return fmt.Errorf("journal: entry of %d bytes exceeds the %d byte bound", len(payload), MaxEntry)
-	}
-	need := int64(entryHead + len(payload))
-	if w.opts.MaxBytes > 0 && w.size > int64(headerSize) && w.size+need > w.opts.MaxBytes {
-		if err := w.rotate(); err != nil {
-			return err
-		}
-	}
-	binary.LittleEndian.PutUint32(w.head[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.head[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(w.head[:]); err != nil {
-		return err
-	}
-	if _, err := w.f.Write(payload); err != nil {
-		return err
-	}
-	w.size += need
-	if w.opts.Sync {
-		return w.f.Sync()
-	}
 	return nil
+}
+
+// fail makes err the Writer's sticky error.
+func (w *Writer) fail(err error) error {
+	w.err = fmt.Errorf("journal: %w (writer disabled; reopen to recover)", err)
+	return w.err
 }
 
 // rotate seals the active segment into the next numbered slot and
@@ -182,8 +261,8 @@ func (w *Writer) rotate() error {
 }
 
 // Size returns the active segment's size in bytes, including the magic
-// header. Rotated segments are capped at Options.MaxBytes and not
-// counted here.
+// header: what was written, not what a grouped Set still stages.
+// Rotated segments are capped at Options.MaxBytes and not counted here.
 func (w *Writer) Size() int64 { return w.size }
 
 // Segments returns how many segment files the journal currently spans:
@@ -192,19 +271,23 @@ func (w *Writer) Segments() int { return w.seq }
 
 // Sync forces the active segment down to stable storage.
 func (w *Writer) Sync() error {
-	if w.f == nil {
-		return nil
+	if w.f == nil || w.err != nil {
+		return w.err
 	}
-	return w.f.Sync()
+	if err := w.f.Sync(); err != nil {
+		return w.fail(err)
+	}
+	return nil
 }
 
 // Close syncs and closes the active segment. The Writer is unusable
-// afterwards.
+// afterwards. A Writer disabled by a failed write closes its file and
+// returns that failure.
 func (w *Writer) Close() error {
 	if w.f == nil {
-		return nil
+		return w.err
 	}
-	err := w.f.Sync()
+	err := w.Sync()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
@@ -322,6 +405,10 @@ type Set struct {
 	mu      sync.Mutex
 	writers map[string]*Writer
 	closed  bool
+	// pend is the writer whose entries buf stages (Options.Group); nil
+	// when nothing is staged. One buffer serves every key.
+	pend *Writer
+	buf  []byte
 	// finalStats freezes the per-key sizes at Close, keeping the
 	// serving layer's journal gauges truthful after a drain.
 	finalStats []KeyStats
@@ -336,7 +423,9 @@ func OpenSet(dir string, opts Options) (*Set, error) {
 }
 
 // Append writes one entry to the key's journal, opening (and
-// recovering) it on first use.
+// recovering) it on first use. A grouped Set (Options.Group) stages the
+// entry instead, writing out the previous key's group first; an error
+// may then come from that earlier group, whose entries are lost.
 func (s *Set) Append(key string, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -352,7 +441,45 @@ func (s *Set) Append(key string, payload []byte) error {
 		}
 		s.writers[key] = w
 	}
-	return w.Append(payload)
+	if !s.opts.Group {
+		return w.Append(payload)
+	}
+	if w != s.pend {
+		if err := s.flushLocked(); err != nil {
+			return err
+		}
+		s.pend = w
+	}
+	var err error
+	if s.buf, err = w.stage(s.buf, payload); err != nil {
+		// A refused entry leaves the group staged; a failed write
+		// leaves nothing to stage.
+		if len(s.buf) == 0 {
+			s.pend = nil
+		}
+		return err
+	}
+	if len(s.buf) >= groupCap {
+		return s.flushLocked()
+	}
+	return nil
+}
+
+// Flush writes the staged group, if any, with one write call. It is a
+// no-op on a write-through Set.
+func (s *Set) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.flushLocked()
+}
+
+func (s *Set) flushLocked() error {
+	if s.pend == nil {
+		return nil
+	}
+	err := s.pend.write(s.buf)
+	s.pend, s.buf = nil, s.buf[:0]
+	return err
 }
 
 // KeyStats describes one key's journal at a point in time — the
@@ -388,26 +515,28 @@ func (s *Set) statsLocked() []KeyStats {
 	return out
 }
 
-// Sync forces every open journal down to stable storage.
+// Sync writes the staged group and forces every open journal down to
+// stable storage.
 func (s *Set) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var errs []error
+	errs := []error{s.flushLocked()}
 	for _, w := range s.writers {
 		errs = append(errs, w.Sync())
 	}
 	return errors.Join(errs...)
 }
 
-// Close syncs and closes every journal in the set.
+// Close writes the staged group, then syncs and closes every journal in
+// the set.
 func (s *Set) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	errs := []error{s.flushLocked()}
 	if !s.closed {
 		s.finalStats = s.statsLocked()
 	}
 	s.closed = true
-	var errs []error
 	for _, w := range s.writers {
 		errs = append(errs, w.Close())
 	}

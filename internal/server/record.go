@@ -8,10 +8,24 @@
 //	manifest.json        serving configuration + snapshot identity
 //	snapshot.snap        the served model (store.Snapshot)
 //	capture/<bus>.jnl    post-demux record slabs, one journal entry per
-//	                     slab (trace binary format), per bus
+//	                     slab, per bus
 //	journal/<bus>.jnl    the alert journal (when -record defaults the
 //	                     journal into the capture directory)
 //	replay/<bus>.jnl     alert journal of a later -replay run
+//
+// Capture entry format, by manifest version: version 2 (written now)
+// stores each slab as one compact capture entry (trace.AppendCapture:
+// the channel once, then per record a time delta, a flags byte with the
+// DLC, the identifier, the data and the source only when it changes —
+// about 14 bytes a frame); version 1 stored it as a CTR1 binary stream
+// (trace.AppendBinary: the channel and an absolute time in every
+// record, about 35 bytes a frame). Replay reads both. The capture
+// journal commits in groups (journal.Options.Group): entries are
+// staged while consecutive slabs belong to one bus and written out when
+// the bus changes, the group reaches its cap, or the serve feed runs
+// dry — about one write per ingest request. A crash of the recording
+// process therefore loses at most the unflushed group, on top of any
+// torn tail, which replay skips with a degradation note.
 //
 // The capture taps the supervisor's demux seam, so what is recorded is
 // exactly what the engines consumed: per-bus record content, order and
@@ -45,8 +59,12 @@ import (
 	"canids/internal/trace"
 )
 
-// manifestVersion is the capture-directory format version.
-const manifestVersion = 1
+// manifestVersion is the capture-directory format version this build
+// writes; it reads every version back to manifestV1.
+const (
+	manifestVersion = 2
+	manifestV1      = 1 // capture entries in the CTR1 binary format
+)
 
 // ManifestFile and SnapshotFile are the fixed file names inside a
 // capture directory; CaptureSubdir holds the per-bus record journals.
@@ -118,7 +136,7 @@ func (s *Server) setupRecord() error {
 	if err := os.WriteFile(filepath.Join(dir, ManifestFile), append(raw, '\n'), 0o644); err != nil {
 		return err
 	}
-	set, err := journal.OpenSet(filepath.Join(dir, CaptureSubdir), journal.Options{})
+	set, err := journal.OpenSet(filepath.Join(dir, CaptureSubdir), journal.Options{Group: true})
 	if err != nil {
 		return err
 	}
@@ -128,22 +146,34 @@ func (s *Server) setupRecord() error {
 
 // captureSlab is the supervisor tap: persist one demuxed slab — the
 // slab is owned by the consumer the moment the tap returns, so it is
-// serialized here, into the server's reused encode buffer, not
-// retained. Runs on the demux goroutine; a write failure disables
-// capture with a degradation note instead of stalling or crashing the
-// pipeline (an incomplete capture is an observability loss, not a
-// serving loss).
+// serialized here, into the server's reused encode buffer, and staged
+// in the capture's group, not retained. Runs on the demux goroutine; a
+// failure disables capture with a degradation note instead of stalling
+// or crashing the pipeline (an incomplete capture is an observability
+// loss, not a serving loss).
 func (s *Server) captureSlab(channel string, slab []trace.Record) {
 	if s.captureFail.Load() {
 		return
 	}
-	buf, err := trace.AppendBinary(s.captureBuf[:0], trace.Trace(slab))
+	buf, err := trace.AppendCapture(s.captureBuf[:0], slab)
 	s.captureBuf = buf
 	if err == nil {
 		err = s.capture.Append(channel, buf)
 	}
 	if err != nil && s.captureFail.CompareAndSwap(false, true) {
 		s.noteDegraded("record capture disabled: bus %q: %v", channel, err)
+	}
+}
+
+// flushCapture is the serve source's idle hook: the feed is empty, so
+// write the staged capture group out before the demux blocks. A failed
+// write disables capture like a failed append.
+func (s *Server) flushCapture() {
+	if s.captureFail.Load() {
+		return
+	}
+	if err := s.capture.Flush(); err != nil && s.captureFail.CompareAndSwap(false, true) {
+		s.noteDegraded("record capture disabled: %v", err)
 	}
 }
 
@@ -157,8 +187,8 @@ func LoadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("server: capture manifest: %w", err)
 	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("server: capture manifest version %d (this build reads %d)", m.Version, manifestVersion)
+	if m.Version < manifestV1 || m.Version > manifestVersion {
+		return nil, fmt.Errorf("server: capture manifest version %d (this build reads %d to %d)", m.Version, manifestV1, manifestVersion)
 	}
 	if m.SnapshotFile == "" {
 		return nil, errors.New("server: capture manifest names no snapshot")
@@ -198,10 +228,14 @@ func (m *Manifest) JournalDir(dir string) string {
 // back into the running pipeline, bus by bus in sorted order (cross-bus
 // interleaving carries no determinism weight — per-bus order does, and
 // each bus's slabs re-enter in exactly their captured order and batch
-// boundaries). It returns how many records were fed. The caller Drains
-// afterwards to flush final windows, exactly like the recorded run's
-// shutdown did.
+// boundaries). Entries decode by the manifest's version. It returns how
+// many records were fed. The caller Drains afterwards to flush final
+// windows, exactly like the recorded run's shutdown did.
 func (s *Server) ReplayCapture(dir string) (int, error) {
+	m, err := LoadManifest(dir)
+	if err != nil {
+		return 0, err
+	}
 	files, err := filepath.Glob(filepath.Join(dir, CaptureSubdir, "*.jnl"))
 	if err != nil {
 		return 0, err
@@ -220,14 +254,19 @@ func (s *Server) ReplayCapture(dir string) (int, error) {
 			s.noteDegraded("capture %s has a torn tail (recorder crashed mid-write); replaying the intact prefix", filepath.Base(path))
 		}
 		for i, e := range entries {
-			tr, err := trace.ReadBinary(bytes.NewReader(e))
+			var slab []trace.Record
+			if m.Version == manifestV1 {
+				slab, err = trace.ReadBinary(bytes.NewReader(e))
+			} else {
+				slab, err = trace.DecodeCapture(nil, e)
+			}
 			if err != nil {
 				return records, fmt.Errorf("server: capture %s entry %d: %w", filepath.Base(path), i, err)
 			}
-			if err := s.pushSlab([]trace.Record(tr)); err != nil {
+			if err := s.pushSlab(slab); err != nil {
 				return records, err
 			}
-			records += len(tr)
+			records += len(slab)
 		}
 	}
 	return records, nil

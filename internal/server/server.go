@@ -695,7 +695,11 @@ func (s *Server) Start(ctx context.Context) error {
 		return errors.New("server: already started")
 	}
 	go func() {
-		_, err := s.sup.Run(ctx, engine.NewChanBatchSource(ctx, s.feed, s.pool.Put), s.recordAlert)
+		src := engine.NewChanBatchSource(ctx, s.feed, s.pool.Put)
+		if s.capture != nil {
+			src.Idle = s.flushCapture
+		}
+		_, err := s.sup.Run(ctx, src, s.recordAlert)
 		// Seal the journal and capture files before the run is reported
 		// done: whoever awaits Drain may byte-compare them immediately.
 		if s.journal != nil {
@@ -704,7 +708,9 @@ func (s *Server) Start(ctx context.Context) error {
 			}
 		}
 		if s.capture != nil {
-			if cerr := s.capture.Close(); cerr != nil {
+			// A capture already disabled has its note; its writer
+			// repeats the failure at Close.
+			if cerr := s.capture.Close(); cerr != nil && !s.captureFail.Load() {
 				s.noteDegraded("record capture close: %v", cerr)
 			}
 		}

@@ -827,8 +827,10 @@ func TestServeAdaptLifecycle(t *testing.T) {
 // TestIngestSteadyStateAllocs extends the engine's allocation guard to
 // the serve path: a warm server ingesting binary or candump bodies —
 // Decode straight into the feed slabs, demux and the engine lanes
-// together — and a fleet with the gateway and responder armed stay
-// below 0.25 allocations per frame. Each body is the capture shifted
+// together — the binary leg with record capture armed (encode, group
+// staging and the idle flush on the demux goroutine), and a fleet with
+// the gateway and responder armed stay below 0.25 allocations per
+// frame. Each body is the capture shifted
 // past the previous one, so stream time keeps advancing.
 func TestIngestSteadyStateAllocs(t *testing.T) {
 	snap, clean, attacked := loadFixture(t)
@@ -857,6 +859,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 		records trace.Trace
 	}{
 		{"binary", server.Config{Snapshot: snap}, trace.FormatBinary, "", clean},
+		{"binary-capture", server.Config{Snapshot: snap, RecordDir: t.TempDir()}, trace.FormatBinary, "", clean},
 		{"candump", server.Config{Snapshot: snap}, trace.FormatCandump, "", clean},
 		{"fleet-prevention", server.Config{Snapshot: &armed, Fleet: &server.FleetOptions{Engines: 2}},
 			trace.FormatCandump, "veh-01", attacked},
